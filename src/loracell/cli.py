@@ -3,8 +3,8 @@
 Verbs: coverage (closed-form sweep over distance), mc (Monte Carlo
 estimates), simulate (throughput/PDR sweep), reproduce (bundled recipes for
 the reference figures), validate-config. Every run writes a CSV plus a
-.manifest.json recording the resolved configuration digest; re-running with
-the same digest reproduces the CSV byte for byte.
+.manifest.json recording the digest of every resolved configuration it ran;
+re-running with the same digests reproduces the CSV byte for byte.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime failure.
 """
@@ -68,10 +68,10 @@ class RunManifest:
     command: str
     scenario_path: str
     output_path: str
-    seed: int
+    seed: int | None
     timestamp: str
     tool_version: str
-    config_digest: str
+    config_digests: dict[str, str]
 
 
 def _scenario_digest(scenario: Scenario) -> str:
@@ -80,7 +80,7 @@ def _scenario_digest(scenario: Scenario) -> str:
 
 
 def _write_manifest(out_path: Path, command: str, scenario_path: str,
-                    scenario: Scenario, seed: int) -> None:
+                    scenarios: dict[str, Scenario], seed: int | None) -> None:
     manifest = RunManifest(
         command=command,
         scenario_path=str(scenario_path),
@@ -88,7 +88,7 @@ def _write_manifest(out_path: Path, command: str, scenario_path: str,
         seed=seed,
         timestamp=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         tool_version=__version__,
-        config_digest=_scenario_digest(scenario),
+        config_digests={label: _scenario_digest(scn) for label, scn in scenarios.items()},
     )
     path = out_path.with_suffix(out_path.suffix + ".manifest.json")
     path.write_text(json.dumps(asdict(manifest), indent=2) + "\n", encoding="utf-8")
@@ -98,8 +98,6 @@ def _load(args) -> tuple[Scenario, str]:
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
         scenario = replace(scenario, rng_seed=args.seed)
-    if getattr(args, "replications", None) is not None:
-        scenario = replace(scenario, replications=args.replications)
     return scenario, str(args.scenario)
 
 
@@ -133,7 +131,7 @@ def cmd_coverage(args) -> int:
         if multi:
             out = out.with_name(f"{out.stem}_N{count}{out.suffix}")
         _write_csv(out, header, rows)
-        _write_manifest(out, "coverage", spath, scn, scn.rng_seed)
+        _write_manifest(out, "coverage", spath, {Path(spath).stem: scn}, scn.rng_seed)
         print(f"coverage: wrote {len(rows)} rows to {out}")
     return EXIT_OK
 
@@ -151,7 +149,7 @@ def cmd_mc(args) -> int:
                      q1.mean, q1.standard_error, c1.mean, c1.standard_error])
     out = Path(args.out)
     _write_csv(out, header, rows)
-    _write_manifest(out, "mc", spath, scenario, scenario.rng_seed)
+    _write_manifest(out, "mc", spath, {Path(spath).stem: scenario}, scenario.rng_seed)
     print(f"mc: wrote {len(rows)} rows to {out}")
     return EXIT_OK
 
@@ -199,7 +197,8 @@ def cmd_simulate(args) -> int:
     header, rows = _sim_rows(outcomes)
     out = Path(args.out)
     _write_csv(out, header, rows)
-    _write_manifest(out, "simulate", spath, scenario, scenario.rng_seed)
+    _write_manifest(out, "simulate", spath, {Path(spath).stem: scenario},
+                    scenario.rng_seed)
     print(f"simulate: wrote {len(rows)} rows to {out}")
     return EXIT_OK
 
@@ -231,7 +230,7 @@ def cmd_reproduce(args) -> int:
         _write_csv(csv_path, header, rows)
         _write_dat(outdir / "fig2_coverage.dat", header, rows)
         _write_manifest(csv_path, "reproduce fig2", "coverage_eu868.ini",
-                        scenario, scenario.rng_seed)
+                        {"coverage_eu868": scenario}, scenario.rng_seed)
         print(f"reproduce fig2: wrote {csv_path}")
         return EXIT_OK
 
@@ -243,6 +242,7 @@ def cmd_reproduce(args) -> int:
         ("n2_ic", "N2", "IC"),
         ("n2_iic", "N2", "IIC"),
     ]
+    scenarios = {}
     results = {}
     for name, case, model in runs:
         scenario = default_scenario(_CASE_FILES[case])
@@ -251,8 +251,8 @@ def cmd_reproduce(args) -> int:
             scenario = replace(scenario, rng_seed=args.seed)
         if args.replications is not None:
             scenario = replace(scenario, replications=args.replications)
+        scenarios[name] = scenario
         results[name] = sweep(scenario, jobs=args.jobs)
-        ref_scenario = scenario
 
     loads = [o.offered_load for o in results["n1_bp"]]
     if args.figure == "fig3":
@@ -274,8 +274,9 @@ def cmd_reproduce(args) -> int:
     csv_path = outdir / f"{stem}.csv"
     _write_csv(csv_path, header, rows)
     _write_dat(outdir / f"{stem}.dat", header, rows)
+    # without --seed each case keeps its own packaged seed, so none is shared
     _write_manifest(csv_path, f"reproduce {args.figure}", "sim_n1.ini+sim_n2.ini",
-                    ref_scenario, ref_scenario.rng_seed)
+                    scenarios, args.seed)
     print(f"reproduce {args.figure}: wrote {csv_path}")
     return EXIT_OK
 
@@ -300,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="scenario file (path, $LORACELL_CONFIG_DIR, or packaged name)")
         p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
         p.add_argument("--out", required=True, help="output CSV path")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers")
 
     p = sub.add_parser("coverage", help="closed-form coverage sweep over distance")
     common(p)
@@ -311,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="append Monte Carlo estimate and standard error columns")
     p.add_argument("--trials", type=int, default=200_000,
                    help="Monte Carlo trials per point for --validate")
-    p.add_argument("--replications", type=int, default=None, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_coverage)
 
     p = sub.add_parser("mc", help="Monte Carlo coverage estimates at given distances")
@@ -321,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1_000_000)
     p.add_argument("--shared-fading", action="store_true",
                    help="reuse one fading draw across all threshold events")
-    p.add_argument("--replications", type=int, default=None, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_mc)
 
     p = sub.add_parser("simulate", help="event-driven throughput/PDR sweep")
@@ -332,6 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the scenario collision model")
     p.add_argument("--loads", default=None, help="comma list of offered loads")
     p.add_argument("--replications", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
     p.add_argument("--force", action="store_true",
                    help="allow redundant model/case combinations")
     p.set_defaults(func=cmd_simulate)

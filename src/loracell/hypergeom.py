@@ -5,35 +5,24 @@ path-loss exponent eta > 2 the capture integral reduces to 2F1 with
 b = 2/eta. Restricting to that family keeps the correctness surface small
 enough to prove against an independent quadrature oracle.
 
-Evaluation uses three regions:
-
-  -0.9 < x <= 0   Maclaurin series. With a = 1 and c = 1 + b the terms
-                  collapse to b/(b+n) x^n, geometric in |x|.
-  -8 <= x <= -0.9 Pfaff transformation 2F1(a,b;c;x) =
-                  (1-x)^(-b) 2F1(c-a,b;c;w), w = x/(x-1), which maps the
-                  argument into [0.47, 8/9] where the series converges.
-  x < -8          Inverse-argument connection formula
-                  2F1(1,b;1+b;x) = pi b / sin(pi b) (-x)^(-b)
-                    - b sum_n (-1)^n (-x)^(-n-1) / (n + 1 - b),
-                  geometric in 1/|x|. Degenerates logarithmically at b = 1,
-                  where the family has the closed form log(1 - x) / (-x).
-
-The Pfaff series converges too slowly near w -> 1 to reach 1e-10 for
-|x| >> 1 with b near 1, hence the third branch. Both series stop when a
-term falls below 1e-16 of the partial sum, capped at 10000 terms.
+Evaluation is scipy.special.hyp2f1, except at b = 1, where the family has
+the closed form log(1 - x) / (-x) and scipy loses accuracy for large |x|
+(relative error 2.1e-10 at x = -1e8, 3.6e-9 at x = -1e10).
 """
 
 from __future__ import annotations
 
 import math
 
+from scipy import special
 from scipy.integrate import quad
 
-_TERM_EPS = 1e-16
-_MAX_TERMS = 10_000
-# b in (1 - 1e-6, 1) would lose more than ~1e-10 to cancellation in the
-# inverse-argument branch; the model never needs it (eta would be < 2.000002).
-_B_GAP = 1e-6
+# Against the oracle over |x| in [1e-6, 1e9], scipy's worst relative error
+# grows as b approaches 1 (the worst x lies near -2): 6.0e-11 at
+# b = 1 - 1e-5, 1.9e-10 at 1 - 3e-6 and 4.3e-10 at 1 - 1e-6. Rejecting
+# b in (1 - 1e-5, 1) keeps every accepted b within 1e-10; the model never
+# needs it (eta would be < 2.00002).
+_B_GAP = 1e-5
 
 
 class UnsupportedDomainError(ValueError):
@@ -60,59 +49,15 @@ def _check_family(a: float, b: float, c: float, x: float) -> None:
         raise UnsupportedDomainError(f"x must satisfy x <= 0 (got {x})")
 
 
-def _maclaurin(b: float, x: float) -> float:
-    # sum_n b/(b+n) x^n; term ratio x (b+n-1)/(b+n)
-    total = 1.0
-    term = 1.0
-    for n in range(1, _MAX_TERMS):
-        term *= x * (b + n - 1) / (b + n)
-        total += term
-        if abs(term) < _TERM_EPS * abs(total):
-            return total
-    raise RuntimeError("Maclaurin series did not converge in 10000 terms")
-
-
-def _pfaff(b: float, x: float) -> float:
-    # (1-x)^(-b) * 2F1(b, b; 1+b; w), terms (b)_n (b)_n / ((1+b)_n n!) w^n
-    w = x / (x - 1.0)
-    total = 1.0
-    term = 1.0
-    for n in range(1, _MAX_TERMS):
-        term *= w * (b + n - 1) * (b + n - 1) / ((b + n) * n)
-        total += term
-        if abs(term) < _TERM_EPS * abs(total):
-            return (1.0 - x) ** (-b) * total
-    raise RuntimeError("Pfaff series did not converge in 10000 terms")
-
-
-def _inverse_argument(b: float, x: float) -> float:
-    s = -x
-    if b == 1.0:
-        return math.log1p(s) / s
-    head = math.pi * b / math.sin(math.pi * b) * s ** (-b)
-    tail = 0.0
-    sign = 1.0
-    power = 1.0 / s
-    for n in range(_MAX_TERMS):
-        term = sign * power / (n + 1.0 - b)
-        tail += term
-        if abs(term) < _TERM_EPS * max(abs(tail), 1e-300):
-            break
-        sign = -sign
-        power /= s
-    return head - b * tail
-
-
 def hyp2f1(a: float, b: float, c: float, x: float) -> float:
     """2F1(a, b; c; x) on the supported family (a=1, c=1+b, x<=0)."""
     _check_family(a, b, c, x)
     if x == 0.0:
         return 1.0
-    if x > -0.9:
-        return _maclaurin(b, x)
-    if x >= -8.0:
-        return _pfaff(b, x)
-    return _inverse_argument(b, x)
+    if b == 1.0:
+        s = -x
+        return math.log1p(s) / s
+    return float(special.hyp2f1(1.0, b, 1.0 + b, x))
 
 
 def hyp2f1_oracle(a: float, b: float, c: float, x: float,

@@ -9,23 +9,28 @@ airtime actually transmitted. Propagation is the Okumura-Hata open-area
 iff its receive power clears the per-SF sensitivity (noise floor + SNR
 demodulation floor).
 
-Collision handling at the gateway, resolved per overlap episode (connected
-group of time-overlapping packets on a channel):
+Collision handling at the gateway. An overlap episode is a connected group
+of time-overlapping packets on a channel; packets that never overlap each
+other belong to one episode when a chain of overlapping packets links them.
 
   BP   pessimistic baseline: any overlap destroys every packet involved.
-  IC   intra-SF only: different SFs are transparent to each other; within
-       an SF, the overlapping packet with the highest SINR (same-SF
-       aggregate interference plus noise) is received iff it clears the
-       intra-SF capture threshold; all others are lost.
-  IIC  as IC, but the winner's SINR accounts for all overlapping packets
-       and it must additionally clear the pairwise threshold delta_ij
-       against each interfering SF j present. At most one packet per SF
-       and channel is received per episode.
+  IC   intra-SF only: different SFs are transparent to each other, so
+       episodes are formed within each SF. In each episode only the packet
+       with the highest SINR (same-SF aggregate interference plus noise)
+       can be received, iff it clears the intra-SF capture threshold; all
+       others are lost.
+  IIC  one episode spans every SF on the channel. Per SF, only the episode's
+       highest-SINR packet of that SF can be received; its SINR accounts for
+       all overlapping packets and it must additionally clear the pairwise
+       threshold delta_ij against each interfering SF j present. Two
+       same-SF packets that never overlap can therefore compete for one
+       slot through a chain of other-SF packets.
 
-Outcomes depend only on each packet's overlap set, so reception is resolved
-after the fact over the sorted event calendar, which permits a fully
-vectorized implementation. A replication is bit-reproducible from its seed;
-replications use independently derived seeds and aggregate by averaging.
+Outcomes depend only on each packet's overlaps and its episode, so
+reception is resolved after the fact over the sorted event calendar, which
+permits a fully vectorized implementation. A replication is bit-reproducible
+from its seed; replications use independently derived seeds and aggregate
+by averaging.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -45,7 +46,8 @@ def test_coverage_csv_identity_and_manifest(tmp_path):
         assert c1 == pytest.approx(h1 * q1, rel=1e-10)
     manifest = json.loads((tmp_path / "cov.csv.manifest.json").read_text())
     assert manifest["command"] == "coverage"
-    assert len(manifest["config_digest"]) == 64
+    assert list(manifest["config_digests"]) == ["coverage_eu868"]
+    assert len(manifest["config_digests"]["coverage_eu868"]) == 64
 
 
 def test_coverage_multiple_node_counts(tmp_path):
@@ -71,6 +73,13 @@ def test_coverage_validate_appends_mc_columns(tmp_path):
     for row in rows:
         c1, mc, se = float(row[4]), float(row[-2]), float(row[-1])
         assert abs(c1 - mc) <= 3 * se
+
+
+def test_coverage_rejects_jobs_flag(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["coverage", "--scenario", "coverage_eu868.ini",
+              "--out", str(tmp_path / "cov.csv"), "--jobs", "2"])
+    assert exc.value.code == 2
 
 
 def test_mc_command(tmp_path):
@@ -112,7 +121,7 @@ def test_simulate_theory_column_and_rerun_identical(tmp_path):
     assert theory == pytest.approx(g * np.exp(-2 * g), rel=1e-10)
     m1 = json.loads((tmp_path / "a.csv.manifest.json").read_text())
     m2 = json.loads((tmp_path / "b.csv.manifest.json").read_text())
-    assert m1["config_digest"] == m2["config_digest"]
+    assert m1["config_digests"] == m2["config_digests"]
 
 
 def test_simulate_requires_case_or_scenario(capsys):
@@ -153,6 +162,11 @@ def test_reproduce_fig3_emits_all_curves(tmp_path):
     k = header.index("s_n1_ic_x5")
     for row in rows:
         assert float(row[k]) == pytest.approx(5 * float(row[3]), rel=1e-10)
+    manifest = json.loads((tmp_path / "fig3_throughput.csv.manifest.json").read_text())
+    digests = manifest["config_digests"]
+    assert list(digests) == ["n1_bp", "n1_ic", "n2_bp", "n2_ic", "n2_iic"]
+    assert len(set(digests.values())) == 5
+    assert all(re.fullmatch("[0-9a-f]{64}", d) for d in digests.values())
 
 
 def test_reproduce_fig4_pdr_decreases(tmp_path):

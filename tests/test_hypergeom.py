@@ -41,7 +41,7 @@ def test_monotone_increasing_toward_zero():
     assert 0.0 < values[0] < values[-1] <= 1.0
 
 
-@pytest.mark.parametrize("eta", [2.1, 2.75, 4.0])
+@pytest.mark.parametrize("eta", [2.1, 2.75, 4.0, 2.0 / (1.0 - 2e-5), 2.0 / (1.0 - 1e-4)])
 def test_series_agrees_with_oracle(eta):
     b = 2.0 / eta
     for ax in np.logspace(-6, 6, 60):
@@ -71,6 +71,7 @@ def test_oracle_self_consistency_under_refinement():
         (1.0, 0.0, 1.0, -1.0),       # b out of (0, 1]
         (1.0, 1.5, 2.5, -1.0),
         (1.0, 1.0 - 1e-9, 2.0 - 1e-9, -1.0),   # too close to the log case
+        (1.0, 1.0 - 5e-6, 2.0 - 5e-6, -1.0),
         (1.0, 0.5, 1.6, -1.0),       # c != 1 + b
         (1.0, 0.5, 1.5, 0.5),        # positive argument
         (1.0, 0.5, 1.5, math.nan),

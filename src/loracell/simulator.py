@@ -4,10 +4,20 @@ Class-A pure-ALOHA uplink on a shared channel: each node draws Poisson
 arrivals and transmits immediately unless its radio is busy or the EU duty
 cycle budget (airtime within the trailing hour) would be exceeded; such
 arrivals are dropped, so the reported offered load is measured from the
-airtime actually transmitted. Propagation is the Okumura-Hata open-area
-(rural) median model, reception is threshold-based: a packet is detectable
-iff its receive power clears the per-SF sensitivity (noise floor + SNR
-demodulation floor).
+airtime actually transmitted.
+
+Traffic is drawn node by node, in node order, from the replication's RNG
+(a Poisson count, then sorted uniform times), and the acceptance rule runs
+over all nodes at once. An arrival is close when t[i] < t[i-1] + ToA within
+its node. A lone close arrival is a busy drop, and a chain of close arrivals
+keeps each arrival that starts after the last kept airtime ends. A node that
+could exceed the duty budget (its densest trailing hour holds more airtime
+than the budget) runs the exact sequential loop over all its arrivals. The
+result equals that loop run on every node.
+
+Propagation is the Okumura-Hata open-area (rural) median model, reception
+is threshold-based: a packet is detectable iff its receive power clears the
+per-SF sensitivity (noise floor + SNR demodulation floor).
 
 Collision handling at the gateway. An overlap episode is a connected group
 of time-overlapping packets on a channel; packets that never overlap each
@@ -132,12 +142,14 @@ def _component_ids(starts, ends):
 
 
 def _winners_per_group(group_ids, score):
-    """Index of the max-score element of each contiguous group-id run."""
-    order = np.lexsort((score, group_ids))
-    grouped = group_ids[order]
-    last = np.flatnonzero(np.diff(grouped)) if len(grouped) > 1 else np.array([], dtype=int)
-    last = np.concatenate((last, [len(grouped) - 1]))
-    return order[last]
+    """Index of the max-score element of each run of equal, non-decreasing
+    group ids; among equal maxima the last index wins."""
+    n = len(group_ids)
+    heads = np.flatnonzero(np.diff(group_ids, prepend=group_ids[0] - 1))
+    best = np.maximum.reduceat(score, heads)
+    sizes = np.diff(heads, append=n)
+    at_best = np.where(score == np.repeat(best, sizes), np.arange(n), -1)
+    return np.maximum.reduceat(at_best, heads)
 
 
 def _resolve_channel(starts, ends, sf_idx, pw_mw, sens_ok, model,
@@ -207,6 +219,36 @@ def _resolve_channel(starts, ends, sf_idx, pw_mw, sens_ok, model,
     raise ConfigurationError(f"unknown collision model {model!r}")
 
 
+def _argsort_stable(x):
+    """Same permutation as np.argsort(x, kind="stable"): without ties every
+    sort order agrees, and the default sort is the faster one."""
+    order = np.argsort(x)
+    x_sorted = x[order]
+    if np.any(x_sorted[1:] == x_sorted[:-1]):
+        return np.argsort(x, kind="stable")
+    return order
+
+
+def _resolve(starts, durs, sf_idx, rx_dbm, chans, channels, model,
+             thresholds, radio):
+    """Received flag per packet: sensitivity, then each of `channels` in
+    stable start order through `_resolve_channel`."""
+    sens_ok = rx_dbm >= sensitivity_dbm(radio, thresholds)[sf_idx]
+    pw = 10.0 ** (rx_dbm / 10.0)
+    noise = noise_power_mw(radio)
+    received = np.zeros(starts.size, dtype=bool)
+    for ch in channels:
+        mask = np.flatnonzero(chans == ch)
+        if mask.size == 0:
+            continue
+        order = mask[_argsort_stable(starts[mask])]
+        st = starts[order]
+        received[order] = _resolve_channel(
+            st, st + durs[order], sf_idx[order], pw[order], sens_ok[order],
+            model, thresholds.sir_linear, noise)
+    return received
+
+
 def resolve_reception(packets: Sequence[PacketEvent], model: str,
                       thresholds: ThresholdSet, radio: RadioConfig) -> list[bool]:
     """Received/lost flag per packet under the given collision model."""
@@ -214,61 +256,31 @@ def resolve_reception(packets: Sequence[PacketEvent], model: str,
         raise ConfigurationError(f"unknown collision model {model!r}")
     if not packets:
         return []
-    starts = np.array([p.start_s for p in packets])
     durs = np.array([p.duration_s for p in packets])
     if np.any(durs <= 0):
         raise ConfigurationError("packet durations must be positive")
-    sf_idx = np.array([p.sf - SF_RANGE[0] for p in packets])
-    rx_dbm = np.array([p.rx_power_dbm for p in packets])
     chans = np.array([p.channel for p in packets])
-    sens_ok = rx_dbm >= sensitivity_dbm(radio, thresholds)[sf_idx]
-    pw = 10.0 ** (rx_dbm / 10.0)
-    noise = noise_power_mw(radio)
-    sir = thresholds.sir_linear
-
-    received = np.zeros(len(packets), dtype=bool)
-    for ch in np.unique(chans):
-        mask = np.flatnonzero(chans == ch)
-        order = mask[np.argsort(starts[mask], kind="stable")]
-        flags = _resolve_channel(starts[order], starts[order] + durs[order],
-                                 sf_idx[order], pw[order], sens_ok[order],
-                                 model, sir, noise)
-        received[order] = flags
-    return received.tolist()
+    return _resolve(np.array([p.start_s for p in packets]), durs,
+                    np.array([p.sf - SF_RANGE[0] for p in packets]),
+                    np.array([p.rx_power_dbm for p in packets]),
+                    chans, np.unique(chans), model, thresholds, radio).tolist()
 
 
 # ---------------------------------------------------------------------------
 # Traffic generation
 
-def _node_transmissions(rng, rate, duration, toa, duty_limit):
-    """Accepted transmission start times for one node, plus drop counts.
-
-    Arrivals during an ongoing transmission are dropped (half-duplex radio);
-    arrivals whose airtime would push the trailing-hour airtime over
-    duty_limit * 3600 s are dropped (duty cycle lockout).
+def _accept_sequential(times, toa, budget):
+    """Keep mask and duty-drop count for one node's sorted arrivals under the
+    sequential rule: an arrival before `busy_until` is a busy drop; one whose
+    airtime would push the trailing-hour airtime over `budget` is a duty drop.
     """
-    n_arr = rng.poisson(rate * duration)
-    if n_arr == 0:
-        return np.empty(0), 0, 0
-    times = np.sort(rng.random(n_arr)) * duration
-    budget = duty_limit * 3600.0
-    # fast path: no arrival lands inside a previous airtime and no trailing
-    # hour can exceed the budget even if everything is kept
-    busy_possible = n_arr > 1 and bool(np.any(np.diff(times) < toa))
-    win_start = np.searchsorted(times, times - 3600.0, side="right")
-    max_in_hour = (np.arange(n_arr) - win_start + 1).max()
-    if not busy_possible and max_in_hour * toa <= budget:
-        return times, 0, 0
-
-    kept = []
-    dropped_busy = 0
+    keep = np.zeros(len(times), dtype=bool)
     dropped_duty = 0
     busy_until = -math.inf
     window: deque[float] = deque()
     airtime_in_window = 0.0
-    for t in times:
+    for i, t in enumerate(times.tolist()):
         if t < busy_until:
-            dropped_busy += 1
             continue
         while window and window[0] <= t - 3600.0:
             window.popleft()
@@ -276,11 +288,46 @@ def _node_transmissions(rng, rate, duration, toa, duty_limit):
         if airtime_in_window + toa > budget + 1e-12:
             dropped_duty += 1
             continue
-        kept.append(t)
+        keep[i] = True
         window.append(t)
         airtime_in_window += toa
         busy_until = t + toa
-    return np.asarray(kept), dropped_busy, dropped_duty
+    return keep, dropped_duty
+
+
+def _accept(times, nodes, node_toa, duty_limit):
+    """Keep mask over node-major sorted arrivals, plus busy and duty drops.
+
+    Equivalent to `_accept_sequential` per node. An arrival is close when
+    t[i] < t[i-1] + toa within its node; every other arrival is kept. A lone
+    close arrival is a busy drop; chains of two or more close arrivals, and
+    nodes whose trailing-hour count can exceed the duty budget, take the
+    sequential rule.
+    """
+    close = np.zeros(times.size, dtype=bool)
+    close[1:] = ((nodes[1:] == nodes[:-1])
+                 & (times[1:] < times[:-1] + node_toa[nodes[1:]]))
+    keep = ~close
+    edges = np.diff(close.view(np.int8), prepend=0, append=0)
+    for a, b in zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)):
+        if b - a > 1:       # run head a-1 is kept; the rest is sequential
+            keep[a - 1:b] = _accept_sequential(
+                times[a - 1:b], float(node_toa[nodes[a]]), math.inf)[0]
+
+    budget = duty_limit * 3600.0
+    dropped_duty = 0
+    counts = np.bincount(nodes, minlength=node_toa.size)
+    bounds = np.concatenate(([0], np.cumsum(counts)))
+    for k in np.flatnonzero(counts * node_toa > budget):
+        t_k = times[bounds[k]:bounds[k + 1]]
+        win_start = np.searchsorted(t_k, t_k - 3600.0, side="right")
+        if (np.arange(t_k.size) - win_start + 1).max() * node_toa[k] <= budget:
+            continue
+        keep[bounds[k]:bounds[k + 1]], duty = _accept_sequential(
+            t_k, float(node_toa[k]), budget)
+        dropped_duty += duty
+    dropped_busy = int(times.size - keep.sum()) - dropped_duty
+    return keep, dropped_busy, dropped_duty
 
 
 @dataclass(frozen=True)
@@ -317,19 +364,20 @@ def run_replication(scenario: Scenario, offered_load: float, seed) -> Replicatio
     node_toa = np.array([toa_by_sf[sf] for sf in placement.sfs])
     rate = per_node_rate(offered_load, scenario.node_count, float(node_toa.mean()))
 
-    starts_parts, node_parts = [], []
-    dropped_busy = dropped_duty = 0
-    node_airtime = np.zeros(scenario.node_count)
+    counts = np.zeros(scenario.node_count, dtype=int)
+    parts = []
     for k in range(scenario.node_count):
-        t_k, busy, duty = _node_transmissions(
-            rng, rate, duration, node_toa[k], scenario.duty_cycle_limit)
-        dropped_busy += busy
-        dropped_duty += duty
-        node_airtime[k] = t_k.size * node_toa[k]
-        starts_parts.append(t_k)
-        node_parts.append(np.full(t_k.size, k))
-    starts = np.concatenate(starts_parts)
-    nodes = np.concatenate(node_parts).astype(int)
+        n_arr = rng.poisson(rate * duration)
+        if n_arr:
+            counts[k] = n_arr
+            parts.append(np.sort(rng.random(n_arr)) * duration)
+    times = np.concatenate(parts) if parts else np.empty(0)
+    nodes = np.repeat(np.arange(scenario.node_count), counts)
+    keep, dropped_busy, dropped_duty = _accept(
+        times, nodes, node_toa, scenario.duty_cycle_limit)
+    starts = times[keep]
+    nodes = nodes[keep]
+    node_airtime = np.bincount(nodes, minlength=scenario.node_count) * node_toa
     if scenario.channels > 1:
         chans = rng.integers(0, scenario.channels, size=starts.size)
     else:
@@ -337,21 +385,9 @@ def run_replication(scenario: Scenario, offered_load: float, seed) -> Replicatio
 
     sf_idx = placement.sfs[nodes] - SF_RANGE[0]
     durs = node_toa[nodes]
-    pw_dbm = rx_dbm[nodes]
-    sens_ok = pw_dbm >= sensitivity_dbm(radio, scenario.thresholds)[sf_idx]
-    pw = 10.0 ** (pw_dbm / 10.0)
-    noise = noise_power_mw(radio)
-    sir = scenario.thresholds.sir_linear
-
-    received = np.zeros(starts.size, dtype=bool)
-    for ch in range(scenario.channels):
-        mask = np.flatnonzero(chans == ch)
-        if mask.size == 0:
-            continue
-        order = mask[np.argsort(starts[mask], kind="stable")]
-        received[order] = _resolve_channel(
-            starts[order], starts[order] + durs[order], sf_idx[order],
-            pw[order], sens_ok[order], scenario.collision_model, sir, noise)
+    received = _resolve(starts, durs, sf_idx, rx_dbm[nodes], chans,
+                        range(scenario.channels), scenario.collision_model,
+                        scenario.thresholds, radio)
 
     tx = int(starts.size)
     rx = int(received.sum())
@@ -434,6 +470,8 @@ def run(scenario: Scenario, offered_load: float, replications: int | None = None
     if scenario.collision_model not in COLLISION_MODELS:
         raise ConfigurationError(f"unknown collision model {scenario.collision_model!r}")
     n_reps = scenario.replications if replications is None else replications
+    if n_reps < 1:
+        raise ConfigurationError(f"replications must be at least 1, got {n_reps}")
     seed0 = scenario.rng_seed if master_seed is None else master_seed
     reps = [
         run_replication(scenario, offered_load, _replication_seed(seed0, stream_key, r))
@@ -456,6 +494,10 @@ def sweep(scenario: Scenario, loads: Sequence[float] | None = None,
     if not g_list:
         raise ConfigurationError("sweep requires at least one offered load")
     reps = scenario.replications if replications is None else replications
+    if reps < 1:
+        raise ConfigurationError(f"replications must be at least 1, got {reps}")
+    if jobs < 1:
+        raise ConfigurationError(f"jobs must be at least 1, got {jobs}")
     seed0 = scenario.rng_seed if master_seed is None else master_seed
     tasks = [(scenario, g, reps, seed0, k) for k, g in enumerate(g_list)]
     if jobs > 1:

@@ -124,6 +124,15 @@ def test_simulate_theory_column_and_rerun_identical(tmp_path):
     assert m1["config_digests"] == m2["config_digests"]
 
 
+@pytest.mark.parametrize("flag,value", [("--replications", "0"), ("--jobs", "-3")])
+def test_simulate_bad_count_exits_config_error(flag, value, tmp_path, capsys):
+    code = main(["simulate", "--case", "N2", "--loads", "0.2", flag, value,
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == EXIT_CONFIG
+    assert flag.lstrip("-") in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_simulate_requires_case_or_scenario(capsys):
     code = main(["simulate", "--model", "BP", "--out", "/tmp/never.csv"])
     assert code == EXIT_CONFIG

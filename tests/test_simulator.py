@@ -5,6 +5,7 @@ import pytest
 from loracell import (
     ConfigurationError,
     PacketEvent,
+    ReplicationResult,
     default_scenario,
     hata_rural_loss,
     multichannel_projection,
@@ -132,6 +133,56 @@ def test_replication_bit_exact_determinism():
     assert a == b
 
 
+# Golden replications: every ReplicationResult field, floats as float.hex.
+# The traffic stage keeps the per-node RNG draws in node order, so these
+# values pin the random stream; a change to the draws must regenerate them.
+GOLDEN = {
+    ("N1", "IC", 1.0, 123): dict(
+        offered_load="0x1.0000000000000p+0",
+        measured_g="0x1.feb4b7193adfap-1",
+        tx_count=154994, rx_count=42500, dropped_busy=535, dropped_duty=0,
+        pdr="0x1.18c8f9dd9cb1dp-2",
+        throughput="0x1.18134bf542668p-2",
+        rx_airtime_fraction="0x1.18134bf542669p-2",
+        per_sf_tx=(154994, 0, 0, 0, 0, 0),
+        per_sf_rx=(42500, 0, 0, 0, 0, 0),
+        max_node_airtime_fraction="0x1.f43541c3227a3p-9",
+    ),
+    ("N2", "IIC", 1.0, 2): dict(
+        offered_load="0x1.0000000000000p+0",
+        measured_g="0x1.e911156436bb0p-1",
+        tx_count=17858, rx_count=11771, dropped_busy=62, dropped_duty=210,
+        pdr="0x1.517b5ea4485d6p-1",
+        throughput="0x1.425d9696291f1p-1",
+        rx_airtime_fraction="0x1.17bdcc53d615fp-1",
+        per_sf_tx=(3132, 3001, 2948, 3073, 2980, 2724),
+        per_sf_rx=(2318, 2162, 2109, 2136, 1684, 1362),
+        max_node_airtime_fraction="0x1.45ece5e390d03p-7",
+    ),
+    ("N1", "BP", 0.1, 7): dict(
+        offered_load="0x1.999999999999ap-4",
+        measured_g="0x1.94a0654dd900bp-4",
+        tx_count=15350, rx_count=12726, dropped_busy=7, dropped_duty=0,
+        pdr="0x1.a879f230e6043p-1",
+        throughput="0x1.4f753332dd4d0p-4",
+        rx_airtime_fraction="0x1.4f753332dd4cfp-4",
+        per_sf_tx=(15350, 0, 0, 0, 0, 0),
+        per_sf_rx=(12726, 0, 0, 0, 0, 0),
+        max_node_airtime_fraction="0x1.072db866aaf68p-11",
+    ),
+}
+
+
+@pytest.mark.parametrize("key", list(GOLDEN), ids=lambda k: f"{k[0]}-{k[1]}-G{k[2]}-s{k[3]}")
+def test_golden_replication(key):
+    case, model, g, seed = key
+    scn = replace({"N1": N1, "N2": N2}[case], collision_model=model)
+    expected = ReplicationResult(**{
+        name: float.fromhex(v) if isinstance(v, str) else v
+        for name, v in GOLDEN[key].items()})
+    assert run_replication(scn, g, seed) == expected
+
+
 def test_replication_accounting():
     rep = run_replication(N2, 0.8, seed=5)
     assert rep.rx_count <= rep.tx_count
@@ -196,6 +247,18 @@ def test_run_rejects_bad_model():
     bad = replace(N1, collision_model="XX")
     with pytest.raises(ConfigurationError):
         run(bad, 0.3, replications=1)
+
+
+@pytest.mark.parametrize("kwargs", [dict(replications=0), dict(replications=-1),
+                                    dict(jobs=0), dict(jobs=-3)])
+def test_sweep_rejects_bad_counts(kwargs):
+    with pytest.raises(ConfigurationError):
+        sweep(N2, loads=(0.2,), **kwargs)
+
+
+def test_run_rejects_zero_replications():
+    with pytest.raises(ConfigurationError, match="replications"):
+        run(N2, 0.2, replications=0)
 
 
 def test_zero_duration_rejected():

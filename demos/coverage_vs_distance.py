@@ -10,7 +10,7 @@ available, coverage_vs_distance.png.
 
 import numpy as np
 
-from loracell import coverage_probability, default_scenario, typical_at
+from loracell import coverage_sweep, default_scenario
 
 NODE_COUNTS = (250, 500, 2500)
 
@@ -21,10 +21,7 @@ def main():
     curves = {}
     for count in NODE_COUNTS:
         scn = base.with_node_count(count)
-        curves[count] = np.array([
-            coverage_probability(typical_at(scn.topology, float(d)), scn).c1
-            for d in distances
-        ])
+        curves[count] = np.array([br.c1 for br in coverage_sweep(scn, distances)])
         edge = curves[count][-1]
         print(f"N = {count:5d}: C1 at 500 m = {curves[count][49]:.3f}, "
               f"at cell edge = {edge:.3f}")

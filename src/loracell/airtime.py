@@ -94,6 +94,8 @@ def per_node_rate(offered_load: float, node_count: int, mean_toa_s: float,
     """
     if offered_load <= 0 or node_count <= 0 or mean_toa_s <= 0:
         raise ConfigurationError("offered_load, node_count and mean_toa_s must be positive")
+    if not (math.isfinite(offered_load) and math.isfinite(mean_toa_s)):
+        raise ConfigurationError("offered_load and mean_toa_s must be finite")
     rate = offered_load / (node_count * mean_toa_s)
     if duty_cycle_limit is not None and rate * mean_toa_s > duty_cycle_limit:
         raise ConfigurationError(

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .airtime import pure_aloha_throughput
-from .coverage import coverage_probability, typical_at
+from .coverage import coverage_sweep, typical_at
 from .montecarlo import estimate_coverage
 from .scenario import (
     SF_RANGE,
@@ -103,11 +103,8 @@ def _load(args) -> tuple[Scenario, str]:
 
 def _coverage_rows(scenario: Scenario, distances) -> tuple[list[str], list[list]]:
     header = ["distance_m", "sf", "h1", "q1", "c1"] + [f"p_sir_sf{sf}" for sf in SF_RANGE]
-    rows = []
-    for d in distances:
-        typical = typical_at(scenario.topology, float(d))
-        br = coverage_probability(typical, scenario)
-        rows.append([d, typical.sf, br.h1, br.q1, br.c1, *br.p_sir])
+    rows = [[d, scenario.topology.sf_at(float(d)), br.h1, br.q1, br.c1, *br.p_sir]
+            for d, br in zip(distances, coverage_sweep(scenario, distances))]
     return header, rows
 
 

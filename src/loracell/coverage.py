@@ -13,6 +13,11 @@ fading with path loss g(d) = (lambda / 4 pi d)^eta:
 where alpha_j is the active-interferer intensity of ring j and delta_ij the
 capture threshold of SF i against SF j. Everything here is linear-scale;
 dB values are converted once by the scenario types.
+
+The model is evaluated over whole distance arrays: one private kernel takes
+distances and per-point SF indices and evaluates 2F1 for every ring edge of
+every point in one array call. The single-point functions call it with one
+element, so a point and the same distance in a sweep give identical values.
 """
 
 from __future__ import annotations
@@ -53,9 +58,9 @@ def typical_at(topology: RingTopology, distance_m: float) -> TypicalNode:
     return TypicalNode(distance_m=distance_m, sf=topology.sf_at(distance_m))
 
 
-def path_gain(distance_m: float, radio: RadioConfig) -> float:
-    """Linear path gain (lambda / (4 pi d))^eta."""
-    if distance_m <= 0:
+def path_gain(distance_m, radio: RadioConfig):
+    """Linear path gain (lambda / (4 pi d))^eta, for a distance or an array."""
+    if np.any(np.less_equal(distance_m, 0)):
         raise ValueError("distance_m must be positive")
     return (radio.wavelength_m / (4.0 * math.pi * distance_m)) ** radio.path_loss_exponent
 
@@ -71,63 +76,77 @@ def noise_power_mw(radio: RadioConfig) -> float:
     return 10.0 ** (noise_power_dbm(radio) / 10.0)
 
 
+def _connection(distances_m: np.ndarray, sf_idx: np.ndarray, radio: RadioConfig,
+                thresholds: ThresholdSet) -> np.ndarray:
+    """H1 at each distance; sf_idx indexes SF_RANGE."""
+    gamma = thresholds.snr_floor_linear[sf_idx]
+    rx = radio.tx_power_mw * radio.antenna_gain_linear * path_gain(distances_m, radio)
+    return np.exp(-gamma * noise_power_mw(radio) / rx)
+
+
+def _capture(distances_m: np.ndarray, sf_idx: np.ndarray, topology: RingTopology,
+             thresholds: ThresholdSet, radio: RadioConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Q1 at each distance and the (ring, distance) array of P_SIR factors."""
+    p_sir = np.ones((len(SF_RANGE), len(distances_m)))
+    alpha = topology.intensities
+    rings = np.flatnonzero(alpha)           # a ring with alpha == 0 gives exactly 1
+    if rings.size:
+        eta = radio.path_loss_exponent
+        b = 2.0 / eta
+        # scale[r, k] = d_k^eta * delta(sf_k, ring r)
+        scale = distances_m ** eta * thresholds.sir_linear.T[rings][:, sf_idx]
+        # edge[0] holds the outer and edge[1] the inner edge of each ring; an
+        # inner edge l_0 = 0 gives x = -0, 2F1 = 1 and a zero l^2 weight
+        edge = np.asarray(topology.boundaries_m)[np.array([rings + 1, rings])][..., None]
+        weighted = edge * edge * hyp2f1(1.0, b, 1.0 + b, -(edge ** eta) / scale)
+        p_sir[rings] = np.exp(-math.pi * alpha[rings][:, None] * (weighted[0] - weighted[1]))
+    return p_sir.prod(axis=0), p_sir
+
+
+def _coverage(distances_m: np.ndarray, sf_idx: np.ndarray,
+              scenario: Scenario) -> list[CoverageBreakdown]:
+    """The closed form over whole arrays: one breakdown per distance."""
+    h1 = _connection(distances_m, sf_idx, scenario.radio, scenario.thresholds)
+    q1, p_sir = _capture(distances_m, sf_idx, scenario.topology, scenario.thresholds,
+                         scenario.radio)
+    c1 = h1 * q1
+    return [CoverageBreakdown(h1=h, p_sir=p, q1=q, c1=c)
+            for h, p, q, c in zip(h1.tolist(), zip(*p_sir.tolist()), q1.tolist(),
+                                  c1.tolist())]
+
+
+def _one(typical: TypicalNode) -> tuple[np.ndarray, np.ndarray]:
+    """A typical node as one-element kernel inputs."""
+    if not typical.distance_m > 0:
+        raise ValueError("distance_m must be positive")
+    return np.array([typical.distance_m], dtype=float), np.array([typical.sf - SF_RANGE[0]])
+
+
 def connection_probability(typical: TypicalNode, radio: RadioConfig,
                            thresholds: ThresholdSet) -> float:
-    gamma = float(thresholds.snr_floor_linear[typical.sf - SF_RANGE[0]])
-    g1 = path_gain(typical.distance_m, radio)
-    rx = radio.tx_power_mw * radio.antenna_gain_linear * g1
-    return math.exp(-gamma * noise_power_mw(radio) / rx)
+    return float(_connection(*_one(typical), radio, thresholds)[0])
 
 
 def capture_probability_ring(typical: TypicalNode, ring_sf: int,
                              topology: RingTopology, thresholds: ThresholdSet,
                              radio: RadioConfig) -> float:
     """P(SIR against ring `ring_sf` exceeds its capture threshold)."""
-    j = ring_sf - SF_RANGE[0]
-    alpha = float(topology.intensities[j])
-    if alpha == 0.0:
-        return 1.0
-    delta = thresholds.sir(typical.sf, ring_sf)
-    eta = radio.path_loss_exponent
-    b = 2.0 / eta
-    lo = topology.boundaries_m[j]
-    hi = topology.boundaries_m[j + 1]
-    scale = typical.distance_m ** eta * delta
-
-    def weighted(l: float) -> float:
-        if l == 0.0:
-            return 0.0
-        return l * l * hyp2f1(1.0, b, 1.0 + b, -(l ** eta) / scale)
-
-    exponent = -math.pi * alpha * (weighted(hi) - weighted(lo))
-    return math.exp(exponent)
+    return capture_probability(typical, topology, thresholds, radio)[1][ring_sf - SF_RANGE[0]]
 
 
 def capture_probability(typical: TypicalNode, topology: RingTopology,
                         thresholds: ThresholdSet,
                         radio: RadioConfig) -> tuple[float, tuple[float, ...]]:
     """Q1 and the per-ring factors it is the product of."""
-    per_ring = tuple(
-        capture_probability_ring(typical, sf, topology, thresholds, radio)
-        for sf in SF_RANGE
-    )
-    q1 = 1.0
-    for p in per_ring:
-        q1 *= p
-    return q1, per_ring
+    q1, p_sir = _capture(*_one(typical), topology, thresholds, radio)
+    return float(q1[0]), tuple(p_sir[:, 0].tolist())
 
 
 def coverage_probability(typical: TypicalNode, scenario: Scenario) -> CoverageBreakdown:
-    h1 = connection_probability(typical, scenario.radio, scenario.thresholds)
-    q1, per_ring = capture_probability(
-        typical, scenario.topology, scenario.thresholds, scenario.radio
-    )
-    return CoverageBreakdown(h1=h1, p_sir=per_ring, q1=q1, c1=h1 * q1)
+    return _coverage(*_one(typical), scenario)[0]
 
 
 def coverage_sweep(scenario: Scenario, distances_m) -> list[CoverageBreakdown]:
     """Coverage breakdown at each distance (SF from the containing ring)."""
-    out = []
-    for d in np.asarray(distances_m, dtype=float):
-        out.append(coverage_probability(typical_at(scenario.topology, float(d)), scenario))
-    return out
+    d = np.asarray(distances_m, dtype=float)
+    return _coverage(d, scenario.topology.ring_index(d), scenario)

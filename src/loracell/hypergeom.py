@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 from scipy import special
 from scipy.integrate import quad
 
@@ -33,7 +34,7 @@ class QuadratureError(RuntimeError):
     """Oracle quadrature did not reach the requested tolerance."""
 
 
-def _check_family(a: float, b: float, c: float, x: float) -> None:
+def _check_parameters(a: float, b: float, c: float) -> None:
     if a != 1.0:
         raise UnsupportedDomainError(f"a must be 1 (got {a})")
     if not 0.0 < b <= 1.0:
@@ -45,19 +46,36 @@ def _check_family(a: float, b: float, c: float, x: float) -> None:
         )
     if not math.isclose(c, 1.0 + b, rel_tol=1e-12, abs_tol=1e-12):
         raise UnsupportedDomainError(f"c must equal 1 + b (got c={c}, b={b})")
+
+
+def _check_family(a: float, b: float, c: float, x: float) -> None:
+    _check_parameters(a, b, c)
     if math.isnan(x) or x > 0.0:
         raise UnsupportedDomainError(f"x must satisfy x <= 0 (got {x})")
 
 
-def hyp2f1(a: float, b: float, c: float, x: float) -> float:
-    """2F1(a, b; c; x) on the supported family (a=1, c=1+b, x<=0)."""
-    _check_family(a, b, c, x)
-    if x == 0.0:
-        return 1.0
+def hyp2f1(a: float, b: float, c: float, x):
+    """2F1(a, b; c; x) on the supported family (a=1, c=1+b, x<=0).
+
+    x is a float or an array of any shape; a float returns a float and an
+    array returns an array of the same shape. a, b and c are checked once;
+    a NaN or positive element anywhere in x raises UnsupportedDomainError.
+    Elements with x == 0 give exactly 1.0. A float is evaluated as a
+    one-element array, so it equals the same element of any array call.
+    """
+    _check_parameters(a, b, c)
+    xs = np.asarray(x, dtype=float)
+    supported = xs <= 0.0
+    if not supported.all():
+        raise UnsupportedDomainError(f"x must satisfy x <= 0 (got {xs[~supported].flat[0]})")
+    out = np.ones(xs.shape)
+    nonzero = xs != 0.0
+    xn = xs[nonzero]
     if b == 1.0:
-        s = -x
-        return math.log1p(s) / s
-    return float(special.hyp2f1(1.0, b, 1.0 + b, x))
+        out[nonzero] = np.log1p(-xn) / -xn
+    else:
+        out[nonzero] = special.hyp2f1(1.0, b, 1.0 + b, xn)
+    return float(out) if out.ndim == 0 else out
 
 
 def hyp2f1_oracle(a: float, b: float, c: float, x: float,

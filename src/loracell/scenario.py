@@ -165,14 +165,20 @@ class RingTopology:
     def total_mean_nodes(self) -> float:
         return float(sum(self.mean_nodes))
 
+    def ring_index(self, distance_m):
+        """Index into SF_RANGE of the ring containing each distance (outer
+        boundary inclusive); a distance or an array of them, all in (0, R]."""
+        d = np.asarray(distance_m, dtype=float)
+        outside = ~((d > 0.0) & (d <= self.cell_radius_m))
+        if outside.any():
+            raise ConfigurationError(
+                f"distance {d[outside].flat[0]} m outside the cell (0, {self.cell_radius_m}]"
+            )
+        return np.searchsorted(np.asarray(self.boundaries_m)[1:], d, side="left")
+
     def sf_at(self, distance_m: float) -> int:
         """SF of the ring containing a distance (outer boundary inclusive)."""
-        if not 0 < distance_m <= self.cell_radius_m:
-            raise ConfigurationError(
-                f"distance {distance_m} m outside the cell (0, {self.cell_radius_m}]"
-            )
-        idx = int(np.searchsorted(np.asarray(self.boundaries_m)[1:], distance_m, side="left"))
-        return SF_RANGE[idx]
+        return SF_RANGE[int(self.ring_index(distance_m))]
 
     def scaled_to(self, mean_node_count: float) -> "RingTopology":
         """Same geometry with the total mean node count rescaled."""

@@ -103,6 +103,13 @@ def test_per_node_rate_utilization_identity():
         assert rate * n * toa == pytest.approx(g, rel=1e-12)
 
 
+@pytest.mark.parametrize("load,toa", [(math.nan, 0.0463), (math.inf, 0.0463),
+                                      (1.0, math.nan), (1.0, math.inf)])
+def test_per_node_rate_rejects_non_finite(load, toa):
+    with pytest.raises(ConfigurationError, match="finite"):
+        per_node_rate(load, 300, toa)
+
+
 def test_per_node_rate_duty_cycle_feasibility():
     # fine under the packaged workloads
     per_node_rate(1.0, 300, 0.0463, duty_cycle_limit=0.01)

@@ -133,6 +133,15 @@ def test_simulate_bad_count_exits_config_error(flag, value, tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("load", ["nan", "inf"])
+def test_simulate_non_finite_load_exits_config_error(load, tmp_path, capsys):
+    code = main(["simulate", "--case", "N2", f"--loads={load}", "--replications", "1",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == EXIT_CONFIG
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_simulate_requires_case_or_scenario(capsys):
     code = main(["simulate", "--model", "BP", "--out", "/tmp/never.csv"])
     assert code == EXIT_CONFIG

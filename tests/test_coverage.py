@@ -3,8 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special as scipy_special
 
 from loracell import (
+    ConfigurationError,
     RadioConfig,
     ThresholdSet,
     TypicalNode,
@@ -12,12 +16,14 @@ from loracell import (
     capture_probability_ring,
     connection_probability,
     coverage_probability,
+    coverage_sweep,
     default_scenario,
     estimate_coverage,
     noise_power_dbm,
     path_gain,
     typical_at,
 )
+from loracell.coverage import noise_power_mw
 from loracell.scenario import SF_RANGE
 
 # High-precision evaluation (40 digits) of (lambda/(4 pi 1000))^2.75 at 868.1 MHz.
@@ -166,3 +172,111 @@ def test_analytic_matches_monte_carlo_spot():
     assert abs(br.h1 - h1.mean) <= 3 * h1.standard_error
     assert abs(br.q1 - q1.mean) <= 3 * q1.standard_error
     assert abs(br.c1 - c1.mean) <= 3 * c1.standard_error
+
+
+# --- differential test of the array kernel against the scalar formula -------
+
+def reference_hyp2f1(b, x):
+    """The scalar 2F1(1, b; 1+b; x) evaluator the array path replaced."""
+    if x == 0.0:
+        return 1.0
+    if b == 1.0:
+        return math.log1p(-x) / -x
+    return float(scipy_special.hyp2f1(1.0, b, 1.0 + b, x))
+
+
+def reference_connection(distance, sf, radio, thresholds):
+    gamma = float(thresholds.snr_floor_linear[sf - SF_RANGE[0]])
+    rx = radio.tx_power_mw * radio.antenna_gain_linear * path_gain(distance, radio)
+    return math.exp(-gamma * noise_power_mw(radio) / rx)
+
+
+def reference_capture_ring(distance, sf, ring_sf, topology, thresholds, radio):
+    j = ring_sf - SF_RANGE[0]
+    alpha = float(topology.intensities[j])
+    if alpha == 0.0:
+        return 1.0
+    eta = radio.path_loss_exponent
+    b = 2.0 / eta
+    scale = distance ** eta * thresholds.sir(sf, ring_sf)
+
+    def weighted(edge):
+        if edge == 0.0:
+            return 0.0
+        return edge * edge * reference_hyp2f1(b, -(edge ** eta) / scale)
+
+    lo, hi = topology.boundaries_m[j], topology.boundaries_m[j + 1]
+    return math.exp(-math.pi * alpha * (weighted(hi) - weighted(lo)))
+
+
+def reference_breakdown(distance, scenario):
+    sf = scenario.topology.sf_at(distance)
+    h1 = reference_connection(distance, sf, scenario.radio, scenario.thresholds)
+    p_sir = [reference_capture_ring(distance, sf, ring_sf, scenario.topology,
+                                    scenario.thresholds, scenario.radio)
+             for ring_sf in SF_RANGE]
+    q1 = 1.0
+    for p in p_sir:
+        q1 *= p
+    return [h1, q1, h1 * q1, *p_sir]
+
+
+@st.composite
+def kernel_cases(draw):
+    """A scenario over eta in [2.05, 6] or eta = 2, 0..5000 nodes with some
+    rings possibly empty, and distances that include every ring boundary,
+    the cell edge and very small d."""
+    eta = draw(st.one_of(st.just(2.0), st.floats(2.05, 6.0)))
+    nodes = draw(st.one_of(st.just(0.0), st.floats(0.0, 5000.0)))
+    occupied = draw(st.lists(st.booleans(), min_size=6, max_size=6))
+    topology = SCN.topology.scaled_to(nodes)
+    topology = replace(topology, mean_nodes=tuple(
+        n if keep else 0.0 for n, keep in zip(topology.mean_nodes, occupied)))
+    scenario = replace(SCN, topology=topology,
+                       radio=replace(SCN.radio, path_loss_exponent=eta))
+    radius = topology.cell_radius_m
+    drawn = draw(st.lists(st.one_of(st.floats(1e-9, 1e-3), st.floats(1e-3, radius)),
+                          max_size=30))
+    distances = np.array(drawn + list(topology.boundaries_m[1:]) + [1e-6])
+    return scenario, distances[draw(st.permutations(range(len(distances))))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_cases())
+def test_sweep_matches_scalar_reference(case):
+    scenario, distances = case
+    rows = coverage_sweep(scenario, distances)
+    assert len(rows) == len(distances)
+    for d, br in zip(distances, rows):
+        got = [br.h1, br.q1, br.c1, *br.p_sir]
+        want = reference_breakdown(float(d), scenario)
+        for g, w in zip(got, want):
+            assert math.isclose(g, w, rel_tol=1e-12, abs_tol=0.0), (d, got, want)
+        assert br.q1 == math.prod(br.p_sir) and br.c1 == br.h1 * br.q1
+        assert br == coverage_probability(typical_at(scenario.topology, float(d)), scenario)
+
+
+def test_sweep_point_wrappers_agree_exactly():
+    distances = np.linspace(1.0, SCN.topology.cell_radius_m, 97)
+    for d, br in zip(distances, coverage_sweep(SCN, distances)):
+        typical = typical_at(SCN.topology, float(d))
+        assert connection_probability(typical, SCN.radio, SCN.thresholds) == br.h1
+        q1, per_ring = capture_probability(typical, SCN.topology, SCN.thresholds,
+                                           SCN.radio)
+        assert (q1, per_ring) == (br.q1, br.p_sir)
+        for j, ring_sf in enumerate(SF_RANGE):
+            assert capture_probability_ring(typical, ring_sf, SCN.topology,
+                                            SCN.thresholds, SCN.radio) == br.p_sir[j]
+
+
+def test_sweep_empty_input():
+    assert coverage_sweep(SCN, []) == []
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, 3000.0 * (1 + 1e-12), math.inf])
+@pytest.mark.parametrize("position", [0, 4, 9])
+def test_sweep_rejects_distances_outside_the_cell(bad, position):
+    distances = np.linspace(100.0, 2900.0, 10)
+    distances[position] = bad
+    with pytest.raises(ConfigurationError, match="outside the cell"):
+        coverage_sweep(SCN, distances)

@@ -82,3 +82,42 @@ def test_unsupported_family_raises(a, b, c, x):
         hyp2f1(a, b, c, x)
     with pytest.raises(UnsupportedDomainError):
         hyp2f1_oracle(a, b, c, x)
+
+
+@pytest.mark.parametrize("b", [2.0 / 2.1, 2.0 / 2.75, 0.5, 2.0 / 6.0, 1.0])
+def test_array_equals_scalar_calls_exactly(b):
+    xs = np.concatenate([-np.logspace(-8, 10, 301), [0.0, -0.0, -1.0]])
+    got = hyp2f1(1.0, b, 1.0 + b, xs)
+    assert isinstance(got, np.ndarray) and got.shape == xs.shape
+    for x, value in zip(xs, got):
+        scalar = hyp2f1(1.0, b, 1.0 + b, float(x))
+        assert type(scalar) is float
+        assert scalar == value
+    grid = xs[:300].reshape(20, 15)
+    assert np.array_equal(hyp2f1(1.0, b, 1.0 + b, grid), got[:300].reshape(20, 15))
+
+
+@pytest.mark.parametrize("bad", [1e-300, 0.5, math.inf, math.nan])
+@pytest.mark.parametrize("position", [0, 7, 15])
+def test_array_with_one_bad_element_raises(bad, position):
+    xs = -np.linspace(0.0, 50.0, 16)
+    xs[position] = bad
+    with pytest.raises(UnsupportedDomainError):
+        hyp2f1(1.0, 0.5, 1.5, xs)
+
+
+@pytest.mark.parametrize("b", [2.0 / 2.75, 1.0])
+def test_array_zeros_give_exactly_one(b):
+    xs = np.array([-3.0, 0.0, -1e6, -0.0, 0.0])
+    got = hyp2f1(1.0, b, 1.0 + b, xs)
+    assert got[1] == got[3] == got[4] == 1.0
+    assert np.all(got[[0, 2]] < 1.0)
+    assert np.array_equal(hyp2f1(1.0, b, 1.0 + b, np.zeros(4)), np.ones(4))
+    assert hyp2f1(1.0, b, 1.0 + b, np.array([])).shape == (0,)
+
+
+def test_array_logarithmic_case_matches_log1p():
+    s = np.logspace(-10, 10, 401)
+    got = hyp2f1(1.0, 1.0, 2.0, -s)
+    expected = np.array([math.log1p(v) / v for v in s])
+    np.testing.assert_allclose(got, expected, rtol=1e-15, atol=0.0)

@@ -1,12 +1,15 @@
-"""Cross-validation of the closed-form coverage model by brute force.
+"""Cross-validation of the closed-form coverage model by Monte Carlo.
 
-The Monte Carlo estimator samples the generative model directly (Poisson
-interferers per ring, uniform positions, Rayleigh fading) and shares none
-of the closed-form machinery, so agreement within a few standard errors at
-every distance and density is a two-sided correctness check.
+The Monte Carlo estimator samples the interference from the generative
+model (Poisson interferers per ring, uniform positions, Rayleigh fading) and
+averages the typical node's own fading out in closed form, exp(-x / S). It
+shares none of the 2F1 machinery, so agreement within a few standard errors
+at every distance and density is a two-sided correctness check; averaging
+the fading makes those standard errors smaller, and the check stricter, than
+drawing it would.
 
-Also shows what happens when the typical node's fading draw is shared
-across all threshold events instead of redrawn per event: the events become
+Also shows what happens when the typical node's fading is shared across all
+threshold events instead of independent per event: the events become
 positively correlated and the estimate exceeds the product form H1 * Q1.
 """
 

@@ -30,6 +30,7 @@ import numpy as np
 from .hypergeom import hyp2f1
 from .scenario import (
     SF_RANGE,
+    ConfigurationError,
     RadioConfig,
     RingTopology,
     Scenario,
@@ -115,11 +116,25 @@ def _coverage(distances_m: np.ndarray, sf_idx: np.ndarray,
                                   c1.tolist())]
 
 
+def sf_indices(typical: TypicalNode, *ring_sfs: int) -> tuple[int, ...]:
+    """SF_RANGE indices of the typical node's SF and of each ring SF.
+
+    Raises ConfigurationError for an SF outside SF_RANGE or a distance that
+    is not finite and positive.
+    """
+    d = typical.distance_m
+    if not (d > 0 and math.isfinite(d)):
+        raise ConfigurationError(f"distance_m must be finite and positive, got {d!r}")
+    sfs = (typical.sf, *ring_sfs)
+    for sf in sfs:
+        if not (isinstance(sf, (int, np.integer)) and SF_RANGE[0] <= sf <= SF_RANGE[-1]):
+            raise ConfigurationError(f"spreading factor must be one of {SF_RANGE}, got {sf!r}")
+    return tuple(int(sf) - SF_RANGE[0] for sf in sfs)
+
+
 def _one(typical: TypicalNode) -> tuple[np.ndarray, np.ndarray]:
     """A typical node as one-element kernel inputs."""
-    if not typical.distance_m > 0:
-        raise ValueError("distance_m must be positive")
-    return np.array([typical.distance_m], dtype=float), np.array([typical.sf - SF_RANGE[0]])
+    return np.array([typical.distance_m], dtype=float), np.array(sf_indices(typical))
 
 
 def connection_probability(typical: TypicalNode, radio: RadioConfig,
@@ -131,7 +146,8 @@ def capture_probability_ring(typical: TypicalNode, ring_sf: int,
                              topology: RingTopology, thresholds: ThresholdSet,
                              radio: RadioConfig) -> float:
     """P(SIR against ring `ring_sf` exceeds its capture threshold)."""
-    return capture_probability(typical, topology, thresholds, radio)[1][ring_sf - SF_RANGE[0]]
+    _, j = sf_indices(typical, ring_sf)
+    return capture_probability(typical, topology, thresholds, radio)[1][j]
 
 
 def capture_probability(typical: TypicalNode, topology: RingTopology,

@@ -19,6 +19,7 @@ from loracell import (
     coverage_sweep,
     default_scenario,
     estimate_coverage,
+    estimate_sir_ring,
     noise_power_dbm,
     path_gain,
     typical_at,
@@ -280,3 +281,45 @@ def test_sweep_rejects_distances_outside_the_cell(bad, position):
     distances[position] = bad
     with pytest.raises(ConfigurationError, match="outside the cell"):
         coverage_sweep(SCN, distances)
+
+
+# every entry point that takes a TypicalNode, called with one node and ring SF
+TYPICAL_NODE_ENTRY_POINTS = {
+    "connection": lambda t, ring_sf: connection_probability(t, SCN.radio, SCN.thresholds),
+    "capture": lambda t, ring_sf: capture_probability(t, SCN.topology, SCN.thresholds,
+                                                      SCN.radio),
+    "capture_ring": lambda t, ring_sf: capture_probability_ring(
+        t, ring_sf, SCN.topology, SCN.thresholds, SCN.radio),
+    "coverage": lambda t, ring_sf: coverage_probability(t, SCN),
+    "mc_coverage": lambda t, ring_sf: estimate_coverage(t, SCN, trials=100, seed=1),
+    "mc_sir_ring": lambda t, ring_sf: estimate_sir_ring(t, ring_sf, SCN, trials=100, seed=1),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(TYPICAL_NODE_ENTRY_POINTS))
+@pytest.mark.parametrize("distance, sf, match", [
+    (1000.0, 6, "spreading factor"),
+    (1000.0, 13, "spreading factor"),
+    (1000.0, 7.0, "spreading factor"),
+    (math.nan, 7, "finite and positive"),
+    (math.inf, 7, "finite and positive"),
+    (-math.inf, 7, "finite and positive"),
+    (0.0, 7, "finite and positive"),
+    (-5.0, 7, "finite and positive"),
+])
+def test_entry_points_reject_invalid_typical_node(entry, distance, sf, match):
+    with pytest.raises(ConfigurationError, match=match):
+        TYPICAL_NODE_ENTRY_POINTS[entry](TypicalNode(distance, sf), 8)
+
+
+@pytest.mark.parametrize("entry", ["capture_ring", "mc_sir_ring"])
+@pytest.mark.parametrize("ring_sf", [6, 13, -1])
+def test_ring_entry_points_reject_invalid_ring_sf(entry, ring_sf):
+    with pytest.raises(ConfigurationError, match="spreading factor"):
+        TYPICAL_NODE_ENTRY_POINTS[entry](TypicalNode(1000.0, 8), ring_sf)
+
+
+def test_entry_points_accept_numpy_integer_sf():
+    typical = TypicalNode(1000.0, np.int64(9))
+    assert coverage_probability(typical, SCN) == coverage_probability(TypicalNode(1000.0, 9),
+                                                                      SCN)

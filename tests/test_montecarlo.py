@@ -7,12 +7,24 @@ from loracell import (
     ThresholdSet,
     TypicalNode,
     capture_probability_ring,
+    connection_probability,
+    coverage_probability,
     default_scenario,
     estimate_coverage,
     estimate_sir_ring,
+    path_gain,
     typical_at,
 )
-from loracell.montecarlo import _sum_by_trial
+from loracell import montecarlo
+from loracell.coverage import noise_power_mw
+from loracell.montecarlo import (
+    _CHUNK,
+    _estimate,
+    _ring_interference,
+    _sum_by_trial,
+    _summary,
+)
+from loracell.scenario import SF_RANGE
 
 SCN = default_scenario("coverage_eu868")
 
@@ -38,11 +50,21 @@ def test_bit_exact_determinism():
 
 
 def test_standard_error_formula():
+    # the typical node's fading is averaged out, so H1 is exact; Q1 and C1
+    # average values in [0, 1], whose sample SE never exceeds the Bernoulli SE
     typical = typical_at(SCN.topology, 1500.0)
-    _, _, c1 = estimate_coverage(typical, SCN, trials=40_000, seed=5)
-    assert c1.standard_error == pytest.approx(
-        np.sqrt(c1.mean * (1 - c1.mean) / c1.trials), rel=1e-12)
-    assert c1.trials == 40_000
+    h1, q1, c1 = estimate_coverage(typical, SCN, trials=40_000, seed=5)
+    assert h1.mean == pytest.approx(coverage_probability(typical, SCN).h1, rel=1e-14)
+    assert h1.standard_error == 0.0
+    for est in (q1, c1):
+        assert est.trials == 40_000
+        assert 0.0 < est.standard_error <= np.sqrt(est.mean * (1 - est.mean) / est.trials)
+    # chunk summaries pool to the sample SE of all values (variance over n)
+    values = np.array([0.25, 0.5, 1.0, 0.0, 0.75, 0.1, 0.9])
+    pooled = _estimate([_summary(values[:3]), _summary(values[3:5]), _summary(values[5:])])
+    assert pooled.trials == 7
+    assert pooled.mean == pytest.approx(values.mean(), rel=1e-15)
+    assert pooled.standard_error == pytest.approx(np.std(values) / np.sqrt(7), rel=1e-14)
 
 
 def test_sir_ring_empty_configuration_is_one():
@@ -111,3 +133,129 @@ def test_shared_fading_estimate_dominates_product_form():
     _, _, c_indep = estimate_coverage(typical, SCN, trials=200_000, seed=9,
                                       shared_fading=False)
     assert c_shared.mean > c_indep.mean + 3 * c_indep.standard_error
+
+
+@pytest.mark.parametrize("shared_fading", [False, True])
+@pytest.mark.parametrize("count, distance", [
+    (0, 400.0), (0, 2900.0), (250, 1100.0), (500, 2900.0), (2500, 400.0), (2500, 2100.0),
+])
+def test_exact_invariants(shared_fading, count, distance):
+    scn = SCN.with_node_count(count)
+    typical = typical_at(scn.topology, distance)
+    h1, q1, c1 = estimate_coverage(typical, scn, trials=20_000, seed=count + 3,
+                                   shared_fading=shared_fading)
+    for est in (h1, q1, c1):
+        assert 0.0 <= est.mean <= 1.0
+    assert c1.mean <= min(h1.mean, q1.mean)
+    if count == 0:
+        # an interferer-free cell with finite noise: every q_t is 1
+        assert (q1.mean, q1.standard_error) == (1.0, 0.0)
+        assert 0.0 < h1.mean < 1.0
+        if shared_fading:
+            # the mean of 20,000 copies of H1 rounds within an ulp of H1
+            assert c1.mean == pytest.approx(h1.mean, rel=1e-15, abs=0.0)
+            assert c1.standard_error < 1e-15
+        else:
+            assert (c1.mean, c1.standard_error) == (h1.mean, 0.0)
+
+
+def annulus_mean_power(scn, ring):
+    """mu_j P G (lambda / 4 pi)^eta E[r^-eta], r uniform over ring j's annulus."""
+    radio = scn.radio
+    topo = scn.topology
+    eta = radio.path_loss_exponent
+    lo, hi = topo.boundaries_m[ring], topo.boundaries_m[ring + 1]
+    mean_r_eta = 2.0 * (hi ** (2 - eta) - lo ** (2 - eta)) / ((2 - eta) * (hi ** 2 - lo ** 2))
+    mu = topo.intensities[ring] * topo.ring_areas_m2[ring]
+    return (mu * radio.tx_power_mw * radio.antenna_gain_linear
+            * (radio.wavelength_m / (4 * np.pi)) ** eta * mean_r_eta), mu
+
+
+@pytest.mark.parametrize("ring", [1, 2, 3, 4, 5])
+def test_ring_interference_matches_annulus_mean(ring):
+    # ring 0 touches the gateway, where E[r^-eta] is infinite for eta >= 2
+    scn = SCN.with_node_count(500)
+    trials = 200_000
+    inter = _ring_interference(np.random.default_rng(40 + ring), scn, ring, trials)
+    expected, mu = annulus_mean_power(scn, ring)
+    assert inter.shape == (trials,)
+    assert abs(inter.mean() - expected) <= 4 * inter.std() / np.sqrt(trials)
+    # Poisson splitting: a trial is interferer-free with probability exp(-mu)
+    empty = np.mean(inter == 0.0)
+    assert abs(empty - np.exp(-mu)) <= 4 * np.sqrt(np.exp(-mu) * (1 - np.exp(-mu)) / trials)
+
+
+@pytest.mark.parametrize("ring_sf", SF_RANGE)
+def test_sir_ring_matches_closed_form_every_ring(ring_sf):
+    typical = typical_at(SCN.topology, 2100.0)
+    est = estimate_sir_ring(typical, ring_sf, SCN, trials=200_000, seed=500 + ring_sf)
+    closed = capture_probability_ring(typical, ring_sf, SCN.topology, SCN.thresholds,
+                                      SCN.radio)
+    assert abs(est.mean - closed) <= 4 * est.standard_error
+
+
+def test_shared_fading_mean_never_rounds_above_h1():
+    # interferer-free, so every shared-fading trial contributes exactly H1;
+    # pick a distance where the float mean of those copies rounds above H1
+    scn = SCN.with_node_count(0)
+    trials = 20_000
+
+    def h1_at(d):
+        return connection_probability(typical_at(scn.topology, d), scn.radio, scn.thresholds)
+
+    d = next(d for d in np.linspace(2000.0, 2900.0, 91)
+             if np.full(trials, h1_at(d)).mean() > h1_at(d))
+    h1, q1, c1 = estimate_coverage(typical_at(scn.topology, d), scn, trials, seed=4,
+                                   shared_fading=True)
+    assert c1.mean <= min(h1.mean, q1.mean)
+
+
+def brute_force_coverage(typical, scn, trials, seed, shared_fading):
+    """(H1, Q1, C1) with the typical node's fading drawn, not averaged.
+
+    The interference is drawn exactly as `estimate_coverage` draws it for the
+    same seed (one chunk), so the two differ only by the fading draws.
+    """
+    assert trials <= _CHUNK
+    rng = np.random.default_rng(seed)
+    interference = [_ring_interference(rng, scn, j, trials) for j in range(len(SF_RANGE))]
+    fading = np.random.default_rng(seed + 1)
+    i = typical.sf - SF_RANGE[0]
+    radio = scn.radio
+    s = radio.tx_power_mw * radio.antenna_gain_linear * path_gain(typical.distance_m, radio)
+    h = fading.exponential(size=trials)
+    snr_ok = s * h > scn.thresholds.snr_floor_linear[i] * noise_power_mw(radio)
+    all_sir = np.ones(trials, dtype=bool)
+    for j, inter in enumerate(interference):
+        fade = h if shared_fading else fading.exponential(size=trials)
+        all_sir &= s * fade > scn.thresholds.sir_linear[i, j] * inter
+    return snr_ok.mean(), all_sir.mean(), (snr_ok & all_sir).mean()
+
+
+@pytest.mark.parametrize("shared_fading", [False, True])
+@pytest.mark.parametrize("sir_db", [None, 0.0])
+def test_averaged_fading_matches_drawn_fading(shared_fading, sir_db):
+    # the packaged inter-SF thresholds are low, so the same-SF ring dominates;
+    # a uniform 0 dB matrix makes every ring matter
+    scn = SCN.with_node_count(500)
+    if sir_db is not None:
+        scn = replace(scn, thresholds=uniform_sir_thresholds(scn.thresholds.snr_floor_db,
+                                                             sir_db))
+    typical = typical_at(scn.topology, 1500.0)
+    trials = 60_000
+    estimates = estimate_coverage(typical, scn, trials, seed=8, shared_fading=shared_fading)
+    drawn = brute_force_coverage(typical, scn, trials, 8, shared_fading)
+    for est, p in zip(estimates, drawn):
+        assert abs(est.mean - p) <= 4 * np.sqrt(p * (1 - p) / trials)
+
+
+def test_chunked_estimate_pools_every_trial(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_CHUNK", 7_000)     # 8 chunks, the last of 1,000
+    typical = typical_at(SCN.topology, 1500.0)
+    for shared_fading in (False, True):
+        h1, q1, c1 = estimate_coverage(typical, SCN, trials=50_000, seed=12,
+                                       shared_fading=shared_fading)
+        assert h1.trials == q1.trials == c1.trials == 50_000
+        assert c1.mean <= min(h1.mean, q1.mean)
+        if not shared_fading:
+            assert abs(c1.mean - coverage_probability(typical, SCN).c1) <= 4 * c1.standard_error

@@ -116,11 +116,13 @@ def _coverage(distances_m: np.ndarray, sf_idx: np.ndarray,
                                   c1.tolist())]
 
 
-def sf_indices(typical: TypicalNode, *ring_sfs: int) -> tuple[int, ...]:
+def sf_indices(typical: TypicalNode, *ring_sfs: int,
+               topology: RingTopology | None = None) -> tuple[int, ...]:
     """SF_RANGE indices of the typical node's SF and of each ring SF.
 
-    Raises ConfigurationError for an SF outside SF_RANGE or a distance that
-    is not finite and positive.
+    Raises ConfigurationError for an SF outside SF_RANGE, a distance that is
+    not finite and positive, or, given a topology, a distance outside its
+    cell (0, R], the rule `coverage_sweep` applies.
     """
     d = typical.distance_m
     if not (d > 0 and math.isfinite(d)):
@@ -129,16 +131,23 @@ def sf_indices(typical: TypicalNode, *ring_sfs: int) -> tuple[int, ...]:
     for sf in sfs:
         if not (isinstance(sf, (int, np.integer)) and SF_RANGE[0] <= sf <= SF_RANGE[-1]):
             raise ConfigurationError(f"spreading factor must be one of {SF_RANGE}, got {sf!r}")
+    if topology is not None:
+        topology.ring_index(d)
     return tuple(int(sf) - SF_RANGE[0] for sf in sfs)
 
 
-def _one(typical: TypicalNode) -> tuple[np.ndarray, np.ndarray]:
+def _one(typical: TypicalNode,
+         topology: RingTopology | None = None) -> tuple[np.ndarray, np.ndarray]:
     """A typical node as one-element kernel inputs."""
-    return np.array([typical.distance_m], dtype=float), np.array(sf_indices(typical))
+    return (np.array([typical.distance_m], dtype=float),
+            np.array(sf_indices(typical, topology=topology)))
 
 
 def connection_probability(typical: TypicalNode, radio: RadioConfig,
                            thresholds: ThresholdSet) -> float:
+    """H1 from the link budget alone. It takes no topology, so unlike the
+    capture and coverage functions it accepts a distance beyond the cell
+    radius."""
     return float(_connection(*_one(typical), radio, thresholds)[0])
 
 
@@ -154,12 +163,12 @@ def capture_probability(typical: TypicalNode, topology: RingTopology,
                         thresholds: ThresholdSet,
                         radio: RadioConfig) -> tuple[float, tuple[float, ...]]:
     """Q1 and the per-ring factors it is the product of."""
-    q1, p_sir = _capture(*_one(typical), topology, thresholds, radio)
+    q1, p_sir = _capture(*_one(typical, topology), topology, thresholds, radio)
     return float(q1[0]), tuple(p_sir[:, 0].tolist())
 
 
 def coverage_probability(typical: TypicalNode, scenario: Scenario) -> CoverageBreakdown:
-    return _coverage(*_one(typical), scenario)[0]
+    return _coverage(*_one(typical, scenario.topology), scenario)[0]
 
 
 def coverage_sweep(scenario: Scenario, distances_m) -> list[CoverageBreakdown]:

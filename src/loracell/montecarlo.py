@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coverage import TypicalNode, connection_probability, path_gain, sf_indices
-from .scenario import RadioConfig, Scenario
+from .scenario import ConfigurationError, RadioConfig, Scenario
 
 _CHUNK = 250_000
 
@@ -40,7 +40,7 @@ class MCEstimate:
 def _chunks(trials: int) -> list[int]:
     """Chunk sizes covering `trials` trials, so memory stays bounded."""
     if trials < 1:
-        raise ValueError("trials must be at least 1")
+        raise ConfigurationError(f"trials must be at least 1, got {trials}")
     return [min(_CHUNK, trials - start) for start in range(0, trials, _CHUNK)]
 
 
@@ -87,7 +87,7 @@ def estimate_coverage(typical: TypicalNode, scenario: Scenario, trials: int,
                       seed: int, shared_fading: bool = False
                       ) -> tuple[MCEstimate, MCEstimate, MCEstimate]:
     """Estimate (H1, Q1, C1) by sampling the interference. Deterministic per seed."""
-    (i,) = sf_indices(typical)
+    (i,) = sf_indices(typical, topology=scenario.topology)
     rng = np.random.default_rng(seed)
     h1 = connection_probability(typical, scenario.radio, scenario.thresholds)
     weights = scenario.thresholds.sir_linear[i] / _received_mw(typical.distance_m,
@@ -117,7 +117,7 @@ def estimate_sir_ring(typical: TypicalNode, ring_sf: int, scenario: Scenario,
     samples depend only on (seed, trials, ring), so sweeps over delta reuse
     identical draws.
     """
-    i, j = sf_indices(typical, ring_sf)
+    i, j = sf_indices(typical, ring_sf, topology=scenario.topology)
     rng = np.random.default_rng(seed)
     weight = scenario.thresholds.sir_linear[i, j] / _received_mw(typical.distance_m,
                                                                  scenario.radio)

@@ -23,7 +23,9 @@ Collision handling at the gateway. An overlap episode is a connected group
 of time-overlapping packets on a channel; packets that never overlap each
 other belong to one episode when a chain of overlapping packets links them.
 
-  BP   pessimistic baseline: any overlap destroys every packet involved.
+  BP   pessimistic baseline: any overlap destroys every packet involved,
+       so a packet is received iff it clears sensitivity and is alone in
+       its overlap episode (a singleton episode).
   IC   intra-SF only: different SFs are transparent to each other, so
        episodes are formed within each SF. In each episode only the packet
        with the highest SINR (same-SF aggregate interference plus noise)
@@ -38,7 +40,9 @@ other belong to one episode when a chain of overlapping packets links them.
 
 Outcomes depend only on each packet's overlaps and its episode, so
 reception is resolved after the fact over the sorted event calendar, which
-permits a fully vectorized implementation. A replication is bit-reproducible
+permits a fully vectorized implementation. Each packet carries only its
+start, channel and sending node; airtime, SF and receive power are read
+from per-node tables. A replication is bit-reproducible
 from its seed; replications use independently derived seeds and aggregate
 by averaging.
 """
@@ -118,102 +122,117 @@ class PacketEvent:
 # ---------------------------------------------------------------------------
 # Reception resolution
 
-def _overlap_aggregate(sub_starts, sub_ends, sub_pw, q_starts, q_ends):
-    """Sum of powers and count of packets in `sub` overlapping each query
-    interval. `sub_starts` must be sorted ascending."""
-    order_e = np.argsort(sub_ends, kind="stable")
-    ends_sorted = sub_ends[order_e]
-    pref_s = np.concatenate(([0.0], np.cumsum(sub_pw)))
-    pref_e = np.concatenate(([0.0], np.cumsum(sub_pw[order_e])))
-    hi = np.searchsorted(sub_starts, q_ends, side="left")    # start_j < q_end
-    lo = np.searchsorted(ends_sorted, q_starts, side="right")  # end_j <= q_start
+def _overlap_aggregate(starts, ends, pw, q_starts=None, q_ends=None):
+    """Sum of powers and count of the packets overlapping each query
+    interval: start_j < q_end and end_j > q_start. Packets are sorted by
+    start; the queries default to the packets themselves."""
+    n = starts.size
+    pref_s = np.concatenate(([0.0], np.cumsum(pw)))
+    in_order = bool((ends[1:] >= ends[:-1]).all())
+    if in_order:                            # the stable ends argsort is the identity
+        ends_sorted, pref_e = ends, pref_s
+    else:
+        order_e = np.argsort(ends, kind="stable")
+        ends_sorted = ends[order_e]
+        pref_e = np.concatenate(([0.0], np.cumsum(pw[order_e])))
+    if q_starts is None and in_order:
+        # One stable argsort merges the two sorted runs in O(n), an end
+        # before an equal start: end i follows the i earlier ends and every
+        # start_j < end_i, start i the i earlier starts and every
+        # end_j <= start_i.
+        is_end = np.argsort(np.concatenate((ends, starts)), kind="stable") < n
+        rank = np.arange(n)
+        hi = np.flatnonzero(is_end) - rank
+        lo = np.flatnonzero(~is_end) - rank
+    else:
+        if q_starts is None:
+            q_starts, q_ends = starts, ends
+        hi = np.searchsorted(starts, q_ends, side="left")         # start_j < q_end
+        lo = np.searchsorted(ends_sorted, q_starts, side="right")  # end_j <= q_start
     return pref_s[hi] - pref_e[lo], hi - lo
+
+
+def _episode_heads(starts, ends):
+    """True where a packet opens a new overlap episode; packets sorted by
+    start."""
+    heads = np.empty(starts.size, dtype=bool)
+    heads[0] = True
+    heads[1:] = starts[1:] >= np.maximum.accumulate(ends)[:-1]
+    return heads
 
 
 def _component_ids(starts, ends):
     """Connected overlap components of interval packets sorted by start."""
-    n = len(starts)
-    breaks = np.empty(n, dtype=bool)
-    breaks[0] = True
-    if n > 1:
-        reach = np.maximum.accumulate(ends)
-        breaks[1:] = starts[1:] >= reach[:-1]
-    return np.cumsum(breaks) - 1
+    return np.cumsum(_episode_heads(starts, ends)) - 1
 
 
 def _winners_per_group(group_ids, score):
     """Index of the max-score element of each run of equal, non-decreasing
     group ids; among equal maxima the last index wins."""
-    n = len(group_ids)
-    heads = np.flatnonzero(np.diff(group_ids, prepend=group_ids[0] - 1))
-    best = np.maximum.reduceat(score, heads)
-    sizes = np.diff(heads, append=n)
-    at_best = np.where(score == np.repeat(best, sizes), np.arange(n), -1)
-    return np.maximum.reduceat(at_best, heads)
+    opens = np.empty(len(group_ids), dtype=bool)
+    opens[0] = True
+    opens[1:] = group_ids[1:] != group_ids[:-1]
+    best = np.maximum.reduceat(score, np.flatnonzero(opens))
+    at_best = np.flatnonzero(score == best[np.cumsum(opens) - 1])
+    ids = group_ids[at_best]
+    return at_best[np.append(ids[1:] != ids[:-1], True)]
 
 
-def _resolve_channel(starts, ends, sf_idx, pw_mw, sens_ok, model,
+def _resolve_channel(starts, owner, node_toa, node_sf, node_pw, node_ok, model,
                      sir_lin, noise_mw):
-    """Reception flags for one channel; inputs sorted by start time."""
+    """Reception flags for one channel's packets, sorted by start time.
+    Packet k is sent by node owner[k]; its airtime, SF index, receive power
+    (mW) and sensitivity flag are read from the per-node tables."""
+    ends = starts + node_toa[owner]
+    if model == "BP":       # alone in its episode: the next packet opens a new one
+        heads = _episode_heads(starts, ends)
+        return node_ok[owner] & heads & np.append(heads[1:], True)
+
     n = len(starts)
     received = np.zeros(n, dtype=bool)
-    if n == 0:
-        return received
-
-    if model == "BP":
-        _, cnt = _overlap_aggregate(starts, ends, pw_mw, starts, ends)
-        return sens_ok & (cnt == 1)        # only the packet itself overlaps
-
+    sf_idx = node_sf[owner]
     if model == "IC":
         for s in range(NUM_SF):
             idx = np.flatnonzero(sf_idx == s)
             if idx.size == 0:
                 continue
-            st, en, pw = starts[idx], ends[idx], pw_mw[idx]
-            tot, cnt = _overlap_aggregate(st, en, pw, st, en)
+            own, st, en = owner[idx], starts[idx], ends[idx]
+            pw = node_pw[own]
+            tot, cnt = _overlap_aggregate(st, en, pw)
             inter = tot - pw
             cnt = cnt - 1
             inter[cnt == 0] = 0.0          # clear cancellation residue
             sinr = pw / (noise_mw + inter)
-            comp = _component_ids(st, en)
-            winners = _winners_per_group(comp, sinr)
-            ok = sens_ok[idx][winners] & (
+            winners = _winners_per_group(_component_ids(st, en), sinr)
+            ok = node_ok[own[winners]] & (
                 (cnt[winners] == 0) | (sinr[winners] >= sir_lin[s, s])
             )
             received[idx[winners]] = ok
         return received
 
     if model == "IIC":
-        comp_all = _component_ids(starts, ends)
-        by_sf = [np.flatnonzero(sf_idx == j) for j in range(NUM_SF)]
-        for s in range(NUM_SF):
-            cand = by_sf[s]
-            if cand.size == 0:
-                continue
-            q_st, q_en = starts[cand], ends[cand]
-            inter_j = np.zeros((NUM_SF, cand.size))
-            cnt_j = np.zeros((NUM_SF, cand.size), dtype=int)
-            for j in range(NUM_SF):
-                sub = by_sf[j]
-                if sub.size == 0:
-                    continue
-                tot, cnt = _overlap_aggregate(
-                    starts[sub], ends[sub], pw_mw[sub], q_st, q_en)
-                if j == s:
-                    tot = tot - pw_mw[cand]
-                    cnt = cnt - 1
-                tot[cnt == 0] = 0.0
-                inter_j[j] = tot
-                cnt_j[j] = cnt
-            sinr_total = pw_mw[cand] / (noise_mw + inter_j.sum(axis=0))
-            winners = _winners_per_group(comp_all[cand], sinr_total)
-            ok = sens_ok[cand][winners]
-            for j in range(NUM_SF):
-                has = cnt_j[j][winners] > 0
-                clears = pw_mw[cand][winners] >= sir_lin[s, j] * (
-                    noise_mw + inter_j[j][winners])
-                ok &= ~has | clears
-            received[cand[winners]] = ok
+        # per SF j (row) and packet: the power and count of the SF-j packets
+        # overlapping it, the packet itself taken out
+        pw = node_pw[owner]
+        inter = np.zeros((NUM_SF, n))
+        cnt = np.zeros((NUM_SF, n), dtype=int)
+        for j in range(NUM_SF):
+            sub = np.flatnonzero(sf_idx == j)
+            if sub.size:
+                inter[j], cnt[j] = _overlap_aggregate(starts[sub], ends[sub], pw[sub],
+                                                      starts, ends)
+        own_row = (sf_idx, np.arange(n))
+        inter[own_row] -= pw
+        cnt[own_row] -= 1
+        inter[cnt == 0] = 0.0
+        sinr = pw / (noise_mw + inter.sum(axis=0))
+        # one winner per SF and episode: groups run SF-major, then by start
+        by_sf = np.argsort(sf_idx, kind="stable")
+        group = (sf_idx * n + _component_ids(starts, ends))[by_sf]
+        w = by_sf[_winners_per_group(group, sinr[by_sf])]
+        has = cnt[:, w] > 0
+        clears = pw[w] >= sir_lin[sf_idx[w]].T * (noise_mw + inter[:, w])
+        received[w] = node_ok[owner[w]] & (~has | clears).all(axis=0)
         return received
 
     raise ConfigurationError(f"unknown collision model {model!r}")
@@ -229,23 +248,26 @@ def _argsort_stable(x):
     return order
 
 
-def _resolve(starts, durs, sf_idx, rx_dbm, chans, channels, model,
+def _resolve(starts, owner, chans, channels, node_toa, node_sf, node_dbm, model,
              thresholds, radio):
-    """Received flag per packet: sensitivity, then each of `channels` in
-    stable start order through `_resolve_channel`."""
-    sens_ok = rx_dbm >= sensitivity_dbm(radio, thresholds)[sf_idx]
-    pw = 10.0 ** (rx_dbm / 10.0)
+    """Received flag per packet. Packet k starts at starts[k] on channel
+    chans[k], one of `channels`, and is sent by node owner[k]; the node
+    tables give each node's airtime, SF index and receive power (dBm). Each
+    channel is resolved in stable start order through `_resolve_channel`."""
+    node_ok = node_dbm >= sensitivity_dbm(radio, thresholds)[node_sf]
+    node_pw = 10.0 ** (node_dbm / 10.0)
     noise = noise_power_mw(radio)
     received = np.zeros(starts.size, dtype=bool)
     for ch in channels:
-        mask = np.flatnonzero(chans == ch)
-        if mask.size == 0:
-            continue
-        order = mask[_argsort_stable(starts[mask])]
-        st = starts[order]
-        received[order] = _resolve_channel(
-            st, st + durs[order], sf_idx[order], pw[order], sens_ok[order],
-            model, thresholds.sir_linear, noise)
+        if len(channels) == 1:              # every packet is on it
+            order = _argsort_stable(starts)
+        else:
+            on = np.flatnonzero(chans == ch)
+            order = on[_argsort_stable(starts[on])]
+        if order.size:
+            received[order] = _resolve_channel(
+                starts[order], owner[order], node_toa, node_sf, node_pw, node_ok,
+                model, thresholds.sir_linear, noise)
     return received
 
 
@@ -260,10 +282,12 @@ def resolve_reception(packets: Sequence[PacketEvent], model: str,
     if np.any(durs <= 0):
         raise ConfigurationError("packet durations must be positive")
     chans = np.array([p.channel for p in packets])
-    return _resolve(np.array([p.start_s for p in packets]), durs,
+    # every packet is its own node-table entry
+    return _resolve(np.array([p.start_s for p in packets]), np.arange(len(packets)),
+                    chans, np.unique(chans), durs,
                     np.array([p.sf - SF_RANGE[0] for p in packets]),
                     np.array([p.rx_power_dbm for p in packets]),
-                    chans, np.unique(chans), model, thresholds, radio).tolist()
+                    model, thresholds, radio).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -377,24 +401,26 @@ def run_replication(scenario: Scenario, offered_load: float, seed) -> Replicatio
         times, nodes, node_toa, scenario.duty_cycle_limit)
     starts = times[keep]
     nodes = nodes[keep]
-    node_airtime = np.bincount(nodes, minlength=scenario.node_count) * node_toa
+    node_tx = np.bincount(nodes, minlength=scenario.node_count)
+    node_airtime = node_tx * node_toa
     if scenario.channels > 1:
         chans = rng.integers(0, scenario.channels, size=starts.size)
     else:
         chans = np.zeros(starts.size, dtype=int)
 
-    sf_idx = placement.sfs[nodes] - SF_RANGE[0]
+    node_sf = placement.sfs - SF_RANGE[0]
     durs = node_toa[nodes]
-    received = _resolve(starts, durs, sf_idx, rx_dbm[nodes], chans,
-                        range(scenario.channels), scenario.collision_model,
+    received = _resolve(starts, nodes, chans, range(scenario.channels), node_toa,
+                        node_sf, rx_dbm, scenario.collision_model,
                         scenario.thresholds, radio)
 
     tx = int(starts.size)
     rx = int(received.sum())
     measured_g = float(durs.sum() / duration)
     pdr = rx / tx if tx else 0.0
-    per_sf_tx = np.bincount(sf_idx, minlength=NUM_SF)
-    per_sf_rx = np.bincount(sf_idx[received], minlength=NUM_SF)
+    node_rx = np.bincount(nodes[received], minlength=scenario.node_count)
+    per_sf_tx = np.bincount(node_sf, weights=node_tx, minlength=NUM_SF)
+    per_sf_rx = np.bincount(node_sf, weights=node_rx, minlength=NUM_SF)
     return ReplicationResult(
         offered_load=offered_load,
         measured_g=measured_g,

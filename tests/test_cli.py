@@ -92,6 +92,17 @@ def test_mc_command(tmp_path):
     assert all(0.0 <= float(r[7]) <= 1.0 for r in rows)
 
 
+@pytest.mark.parametrize("argv", [
+    ["mc", "--scenario", "coverage_eu868.ini", "--distances", "800"],
+    ["coverage", "--scenario", "coverage_eu868.ini", "--grid-step", "1500", "--validate"],
+])
+def test_zero_trials_exits_config_error(argv, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--trials", "0", "--out", str(out)]) == EXIT_CONFIG
+    assert "trials must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_rejects_redundant_iic_n1(capsys):
     code = main(["simulate", "--case", "N1", "--model", "IIC",
                  "--out", "/tmp/never.csv"])

@@ -323,3 +323,24 @@ def test_entry_points_accept_numpy_integer_sf():
     typical = TypicalNode(1000.0, np.int64(9))
     assert coverage_probability(typical, SCN) == coverage_probability(TypicalNode(1000.0, 9),
                                                                       SCN)
+
+
+@pytest.mark.parametrize("entry", sorted(set(TYPICAL_NODE_ENTRY_POINTS) - {"connection"}))
+@pytest.mark.parametrize("distance", [3000.0 + 1e-9, 5000.0])
+def test_entry_points_reject_distance_outside_cell(entry, distance):
+    # the rule coverage_sweep applies: a typical node lies in (0, R]
+    with pytest.raises(ConfigurationError, match="outside the cell"):
+        TYPICAL_NODE_ENTRY_POINTS[entry](TypicalNode(distance, 12), 9)
+
+
+@pytest.mark.parametrize("entry", sorted(TYPICAL_NODE_ENTRY_POINTS))
+def test_entry_points_accept_cell_edge(entry):
+    assert SCN.topology.cell_radius_m == 3000.0
+    TYPICAL_NODE_ENTRY_POINTS[entry](TypicalNode(3000.0, 12), 9)
+
+
+def test_connection_probability_is_link_budget_only():
+    # no topology, so no cell radius: a node beyond it still gets its H1
+    inside = connection_probability(TypicalNode(3000.0, 12), SCN.radio, SCN.thresholds)
+    beyond = connection_probability(TypicalNode(5000.0, 12), SCN.radio, SCN.thresholds)
+    assert 0.0 < beyond < inside

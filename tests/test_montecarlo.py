@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from loracell import (
+    ConfigurationError,
     ThresholdSet,
     TypicalNode,
     capture_probability_ring,
@@ -259,3 +260,12 @@ def test_chunked_estimate_pools_every_trial(monkeypatch):
         assert c1.mean <= min(h1.mean, q1.mean)
         if not shared_fading:
             assert abs(c1.mean - coverage_probability(typical, SCN).c1) <= 4 * c1.standard_error
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_estimators_reject_non_positive_trials(trials):
+    typical = TypicalNode(1500.0, 8)
+    with pytest.raises(ConfigurationError, match="trials must be at least 1"):
+        estimate_coverage(typical, SCN, trials=trials, seed=1)
+    with pytest.raises(ConfigurationError, match="trials must be at least 1"):
+        estimate_sir_ring(typical, 9, SCN, trials=trials, seed=1)

@@ -1,0 +1,249 @@
+"""Differential tests of reception against a reference resolver: the
+searchsorted formulation that once was the library's own. The reference
+aggregates each query's overlaps with two binary searches and a stable
+argsort of the ends, resolves each channel through per-packet arrays, and
+applies BP as "the only packet overlapping itself". The library's results
+must equal it flag for flag."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from loracell import PacketEvent, default_scenario, resolve_reception
+from loracell.coverage import noise_power_mw
+from loracell.scenario import NUM_SF, SF_RANGE
+from loracell.simulator import _resolve, sensitivity_dbm
+
+N2 = default_scenario("sim_n2")
+SF_TOA = (0.046336, 0.082432, 0.164864, 0.288768, 0.659456, 1.155072)
+
+
+# ---------------------------------------------------------------------------
+# Reference resolver
+
+def ref_overlap_aggregate(sub_starts, sub_ends, sub_pw, q_starts, q_ends):
+    order_e = np.argsort(sub_ends, kind="stable")
+    ends_sorted = sub_ends[order_e]
+    pref_s = np.concatenate(([0.0], np.cumsum(sub_pw)))
+    pref_e = np.concatenate(([0.0], np.cumsum(sub_pw[order_e])))
+    hi = np.searchsorted(sub_starts, q_ends, side="left")      # start_j < q_end
+    lo = np.searchsorted(ends_sorted, q_starts, side="right")  # end_j <= q_start
+    return pref_s[hi] - pref_e[lo], hi - lo
+
+
+def ref_component_ids(starts, ends):
+    n = len(starts)
+    breaks = np.empty(n, dtype=bool)
+    breaks[0] = True
+    if n > 1:
+        reach = np.maximum.accumulate(ends)
+        breaks[1:] = starts[1:] >= reach[:-1]
+    return np.cumsum(breaks) - 1
+
+
+def ref_winners_per_group(group_ids, score):
+    n = len(group_ids)
+    heads = np.flatnonzero(np.diff(group_ids, prepend=group_ids[0] - 1))
+    best = np.maximum.reduceat(score, heads)
+    sizes = np.diff(heads, append=n)
+    at_best = np.where(score == np.repeat(best, sizes), np.arange(n), -1)
+    return np.maximum.reduceat(at_best, heads)
+
+
+def ref_resolve_channel(starts, ends, sf_idx, pw_mw, sens_ok, model, sir_lin, noise_mw):
+    n = len(starts)
+    received = np.zeros(n, dtype=bool)
+    if model == "BP":
+        _, cnt = ref_overlap_aggregate(starts, ends, pw_mw, starts, ends)
+        return sens_ok & (cnt == 1)
+    if model == "IC":
+        for s in range(NUM_SF):
+            idx = np.flatnonzero(sf_idx == s)
+            if idx.size == 0:
+                continue
+            st_, en, pw = starts[idx], ends[idx], pw_mw[idx]
+            tot, cnt = ref_overlap_aggregate(st_, en, pw, st_, en)
+            inter = tot - pw
+            cnt = cnt - 1
+            inter[cnt == 0] = 0.0
+            sinr = pw / (noise_mw + inter)
+            winners = ref_winners_per_group(ref_component_ids(st_, en), sinr)
+            ok = sens_ok[idx][winners] & (
+                (cnt[winners] == 0) | (sinr[winners] >= sir_lin[s, s]))
+            received[idx[winners]] = ok
+        return received
+    comp_all = ref_component_ids(starts, ends)
+    by_sf = [np.flatnonzero(sf_idx == j) for j in range(NUM_SF)]
+    for s in range(NUM_SF):
+        cand = by_sf[s]
+        if cand.size == 0:
+            continue
+        q_st, q_en = starts[cand], ends[cand]
+        inter_j = np.zeros((NUM_SF, cand.size))
+        cnt_j = np.zeros((NUM_SF, cand.size), dtype=int)
+        for j in range(NUM_SF):
+            sub = by_sf[j]
+            if sub.size == 0:
+                continue
+            tot, cnt = ref_overlap_aggregate(starts[sub], ends[sub], pw_mw[sub], q_st, q_en)
+            if j == s:
+                tot = tot - pw_mw[cand]
+                cnt = cnt - 1
+            tot[cnt == 0] = 0.0
+            inter_j[j] = tot
+            cnt_j[j] = cnt
+        sinr_total = pw_mw[cand] / (noise_mw + inter_j.sum(axis=0))
+        winners = ref_winners_per_group(comp_all[cand], sinr_total)
+        ok = sens_ok[cand][winners]
+        for j in range(NUM_SF):
+            has = cnt_j[j][winners] > 0
+            clears = pw_mw[cand][winners] >= sir_lin[s, j] * (
+                noise_mw + inter_j[j][winners])
+            ok &= ~has | clears
+        received[cand[winners]] = ok
+    return received
+
+
+def ref_resolve(starts, durs, sf_idx, rx_dbm, chans, model, scenario=N2):
+    """Per-packet inputs; each channel in numpy's stable start order."""
+    radio, thresholds = scenario.radio, scenario.thresholds
+    sens_ok = rx_dbm >= sensitivity_dbm(radio, thresholds)[sf_idx]
+    pw = 10.0 ** (rx_dbm / 10.0)
+    received = np.zeros(starts.size, dtype=bool)
+    for ch in np.unique(chans):
+        mask = np.flatnonzero(chans == ch)
+        order = mask[np.argsort(starts[mask], kind="stable")]
+        st_ = starts[order]
+        received[order] = ref_resolve_channel(
+            st_, st_ + durs[order], sf_idx[order], pw[order], sens_ok[order], model,
+            thresholds.sir_linear, noise_power_mw(radio))
+    return received
+
+
+# ---------------------------------------------------------------------------
+# Packet sets with the hard cases: tied starts, end == start touch points,
+# same-SF packets of unequal duration (ends out of start order), strong and
+# below-sensitivity powers with exact ties, and several channels.
+
+POWERS = st.sampled_from([-80.0, -86.0, -90.0, -104.0, -135.0]) | st.floats(-140.0, -60.0)
+
+
+@st.composite
+def packet_sets(draw, max_packets=30):
+    n = draw(st.integers(0, max_packets))
+    channels = draw(st.integers(1, 3))
+    airtime_per_sf = draw(st.booleans())       # else durations vary within an SF
+    packets = []
+    for _ in range(n):
+        sf = draw(st.integers(SF_RANGE[0], SF_RANGE[-1]))
+        dur = (SF_TOA[sf - SF_RANGE[0]] if airtime_per_sf
+               else draw(st.sampled_from(SF_TOA) | st.floats(0.01, 1.5)))
+        kind = draw(st.sampled_from(["tie", "touch", "free"]))
+        if kind == "touch" and packets:
+            prev = draw(st.sampled_from(packets))
+            start = prev.start_s + prev.duration_s      # end == start, bit for bit
+        elif kind == "tie":
+            start = draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+        else:
+            start = draw(st.floats(0.0, 3.0))
+        packets.append(PacketEvent(node=len(packets), sf=sf, start_s=start, duration_s=dur,
+                                   rx_power_dbm=draw(POWERS),
+                                   channel=draw(st.integers(0, channels - 1))))
+    return packets
+
+
+def as_arrays(packets):
+    return (np.array([p.start_s for p in packets]), np.array([p.duration_s for p in packets]),
+            np.array([p.sf - SF_RANGE[0] for p in packets], dtype=int),
+            np.array([p.rx_power_dbm for p in packets]),
+            np.array([p.channel for p in packets], dtype=int))
+
+
+@settings(max_examples=500, deadline=None)
+@given(packet_sets(), st.sampled_from(["BP", "IC", "IIC"]))
+def test_resolve_reception_matches_reference(packets, model):
+    got = resolve_reception(packets, model, N2.thresholds, N2.radio)
+    want = ref_resolve(*as_arrays(packets), model) if packets else np.zeros(0, bool)
+    assert got == want.tolist()
+
+
+@st.composite
+def node_tables(draw):
+    """run_replication-style inputs: a few nodes, each with one SF, airtime
+    and receive power, sending many packets over `channels` channels, some
+    of which stay empty."""
+    nodes = draw(st.integers(1, 6))
+    node_sf = np.array(draw(st.lists(st.integers(0, NUM_SF - 1), min_size=nodes,
+                                     max_size=nodes)))
+    node_dbm = np.array(draw(st.lists(POWERS, min_size=nodes, max_size=nodes)))
+    n = draw(st.integers(0, 40))
+    owner = np.array(draw(st.lists(st.integers(0, nodes - 1), min_size=n, max_size=n)),
+                     dtype=int)
+    starts = np.array(draw(st.lists(st.sampled_from([0.0, 0.1, 0.5]) | st.floats(0.0, 4.0),
+                                    min_size=n, max_size=n)))
+    channels = draw(st.integers(1, 4))
+    chans = np.array(draw(st.lists(st.integers(0, channels - 1), min_size=n, max_size=n)),
+                     dtype=int)
+    return starts, owner, chans, channels, node_sf, node_dbm
+
+
+@settings(max_examples=300, deadline=None)
+@given(node_tables(), st.sampled_from(["BP", "IC", "IIC"]))
+def test_node_table_gathers_match_reference(tables, model):
+    starts, owner, chans, channels, node_sf, node_dbm = tables
+    node_toa = np.array(SF_TOA)[node_sf]
+    got = _resolve(starts, owner, chans, range(channels), node_toa, node_sf, node_dbm,
+                   model, N2.thresholds, N2.radio)
+    want = ref_resolve(starts, node_toa[owner], node_sf[owner], node_dbm[owner], chans, model)
+    assert np.array_equal(got, want)
+
+
+def test_bp_touching_packets_both_received():
+    # end == start is no overlap: a chain of touching packets all decode,
+    # and a tie at one start destroys both packets that share it
+    a = PacketEvent(node=0, sf=7, start_s=0.0, duration_s=0.3, rx_power_dbm=-80.0)
+    b = PacketEvent(node=1, sf=7, start_s=0.3, duration_s=0.3, rx_power_dbm=-80.0)
+    c = PacketEvent(node=2, sf=7, start_s=0.6, duration_s=0.3, rx_power_dbm=-80.0)
+    d = PacketEvent(node=3, sf=9, start_s=0.6, duration_s=0.1, rx_power_dbm=-80.0)
+    assert resolve_reception([a, b], "BP", N2.thresholds, N2.radio) == [True, True]
+    assert resolve_reception([a, b, c, d], "BP", N2.thresholds, N2.radio) == \
+        [True, True, False, False]
+
+
+def test_ic_unequal_durations_ends_out_of_order():
+    # a long packet covers two later short ones, so ends are not in start
+    # order; its interferers sum to -87 dBm, a 7 dB SINR that clears the
+    # 6 dB capture threshold, and it is the one winner of the episode
+    long_ = PacketEvent(node=0, sf=7, start_s=0.0, duration_s=1.0, rx_power_dbm=-80.0)
+    short = PacketEvent(node=1, sf=7, start_s=0.2, duration_s=0.1, rx_power_dbm=-90.0)
+    after = PacketEvent(node=2, sf=7, start_s=0.5, duration_s=0.1, rx_power_dbm=-90.0)
+    got = resolve_reception([long_, short, after], "IC", N2.thresholds, N2.radio)
+    assert got == ref_resolve(*as_arrays([long_, short, after]), "IC").tolist()
+    assert got == [True, False, False]
+
+
+@pytest.mark.parametrize("model", ["BP", "IC", "IIC"])
+def test_dense_touching_chains_match_reference(model):
+    # thousands of packets, so every sort takes its large-array path: runs of
+    # back-to-back packets (each start is the previous end, bit for bit),
+    # exact start ties and random overlaps, two SFs with their own airtime
+    rng = np.random.default_rng(2016)
+    n = 4000
+    sf_idx = rng.integers(0, 2, size=n)
+    durs = np.array(SF_TOA)[sf_idx]
+    starts = np.empty(n)
+    t = 0.0
+    for k in range(n):
+        if rng.random() < 0.5:
+            t = t + durs[k - 1] if k else 0.0       # touch the previous packet
+        elif rng.random() < 0.3:
+            pass                                    # tie with the previous start
+        else:
+            t = float(rng.uniform(0.0, 100.0))
+        starts[k] = t
+    rx_dbm = rng.choice([-80.0, -86.0, -90.0, -100.0], size=n)
+    chans = np.zeros(n, dtype=int)
+    got = _resolve(starts, np.arange(n), chans, range(1), durs, sf_idx, rx_dbm, model,
+                   N2.thresholds, N2.radio)
+    assert np.array_equal(got, ref_resolve(starts, durs, sf_idx, rx_dbm, chans, model))

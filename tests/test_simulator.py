@@ -136,6 +136,7 @@ def test_replication_bit_exact_determinism():
 # Golden replications: every ReplicationResult field, floats as float.hex.
 # The traffic stage keeps the per-node RNG draws in node order, so these
 # values pin the random stream; a change to the draws must regenerate them.
+# "N1x3" is N1 on three channels, which draws a channel per packet.
 GOLDEN = {
     ("N1", "IC", 1.0, 123): dict(
         offered_load="0x1.0000000000000p+0",
@@ -170,13 +171,47 @@ GOLDEN = {
         per_sf_rx=(12726, 0, 0, 0, 0, 0),
         max_node_airtime_fraction="0x1.072db866aaf68p-11",
     ),
+    ("N1", "BP", 1.0, 11): dict(
+        offered_load="0x1.0000000000000p+0",
+        measured_g="0x1.fd15b3ec98f97p-1",
+        tx_count=154502, rx_count=21178, dropped_busy=547, dropped_duty=0,
+        pdr="0x1.18b98ce55c1a4p-3",
+        throughput="0x1.17205cd4e3a16p-3",
+        rx_airtime_fraction="0x1.17205cd4e3a16p-3",
+        per_sf_tx=(154502, 0, 0, 0, 0, 0),
+        per_sf_rx=(21178, 0, 0, 0, 0, 0),
+        max_node_airtime_fraction="0x1.e78e22be32df9p-9",
+    ),
+    ("N2", "BP", 1.0, 3): dict(
+        offered_load="0x1.0000000000000p+0",
+        measured_g="0x1.e7026b35b2d27p-1",
+        tx_count=17690, rx_count=3591, dropped_busy=65, dropped_duty=259,
+        pdr="0x1.9fbc63adeafcdp-3",
+        throughput="0x1.8b71a799c9b9fp-3",
+        rx_airtime_fraction="0x1.753552e4c6047p-4",
+        per_sf_tx=(2988, 3032, 2938, 3018, 3018, 2696),
+        per_sf_rx=(980, 949, 771, 576, 252, 63),
+        max_node_airtime_fraction="0x1.45ece5e390d03p-7",
+    ),
+    ("N1x3", "IC", 0.7, 5): dict(
+        offered_load="0x1.6666666666666p-1",
+        measured_g="0x1.65c226ab90672p-1",
+        tx_count=108576, rx_count=78912, dropped_busy=259, dropped_duty=0,
+        pdr="0x1.741de0c390a30p-1",
+        throughput="0x1.0403f0a56f0fep-1",
+        rx_airtime_fraction="0x1.0403f0a56f0fdp-1",
+        per_sf_tx=(108576, 0, 0, 0, 0, 0),
+        per_sf_rx=(78912, 0, 0, 0, 0, 0),
+        max_node_airtime_fraction="0x1.5e0faf888fb5cp-9",
+    ),
 }
+GOLDEN_CASES = {"N1": N1, "N2": N2, "N1x3": replace(N1, channels=3)}
 
 
 @pytest.mark.parametrize("key", list(GOLDEN), ids=lambda k: f"{k[0]}-{k[1]}-G{k[2]}-s{k[3]}")
 def test_golden_replication(key):
     case, model, g, seed = key
-    scn = replace({"N1": N1, "N2": N2}[case], collision_model=model)
+    scn = replace(GOLDEN_CASES[case], collision_model=model)
     expected = ReplicationResult(**{
         name: float.fromhex(v) if isinstance(v, str) else v
         for name, v in GOLDEN[key].items()})

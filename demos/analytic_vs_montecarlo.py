@@ -2,15 +2,17 @@
 
 The Monte Carlo estimator samples the interference from the generative
 model (Poisson interferers per ring, uniform positions, Rayleigh fading) and
-averages the typical node's own fading out in closed form, exp(-x / S). It
+averages the typical node's own fading out in closed form, exp(-x / S), and
+each interferer's too, 1 / (1 + w P) per interferer (the PGFL form). It
 shares none of the 2F1 machinery, so agreement within a few standard errors
 at every distance and density is a two-sided correctness check; averaging
 the fading makes those standard errors smaller, and the check stricter, than
 drawing it would.
 
 Also shows what happens when the typical node's fading is shared across all
-threshold events instead of independent per event: the events become
-positively correlated and the estimate exceeds the product form H1 * Q1.
+threshold events instead of independent per event (interferer fading is then
+drawn, at the same interferer positions): the events become positively
+correlated and the estimate exceeds the product form H1 * Q1.
 """
 
 from loracell import coverage_probability, default_scenario, estimate_coverage, typical_at

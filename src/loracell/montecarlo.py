@@ -6,14 +6,16 @@ uniform positions inside each ring and unit-mean exponential Rayleigh fading.
 Per ring and chunk of m trials one Poisson(mean * m) total is drawn and each
 interferer gets a uniform trial label; by Poisson splitting the per-trial
 counts are iid Poisson(mean). Thresholds and the fading mode never alter the
-random stream (common random numbers).
+positions drawn from the seed (common random numbers).
 
-The typical node's own fading is averaged out, not drawn: with mean signal S,
-P(S h > x) = exp(-x / S), so H1 = exp(-gamma sigma^2 / S) is exact (standard
-error 0). With a fading draw per threshold event (the default, the estimand
-of the closed-form product) a trial gives q_t = exp(-sum_j delta_j I_j / S),
-Q1 = mean(q) and C1 = H1 * Q1. With one shared draw (shared_fading=True),
-q_t = exp(-max_j delta_j I_j / S) and C1 averages exp(-max(gamma sigma^2,
+Fading is averaged out wherever the estimand allows. With mean signal S,
+P(S h > x) = exp(-x / S), so H1 = exp(-gamma sigma^2 / S) is exact (SE 0).
+With a fading draw per threshold event (the default, the estimand of the
+closed-form product) E[exp(-w P h)] = 1 / (1 + w P) averages out each
+interferer's too: a trial gives the PGFL form q_t = exp(-sum_k log1p(w_j P_k)),
+w_j = delta_j / S, with Q1 = mean(q) and C1 = H1 * Q1. With one shared draw
+(shared_fading=True) interferer fading is drawn from a stream spawned off the
+seed, q_t = exp(-max_j w_j I_j), and C1 averages exp(-max(gamma sigma^2,
 max_j delta_j I_j) / S), above the product form. Standard errors are sample
 standard errors of the per-trial values (variance over n); C1 <= min(H1, Q1).
 """
@@ -61,14 +63,16 @@ def _received_mw(distance_m: float, radio: RadioConfig) -> float:
     return radio.tx_power_mw * radio.antenna_gain_linear * path_gain(distance_m, radio)
 
 
-def _sum_by_trial(powers: np.ndarray, trial_idx: np.ndarray, trials: int) -> np.ndarray:
-    """Aggregate interference: plain linear sum of powers per trial (float, even if empty)."""
-    return np.bincount(trial_idx, weights=powers, minlength=trials).astype(float, copy=False)
+def _sum_by_trial(terms: np.ndarray, trial_idx: np.ndarray, trials: int) -> np.ndarray:
+    """Per-trial sum of per-interferer terms, powers or log1p terms (float, even if empty)."""
+    return np.bincount(trial_idx, weights=terms, minlength=trials).astype(float, copy=False)
 
 
-def _ring_interference(rng: np.random.Generator, scenario: Scenario, ring: int,
-                       trials: int, scale: float = 1.0) -> np.ndarray:
-    """Per-trial summed interferer power (mW) from one SF ring, times `scale`."""
+def _ring_exponent(rng: np.random.Generator, scenario: Scenario, ring: int, trials: int,
+                   weight: float, fading: np.random.Generator | None) -> np.ndarray:
+    """Per-trial exponent from one SF ring's interferers, with received powers
+    P_k (mW): sum_k log1p(w P_k), each interferer's fading averaged out, or
+    w sum_k P_k h_k with h_k drawn from `fading`. Positions come from `rng` alone."""
     topo, radio = scenario.topology, scenario.radio
     lo2, hi2 = np.square(topo.boundaries_m[ring:ring + 2])
     total = rng.poisson(float(topo.intensities[ring] * topo.ring_areas_m2[ring]) * trials)
@@ -77,10 +81,12 @@ def _ring_interference(rng: np.random.Generator, scenario: Scenario, ring: int,
     p *= lo2 - hi2
     p += hi2
     np.power(p, -radio.path_loss_exponent / 2.0, out=p)
-    p *= rng.exponential(size=total)                    # r^-eta h
-    inter = _sum_by_trial(p, trial_idx, trials)
-    inter *= _received_mw(1.0, radio) * scale
-    return inter
+    p *= _received_mw(1.0, radio) * weight                # w P_k
+    if fading is None:
+        np.log1p(p, out=p)
+    else:
+        p *= fading.exponential(size=total)
+    return _sum_by_trial(p, trial_idx, trials)
 
 
 def estimate_coverage(typical: TypicalNode, scenario: Scenario, trials: int,
@@ -89,6 +95,8 @@ def estimate_coverage(typical: TypicalNode, scenario: Scenario, trials: int,
     """Estimate (H1, Q1, C1) by sampling the interference. Deterministic per seed."""
     (i,) = sf_indices(typical, topology=scenario.topology)
     rng = np.random.default_rng(seed)
+    fading = (np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+              if shared_fading else None)
     h1 = connection_probability(typical, scenario.radio, scenario.thresholds)
     weights = scenario.thresholds.sir_linear[i] / _received_mw(typical.distance_m,
                                                                scenario.radio)
@@ -97,7 +105,7 @@ def estimate_coverage(typical: TypicalNode, scenario: Scenario, trials: int,
     for m in _chunks(trials):
         load = np.zeros(m)
         for j, w in enumerate(weights):
-            combine(load, _ring_interference(rng, scenario, j, m, w), out=load)
+            combine(load, _ring_exponent(rng, scenario, j, m, w, fading), out=load)
         q = np.exp(np.negative(load, out=load), out=load)
         q_parts.append(_summary(q))
         if shared_fading:       # min(H1, q_t) = exp(-max(gamma sigma^2, max_j delta_j I_j) / S)
@@ -121,5 +129,5 @@ def estimate_sir_ring(typical: TypicalNode, ring_sf: int, scenario: Scenario,
     rng = np.random.default_rng(seed)
     weight = scenario.thresholds.sir_linear[i, j] / _received_mw(typical.distance_m,
                                                                  scenario.radio)
-    return _estimate([_summary(np.exp(-_ring_interference(rng, scenario, j, m, weight)))
+    return _estimate([_summary(np.exp(-_ring_exponent(rng, scenario, j, m, weight, None)))
                       for m in _chunks(trials)])

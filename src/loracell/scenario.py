@@ -33,14 +33,6 @@ def db_to_linear(db):
     return 10.0 ** (np.asarray(db, dtype=float) / 10.0)
 
 
-def linear_to_db(lin):
-    return 10.0 * np.log10(lin)
-
-
-def dbm_to_mw(dbm):
-    return 10.0 ** (np.asarray(dbm, dtype=float) / 10.0)
-
-
 def equal_area_rings(cell_radius_m: float, num_rings: int) -> np.ndarray:
     """Outer boundaries l_1..l_n of rings that split a disk into equal areas.
 
@@ -76,7 +68,7 @@ class RadioConfig:
 
     @cached_property
     def tx_power_mw(self) -> float:
-        return float(dbm_to_mw(self.tx_power_dbm))
+        return float(db_to_linear(self.tx_power_dbm))   # dBm to mW
 
     @cached_property
     def antenna_gain_linear(self) -> float:
@@ -217,9 +209,6 @@ class ThresholdSet:
 
     snr_floor_db: tuple[float, ...]                    # SF7..SF12
     sir_db: tuple[tuple[float | None, ...], ...]       # 6x6
-
-    def snr_floor(self, sf: int) -> float:
-        return self.snr_floor_db[sf - SF_RANGE[0]]
 
     @cached_property
     def snr_floor_linear(self) -> np.ndarray:

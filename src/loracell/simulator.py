@@ -239,13 +239,13 @@ def _resolve_channel(starts, owner, node_toa, node_sf, node_pw, node_ok, model,
 
 
 def _argsort_stable(x):
-    """Same permutation as np.argsort(x, kind="stable"): without ties every
-    sort order agrees, and the default sort is the faster one."""
+    """np.argsort(x, kind="stable") and x sorted: without ties every sort order
+    agrees and the default sort is faster; tied keys sort to the same x."""
     order = np.argsort(x)
     x_sorted = x[order]
     if np.any(x_sorted[1:] == x_sorted[:-1]):
-        return np.argsort(x, kind="stable")
-    return order
+        order = np.argsort(x, kind="stable")
+    return order, x_sorted
 
 
 def _resolve(starts, owner, chans, channels, node_toa, node_sf, node_dbm, model,
@@ -260,13 +260,14 @@ def _resolve(starts, owner, chans, channels, node_toa, node_sf, node_dbm, model,
     received = np.zeros(starts.size, dtype=bool)
     for ch in channels:
         if len(channels) == 1:              # every packet is on it
-            order = _argsort_stable(starts)
+            order, ch_starts = _argsort_stable(starts)
         else:
             on = np.flatnonzero(chans == ch)
-            order = on[_argsort_stable(starts[on])]
+            order, ch_starts = _argsort_stable(starts[on])
+            order = on[order]
         if order.size:
             received[order] = _resolve_channel(
-                starts[order], owner[order], node_toa, node_sf, node_pw, node_ok,
+                ch_starts, owner[order], node_toa, node_sf, node_pw, node_ok,
                 model, thresholds.sir_linear, noise)
     return received
 

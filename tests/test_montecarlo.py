@@ -21,7 +21,7 @@ from loracell.coverage import noise_power_mw
 from loracell.montecarlo import (
     _CHUNK,
     _estimate,
-    _ring_interference,
+    _ring_exponent,
     _sum_by_trial,
     _summary,
 )
@@ -177,13 +177,123 @@ def test_ring_interference_matches_annulus_mean(ring):
     # ring 0 touches the gateway, where E[r^-eta] is infinite for eta >= 2
     scn = SCN.with_node_count(500)
     trials = 200_000
-    inter = _ring_interference(np.random.default_rng(40 + ring), scn, ring, trials)
+    rng = np.random.default_rng(40 + ring)
+    inter = _ring_exponent(rng, scn, ring, trials, 1.0, rng)
     expected, mu = annulus_mean_power(scn, ring)
     assert inter.shape == (trials,)
     assert abs(inter.mean() - expected) <= 4 * inter.std() / np.sqrt(trials)
     # Poisson splitting: a trial is interferer-free with probability exp(-mu)
     empty = np.mean(inter == 0.0)
     assert abs(empty - np.exp(-mu)) <= 4 * np.sqrt(np.exp(-mu) * (1 - np.exp(-mu)) / trials)
+
+
+class FixedDraws:
+    """Stands in for a generator: a fixed Poisson total, trial labels and
+    uniforms for the positions, or fixed fading for an interferer stream."""
+
+    def __init__(self, labels=(), uniforms=(), fading=()):
+        self.labels = np.array(labels, dtype=np.int64)
+        self.uniforms = np.array(uniforms, dtype=float)
+        self.fading = np.array(fading, dtype=float)
+
+    def poisson(self, lam):
+        return self.labels.size
+
+    def integers(self, low, high, size):
+        assert (low, size) == (0, self.labels.size) and np.all(self.labels < high)
+        return self.labels.copy()
+
+    def random(self, size):
+        assert size == self.uniforms.size
+        return self.uniforms.copy()
+
+    def exponential(self, size):
+        assert size == self.fading.size
+        return self.fading.copy()
+
+
+@pytest.mark.parametrize("ring", [0, 3, 5])
+def test_ring_exponent_per_trial_forms_are_exact(ring):
+    scn = SCN.with_node_count(500)
+    radio = scn.radio
+    lo, hi = scn.topology.boundaries_m[ring:ring + 2]
+    labels = [0, 3, 3, 0, 1, 3]             # trials 2 and 4 have no interferer
+    uniforms = [0.0, 0.5, 0.999, 0.25, 0.75, 0.1]
+    fading = [0.3, 1.7, 0.01, 2.5, 1.0, 4.2]
+    trials = 5
+    r = np.sqrt(hi ** 2 + np.array(uniforms) * (lo ** 2 - hi ** 2))
+    power = radio.tx_power_mw * radio.antenna_gain_linear * path_gain(r, radio)
+    # a same-SF typical node at the ring's outer edge: w P_k >= delta
+    weight = scn.thresholds.sir_linear[ring, ring] / (
+        radio.tx_power_mw * radio.antenna_gain_linear * path_gain(hi, radio))
+    averaged, drawn = np.zeros(trials), np.zeros(trials)
+    for t, p, h in zip(labels, power, fading):
+        averaged[t] += np.log1p(weight * p)
+        drawn[t] += p * h
+    drawn *= weight
+    assert averaged.max() > 1.0             # far from the linear regime of log1p
+
+    got = _ring_exponent(FixedDraws(labels, uniforms), scn, ring, trials, weight, None)
+    np.testing.assert_allclose(got, averaged, rtol=1e-14, atol=0.0)
+    assert got[2] == got[4] == 0.0
+    # positions come from the first generator, fading only from the second
+    got = _ring_exponent(FixedDraws(labels, uniforms), scn, ring, trials, weight,
+                         FixedDraws(fading=fading))
+    np.testing.assert_allclose(got, drawn, rtol=1e-14, atol=0.0)
+    assert got[2] == got[4] == 0.0
+
+
+def test_averaged_interferer_fading_lowers_variance():
+    # Rao-Blackwell: q_t = E[exp(-sum_j w_j I_j) | positions] has the same mean
+    # as the drawn-fading value and a smaller variance
+    scn = SCN.with_node_count(2500)
+    typical = typical_at(scn.topology, 1500.0)
+    trials = 200_000
+    _, q1, _ = estimate_coverage(typical, scn, trials, seed=13)
+    radio = scn.radio
+    s = radio.tx_power_mw * radio.antenna_gain_linear * path_gain(1500.0, radio)
+    weights = scn.thresholds.sir_linear[typical.sf - SF_RANGE[0]] / s
+    rng, fading = np.random.default_rng(13), np.random.default_rng(14)
+    load = sum(_ring_exponent(rng, scn, j, trials, w, fading) for j, w in enumerate(weights))
+    q_drawn = np.exp(-load)
+    se_drawn = q_drawn.std() / np.sqrt(trials)
+    assert q1.standard_error < se_drawn
+    assert abs(q1.mean - q_drawn.mean()) <= 4 * np.hypot(q1.standard_error, se_drawn)
+
+
+class RecordedDraws:
+    """Delegates to a generator and logs every draw it returns."""
+
+    def __init__(self, rng, log):
+        self.rng, self.log = rng, log
+
+    def __getattr__(self, name):
+        draw = getattr(self.rng, name)
+
+        def logged(*args, **kwargs):
+            out = draw(*args, **kwargs)
+            self.log.append((name, np.copy(out)))
+            return out
+        return logged
+
+
+def test_fading_modes_draw_the_same_interferer_positions(monkeypatch):
+    logs = {False: [], True: []}
+    original = montecarlo._ring_exponent
+
+    def recording(rng, scenario, ring, trials, weight, fading):
+        return original(RecordedDraws(rng, logs[fading is not None]), scenario, ring,
+                        trials, weight, fading)
+
+    monkeypatch.setattr(montecarlo, "_ring_exponent", recording)
+    monkeypatch.setattr(montecarlo, "_CHUNK", 7_000)     # 3 chunks
+    typical = typical_at(SCN.topology, 1500.0)
+    for shared_fading in (False, True):
+        estimate_coverage(typical, SCN, trials=20_000, seed=31, shared_fading=shared_fading)
+    assert len(logs[True]) == len(logs[False]) == 3 * 6 * 3
+    for (name_a, a), (name_b, b) in zip(logs[False], logs[True]):
+        assert name_a == name_b != "exponential"
+        np.testing.assert_array_equal(a, b)
 
 
 @pytest.mark.parametrize("ring_sf", SF_RANGE)
@@ -219,7 +329,9 @@ def brute_force_coverage(typical, scn, trials, seed, shared_fading):
     """
     assert trials <= _CHUNK
     rng = np.random.default_rng(seed)
-    interference = [_ring_interference(rng, scn, j, trials) for j in range(len(SF_RANGE))]
+    inter_fading = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    interference = [_ring_exponent(rng, scn, j, trials, 1.0, inter_fading)
+                    for j in range(len(SF_RANGE))]
     fading = np.random.default_rng(seed + 1)
     i = typical.sf - SF_RANGE[0]
     radio = scn.radio

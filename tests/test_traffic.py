@@ -164,4 +164,7 @@ def test_winners_iic_style_candidate_subset(data):
 def test_argsort_stable_matches_numpy_stable(values):
     # a few repeated levels force exact ties, where sort orders may differ
     x = np.array(values, dtype=float)
-    assert np.array_equal(_argsort_stable(x), np.argsort(x, kind="stable"))
+    order, x_sorted = _argsort_stable(x)
+    stable = np.argsort(x, kind="stable")
+    assert np.array_equal(order, stable)
+    assert np.array_equal(x_sorted, x[stable])

@@ -94,11 +94,13 @@ def _write_manifest(out_path: Path, command: str, scenario_path: str,
     path.write_text(json.dumps(asdict(manifest), indent=2) + "\n", encoding="utf-8")
 
 
+def _override(scenario: Scenario, **values) -> Scenario:
+    """Replace every field whose value is not None (a flag that was not given)."""
+    return replace(scenario, **{k: v for k, v in values.items() if v is not None})
+
+
 def _load(args) -> tuple[Scenario, str]:
-    scenario = load_scenario(args.scenario)
-    if args.seed is not None:
-        scenario = replace(scenario, rng_seed=args.seed)
-    return scenario, str(args.scenario)
+    return _override(load_scenario(args.scenario), rng_seed=args.seed), str(args.scenario)
 
 
 def _coverage_rows(scenario: Scenario, distances) -> tuple[list[str], list[list]]:
@@ -160,15 +162,9 @@ def _simulate_scenario(args) -> tuple[Scenario, str]:
         spath = f"{_CASE_FILES[args.case]}.ini"
     else:
         raise ConfigurationError("simulate: provide --scenario or --case")
-    if args.model:
-        scenario = replace(scenario, collision_model=args.model)
-    if args.seed is not None:
-        scenario = replace(scenario, rng_seed=args.seed)
-    if args.replications is not None:
-        scenario = replace(scenario, replications=args.replications)
-    if args.loads:
-        loads = tuple(float(v) for v in args.loads.split(","))
-        scenario = replace(scenario, offered_loads=loads)
+    loads = tuple(float(v) for v in args.loads.split(",")) if args.loads else None
+    scenario = _override(scenario, collision_model=args.model, rng_seed=args.seed,
+                         replications=args.replications, offered_loads=loads)
     return scenario, spath
 
 
@@ -209,9 +205,7 @@ def cmd_reproduce(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     if args.figure == "fig2":
-        scenario = default_scenario("coverage_eu868")
-        if args.seed is not None:
-            scenario = replace(scenario, rng_seed=args.seed)
+        scenario = _override(default_scenario("coverage_eu868"), rng_seed=args.seed)
         distances = np.arange(10.0, scenario.topology.cell_radius_m + 5.0, 10.0)
         header = ["distance_m", "sf"]
         columns = [list(distances)]
@@ -242,12 +236,8 @@ def cmd_reproduce(args) -> int:
     scenarios = {}
     results = {}
     for name, case, model in runs:
-        scenario = default_scenario(_CASE_FILES[case])
-        scenario = replace(scenario, collision_model=model)
-        if args.seed is not None:
-            scenario = replace(scenario, rng_seed=args.seed)
-        if args.replications is not None:
-            scenario = replace(scenario, replications=args.replications)
+        scenario = _override(default_scenario(_CASE_FILES[case]), collision_model=model,
+                             rng_seed=args.seed, replications=args.replications)
         scenarios[name] = scenario
         results[name] = sweep(scenario, jobs=args.jobs)
 

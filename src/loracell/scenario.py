@@ -11,7 +11,7 @@ from __future__ import annotations
 import configparser
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
@@ -203,8 +203,8 @@ class ThresholdSet:
     """Per-SF SNR demodulation floors and the 6x6 SIR capture matrix.
 
     sir_db[i][j] is the threshold for decoding an SF 7+i packet against
-    interference from SF 7+j. Entries may be None while loading; validation
-    rejects incomplete matrices.
+    interference from SF 7+j. Validation rejects a matrix with a row of the
+    wrong length or a None entry.
     """
 
     snr_floor_db: tuple[float, ...]                    # SF7..SF12
@@ -223,6 +223,9 @@ class ThresholdSet:
         return db_to_linear(np.asarray(self.sir_db, dtype=float))
 
     def sir(self, desired_sf: int, interferer_sf: int) -> float:
+        """Linear SIR threshold of one SF pair. Outside the tests only
+        perfbench/workloads.py calls it, and perfbench/ changes only with the
+        benchmark definition, so it stays here."""
         return float(self.sir_linear[desired_sf - SF_RANGE[0], interferer_sf - SF_RANGE[0]])
 
     def errors(self) -> list[str]:
@@ -357,41 +360,42 @@ def sample_placement(scenario: Scenario, seed: int | None = None,
 
 
 # ---------------------------------------------------------------------------
-# Config-file loading (INI sections mirroring the types above; unknown keys
-# are hard errors so typos cannot silently fall back to defaults).
+# Config-file loading. One table maps section -> key -> default, and the type
+# of each key is the type of its default. Unknown sections and keys are hard
+# errors so typos cannot silently fall back to defaults.
 
-_SCHEMA = {
-    "radio": {
-        "carrier_hz": float, "bandwidth_hz": float, "tx_power_dbm": float,
-        "tx_power_limit_dbm": float, "noise_figure_db": float,
-        "path_loss_exponent": float, "code_rate": str,
-        "gateway_height_m": float, "device_height_m": float,
-        "gateway_gain_dbi": float, "device_gain_dbi": float,
-    },
-    "topology": {"cell_radius_m": float, "transmit_probability": float},
-    "thresholds": {"file": str},
-    "nodes": {
-        "node_count": int, "sf_assignment": str, "sf_set": str,
-        "radial_distribution": str,
-    },
-    "traffic": {"offered_loads": str, "payload_bytes": int},
-    "simulation": {
-        "collision_model": str, "duty_cycle_limit": float, "rng_seed": int,
-        "replications": int, "sim_duration_s": float, "channels": int,
-    },
+def _field_defaults(cls, *names: str) -> dict[str, object]:
+    defaults = {f.name: f.default for f in fields(cls)}
+    return {name: defaults[name] for name in names} if names else defaults
+
+
+_SCENARIO_KEYS = {
+    "radio": _field_defaults(RadioConfig),
+    "topology": {"cell_radius_m": 3000.0, "transmit_probability": 0.01},
+    "thresholds": {"file": "thresholds_eu868.ini"},
+    "nodes": _field_defaults(Scenario, "node_count", "sf_assignment", "sf_set",
+                             "radial_distribution"),
+    "traffic": _field_defaults(Scenario, "offered_loads", "payload_bytes"),
+    "simulation": _field_defaults(Scenario, "collision_model", "duty_cycle_limit",
+                                  "rng_seed", "replications", "sim_duration_s",
+                                  "channels"),
+}
+# Every threshold entry is required; the defaults only give the types.
+_THRESHOLD_KEYS = {
+    "snr_floor_db": {f"sf{sf}": 0.0 for sf in SF_RANGE},
+    "sir_db": {f"sf{sf}": (0.0,) for sf in SF_RANGE},
 }
 
 
-def _read_ini(path: Path) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    try:
-        with open(path, encoding="utf-8") as fh:
-            parser.read_file(fh)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read {path}: {exc.strerror}") from exc
-    except configparser.Error as exc:
-        raise ConfigurationError(f"cannot parse {path}: {exc}") from exc
-    return parser
+def _cast(raw: str, default):
+    """Parse raw like default: a tuple splits on whitespace and casts each
+    item like its first element; a float must be finite."""
+    if isinstance(default, tuple):
+        return tuple(_cast(item, default[0]) for item in raw.split())
+    value = type(default)(raw)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"non-finite {raw!r}")
+    return value
 
 
 def resolve_config_path(name: str | os.PathLike,
@@ -414,100 +418,63 @@ def resolve_config_path(name: str | os.PathLike,
     raise ConfigurationError(f"config file not found: {name}")
 
 
+def _read_values(path: Path, schema: dict,
+                 required: bool = False) -> dict[str, dict[str, object]]:
+    """Read every key of schema from an INI file, section by section. A key
+    the file leaves out takes its default, or is an error if required."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read {path}: {exc.strerror}") from exc
+    except configparser.Error as exc:
+        raise ConfigurationError(f"cannot parse {path}: {exc}") from exc
+    for section in parser.sections():
+        if section not in schema:
+            raise ConfigurationError(f"{path}: unknown section [{section}]")
+        for key in parser[section]:
+            if key not in schema[section]:
+                raise ConfigurationError(f"{path}: unknown key {section}.{key}")
+    values = {}
+    for section, defaults in schema.items():
+        values[section] = dict(defaults)
+        for key, default in defaults.items():
+            raw = parser.get(section, key, fallback=None)
+            if raw is None:
+                if required:
+                    raise ConfigurationError(f"{path}: missing {section} entry {key!r}")
+                continue
+            try:
+                values[section][key] = _cast(raw, default)
+            except ValueError:
+                raise ConfigurationError(
+                    f"{path}: cannot parse {section}.{key} = {raw!r}"
+                ) from None
+    return values
+
+
 def load_thresholds(path: str | os.PathLike) -> ThresholdSet:
     path = resolve_config_path(path)
-    parser = _read_ini(path)
-    for section in parser.sections():
-        if section not in ("snr_floor_db", "sir_db"):
-            raise ConfigurationError(f"{path}: unknown section [{section}]")
-    try:
-        floors = tuple(
-            float(parser["snr_floor_db"][f"sf{sf}"]) for sf in SF_RANGE
-        )
-    except KeyError as exc:
-        raise ConfigurationError(f"{path}: missing snr_floor_db entry {exc}") from None
-    rows = []
-    for sf in SF_RANGE:
-        raw = parser["sir_db"].get(f"sf{sf}")
-        if raw is None:
-            rows.append(tuple([None] * NUM_SF))
-            continue
-        vals = raw.split()
-        row = [float(v) for v in vals]
-        row += [None] * (NUM_SF - len(row))
-        rows.append(tuple(row[:NUM_SF]))
-    extra = set(parser["sir_db"]) - {f"sf{sf}" for sf in SF_RANGE}
-    extra |= set(parser["snr_floor_db"]) - {f"sf{sf}" for sf in SF_RANGE}
-    if extra:
-        raise ConfigurationError(f"{path}: unknown threshold keys {sorted(extra)}")
-    return ThresholdSet(snr_floor_db=floors, sir_db=tuple(rows))
+    values = _read_values(path, _THRESHOLD_KEYS, required=True)
+    return ThresholdSet(snr_floor_db=tuple(values["snr_floor_db"].values()),
+                        sir_db=tuple(values["sir_db"].values()))
 
 
 def load_scenario(path: str | os.PathLike) -> Scenario:
     """Load and validate a scenario file. Raises ConfigurationError."""
     path = resolve_config_path(path)
-    parser = _read_ini(path)
-
-    for section in parser.sections():
-        if section not in _SCHEMA:
-            raise ConfigurationError(f"{path}: unknown section [{section}]")
-        for key in parser[section]:
-            if key not in _SCHEMA[section]:
-                raise ConfigurationError(f"{path}: unknown key {section}.{key}")
-
-    def get(section, key, cast, default):
-        if parser.has_option(section, key):
-            raw = parser[section][key]
-            try:
-                return cast(raw) if cast is not str else raw
-            except ValueError:
-                raise ConfigurationError(
-                    f"{path}: cannot parse {section}.{key} = {raw!r}"
-                ) from None
-        return default
-
-    radio = RadioConfig(
-        carrier_hz=get("radio", "carrier_hz", float, 868.1e6),
-        bandwidth_hz=get("radio", "bandwidth_hz", float, 125e3),
-        tx_power_dbm=get("radio", "tx_power_dbm", float, 14.0),
-        tx_power_limit_dbm=get("radio", "tx_power_limit_dbm", float, 14.0),
-        noise_figure_db=get("radio", "noise_figure_db", float, 6.0),
-        path_loss_exponent=get("radio", "path_loss_exponent", float, 2.75),
-        code_rate=get("radio", "code_rate", str, "4/5"),
-        gateway_height_m=get("radio", "gateway_height_m", float, 24.0),
-        device_height_m=get("radio", "device_height_m", float, 3.0),
-        gateway_gain_dbi=get("radio", "gateway_gain_dbi", float, 0.0),
-        device_gain_dbi=get("radio", "device_gain_dbi", float, 0.0),
-    )
-    node_count = get("nodes", "node_count", int, 500)
-    topology = RingTopology.equal_area(
-        cell_radius_m=get("topology", "cell_radius_m", float, 3000.0),
-        mean_node_count=node_count,
-        transmit_probability=get("topology", "transmit_probability", float, 0.01),
-    )
-    thr_file = get("thresholds", "file", str, "thresholds_eu868.ini")
-    thresholds = load_thresholds(resolve_config_path(thr_file, relative_to=path.parent))
-
-    loads = get("traffic", "offered_loads", str, "")
-    offered = tuple(float(v) for v in loads.split()) if loads else \
-        tuple(round(0.1 * k, 1) for k in range(1, 11))
-    sf_set_raw = get("nodes", "sf_set", str, "7 8 9 10 11 12")
+    values = _read_values(path, _SCENARIO_KEYS)
+    nodes = values["nodes"]
+    thr_file = values["thresholds"]["file"]
     scenario = Scenario(
-        radio=radio,
-        topology=topology,
-        thresholds=thresholds,
-        offered_loads=offered,
-        node_count=node_count,
-        sf_assignment=get("nodes", "sf_assignment", str, "distance_rings"),
-        sf_set=tuple(int(v) for v in sf_set_raw.split()),
-        radial_distribution=get("nodes", "radial_distribution", str, "area_uniform"),
-        duty_cycle_limit=get("simulation", "duty_cycle_limit", float, 0.01),
-        payload_bytes=get("traffic", "payload_bytes", int, 1),
-        collision_model=get("simulation", "collision_model", str, "BP"),
-        rng_seed=get("simulation", "rng_seed", int, 1),
-        replications=get("simulation", "replications", int, 30),
-        sim_duration_s=get("simulation", "sim_duration_s", float, 7200.0),
-        channels=get("simulation", "channels", int, 1),
+        radio=RadioConfig(**values["radio"]),
+        topology=RingTopology.equal_area(mean_node_count=nodes["node_count"],
+                                         **values["topology"]),
+        thresholds=load_thresholds(resolve_config_path(thr_file, relative_to=path.parent)),
+        **nodes,
+        **values["traffic"],
+        **values["simulation"],
     )
     return validate(scenario)
 

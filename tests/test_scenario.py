@@ -1,4 +1,7 @@
+import re
 from dataclasses import replace
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from loracell import (
     sample_placement,
     validate,
 )
+from loracell.cli import EXIT_CONFIG, main
 from loracell.scenario import SF_RANGE
 
 
@@ -183,3 +187,87 @@ def test_uniform_random_requires_divisible_node_count():
     scn = default_scenario("sim_n2")
     bad = replace(scn, node_count=301)
     assert any("divisible" in e for e in bad.errors())
+
+
+def packaged_text(name):
+    return (resources.files("loracell.data") / name).read_text(encoding="utf-8")
+
+
+def scenario_file(tmp_path, key=None, raw=None, thresholds=None):
+    """The packaged coverage scenario with one key set to raw, or pointing at a
+    thresholds file with the given text, written under tmp_path."""
+    text = packaged_text("coverage_eu868.ini")
+    if key is not None:
+        text, n = re.subn(rf"^{key} = .*$", f"{key} = {raw}", text, flags=re.M)
+        assert n == 1
+    if thresholds is not None:
+        (tmp_path / "thr.ini").write_text(thresholds)
+        text = text.replace("file = thresholds_eu868.ini", "file = thr.ini")
+    cfg = tmp_path / "scenario.ini"
+    cfg.write_text(text)
+    return cfg
+
+
+@pytest.mark.parametrize("key,raw,message", [
+    ("offered_loads", "0.1 x", "cannot parse traffic.offered_loads = '0.1 x'"),
+    ("sf_set", "7 8.5", "cannot parse nodes.sf_set = '7 8.5'"),
+    ("carrier_hz", "nan", "cannot parse radio.carrier_hz = 'nan'"),
+    ("path_loss_exponent", "inf", "cannot parse radio.path_loss_exponent = 'inf'"),
+    ("sim_duration_s", "nan", "cannot parse simulation.sim_duration_s = 'nan'"),
+    ("offered_loads", "", "offered_loads: must not be empty"),
+], ids=["loads-not-numeric", "sf-set-not-int", "carrier-nan", "exponent-inf",
+        "duration-nan", "loads-blank"])
+def test_scenario_value_fault_rejected(tmp_path, key, raw, message):
+    cfg = scenario_file(tmp_path, key, raw)
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        load_scenario(cfg)
+
+
+SIR_SF7 = "sf7 = 6 -16 -18 -19 -19 -20"
+
+
+def thresholds_text(old=None, new=None):
+    text = packaged_text("thresholds_eu868.ini")
+    assert old is None or text.count(old) == 1
+    return text if old is None else text.replace(old, new)
+
+
+@pytest.mark.parametrize("text,message", [
+    (thresholds_text(SIR_SF7, SIR_SF7 + " -99"), "row sf7 must have 6 entries"),
+    (thresholds_text(SIR_SF7, "sf7 = 6 -16 -18 -19 -19"), "row sf7 must have 6 entries"),
+    (thresholds_text("sf9 = -12\n", "sf9 = -12dB\n"),
+     "cannot parse snr_floor_db.sf9 = '-12dB'"),
+    (thresholds_text("sf10 = -30 -30 -30 6 -26 -28", "sf10 = -30 -30 -30 6 -26 x"),
+     "cannot parse sir_db.sf10 = "),
+    (thresholds_text("sf8 = -24 6 -20", "sf8 = -24 nan -20"), "cannot parse sir_db.sf8 = "),
+    (thresholds_text().partition("[sir_db]")[0], "missing sir_db entry 'sf7'"),
+], ids=["sir-7-columns", "sir-5-columns", "floor-not-numeric", "sir-not-numeric",
+        "sir-nan", "no-sir-section"])
+def test_thresholds_fault_rejected(tmp_path, text, message):
+    cfg = scenario_file(tmp_path, thresholds=text)
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        load_scenario(cfg)
+
+
+def test_thresholds_file_referenced_by_scenario_loads(tmp_path):
+    cfg = scenario_file(tmp_path, thresholds=thresholds_text())
+    assert load_scenario(cfg) == default_scenario("coverage_eu868")
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    (dict(key="offered_loads", raw="0.1 x"), "cannot parse traffic.offered_loads"),
+    (dict(thresholds=thresholds_text().partition("[sir_db]")[0]), "missing sir_db entry"),
+], ids=["scenario", "thresholds"])
+def test_validate_config_value_fault_exits_config_error(tmp_path, capsys, kwargs, message):
+    cfg = scenario_file(tmp_path, **kwargs)
+    assert main(["validate-config", "--scenario", str(cfg)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
+def test_readme_scenario_block_is_the_packaged_coverage_scenario(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Scenario file format", 1)[1]
+    block = re.search(r"```ini\n(.*?)```", section, flags=re.S).group(1)
+    cfg = tmp_path / "readme.ini"
+    cfg.write_text(block)
+    assert load_scenario(cfg) == default_scenario("coverage_eu868")

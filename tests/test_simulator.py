@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import pytest
@@ -216,6 +217,41 @@ def test_golden_replication(key):
         name: float.fromhex(v) if isinstance(v, str) else v
         for name, v in GOLDEN[key].items()})
     assert run_replication(scn, g, seed) == expected
+
+
+# A wider bit-identity set: 5 case/models x G in {0.1, 0.5, 1.0, 1.6} x 4
+# seeds, the same 5 on 2 and 3 channels at G=1, and N1/BP and N2/IIC at duty
+# limits 0.001 and 0.0005. The hash covers the repr of every ReplicationResult,
+# so any change to a count or a float bit shows.
+REPLICATION_SET_SHA256 = "45788e8131adbbb3449a5e127147ed877d477a98fe9279d8c61d18096965b5ce"
+CASE_MODELS = (("N1", "BP"), ("N1", "IC"), ("N2", "BP"), ("N2", "IC"), ("N2", "IIC"))
+
+
+def replication_set():
+    for case, model in CASE_MODELS:
+        scn = replace(GOLDEN_CASES[case], collision_model=model)
+        for g in (0.1, 0.5, 1.0, 1.6):
+            for seed in range(4):
+                yield scn, g, seed
+    for case, model in CASE_MODELS:
+        for channels in (2, 3):
+            scn = replace(GOLDEN_CASES[case], collision_model=model, channels=channels)
+            yield scn, 1.0, 10 + channels
+    for case, model in (("N1", "BP"), ("N2", "IIC")):
+        for duty in (0.001, 0.0005):
+            scn = replace(GOLDEN_CASES[case], collision_model=model, duty_cycle_limit=duty)
+            for g in (0.5, 1.0):
+                yield scn, g, 20
+
+
+def test_replication_set_bit_identical():
+    digest = hashlib.sha256()
+    count = 0
+    for scn, g, seed in replication_set():
+        digest.update(repr(run_replication(scn, g, seed)).encode())
+        count += 1
+    assert count == 98
+    assert digest.hexdigest() == REPLICATION_SET_SHA256
 
 
 def test_replication_accounting():

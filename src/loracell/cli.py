@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, replace
@@ -113,6 +114,8 @@ def _coverage_rows(scenario: Scenario, distances) -> tuple[list[str], list[list]
 def cmd_coverage(args) -> int:
     scenario, spath = _load(args)
     step = args.grid_step
+    if not 0 < step < math.inf:
+        raise ConfigurationError(f"--grid-step must be finite and positive, got {step}")
     radius = scenario.topology.cell_radius_m
     distances = np.arange(step, radius + step / 2, step)
     counts = args.node_counts or [scenario.node_count]
@@ -162,10 +165,19 @@ def _simulate_scenario(args) -> tuple[Scenario, str]:
         spath = f"{_CASE_FILES[args.case]}.ini"
     else:
         raise ConfigurationError("simulate: provide --scenario or --case")
-    loads = tuple(float(v) for v in args.loads.split(",")) if args.loads else None
     scenario = _override(scenario, collision_model=args.model, rng_seed=args.seed,
-                         replications=args.replications, offered_loads=loads)
+                         replications=args.replications, offered_loads=_loads(args.loads))
     return scenario, spath
+
+
+def _loads(text: str | None) -> tuple[float, ...] | None:
+    """The --loads comma list as floats; None when the flag was not given."""
+    if text is not None and not text.strip():
+        raise ConfigurationError("--loads: must not be empty")
+    try:
+        return None if text is None else tuple(float(v) for v in text.split(","))
+    except ValueError as exc:
+        raise ConfigurationError(f"--loads: {exc}") from None
 
 
 def _sim_rows(outcomes) -> tuple[list[str], list[list]]:

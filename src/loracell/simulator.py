@@ -40,11 +40,13 @@ other belong to one episode when a chain of overlapping packets links them.
 
 Outcomes depend only on each packet's overlaps and its episode, so
 reception is resolved after the fact over the sorted event calendar, which
-permits a fully vectorized implementation. Each packet carries only its
-start, channel and sending node; airtime, SF and receive power are read
-from per-node tables. A replication is bit-reproducible
-from its seed; replications use independently derived seeds and aggregate
-by averaging.
+permits a fully vectorized implementation. Overlap windows are counted with
+one stable merge of the sorted ends and starts per channel (per SF under
+IC); IIC reads each SF's window from running per-SF counts over that merge.
+Each packet carries only its start, channel and sending node; airtime, SF
+and receive power are read from per-node tables. A replication is
+bit-reproducible from its seed; replications use independently derived
+seeds and aggregate by averaging.
 """
 
 from __future__ import annotations
@@ -122,33 +124,29 @@ class PacketEvent:
 # ---------------------------------------------------------------------------
 # Reception resolution
 
-def _overlap_aggregate(starts, ends, pw, q_starts=None, q_ends=None):
-    """Sum of powers and count of the packets overlapping each query
-    interval: start_j < q_end and end_j > q_start. Packets are sorted by
-    start; the queries default to the packets themselves."""
+def _overlap_ranks(starts, ends):
+    """Per packet i, sorted by start: hi counts the packets with start_j <
+    end_i, lo those with end_j <= start_i, which are order_e[:lo] in the
+    stable end order order_e (None when the ends are in order). One stable
+    argsort merges the sorted ends and starts, an end before an equal start."""
     n = starts.size
+    order_e = None if (ends[1:] >= ends[:-1]).all() else np.argsort(ends, kind="stable")
+    ends_sorted = ends if order_e is None else ends[order_e]
+    is_end = np.argsort(np.concatenate((ends_sorted, starts)), kind="stable") < n
+    rank = np.arange(n)
+    hi = np.flatnonzero(is_end) - rank
+    if order_e is not None:                 # from end order back to start order
+        hi[order_e] = hi.copy()
+    return hi, np.flatnonzero(~is_end) - rank, order_e
+
+
+def _overlap_aggregate(starts, ends, pw):
+    """Sum of powers and count of the packets overlapping each packet i,
+    itself included: start_j < end_i and end_j > start_i. Packets are
+    sorted by start."""
+    hi, lo, order_e = _overlap_ranks(starts, ends)
     pref_s = np.concatenate(([0.0], np.cumsum(pw)))
-    in_order = bool((ends[1:] >= ends[:-1]).all())
-    if in_order:                            # the stable ends argsort is the identity
-        ends_sorted, pref_e = ends, pref_s
-    else:
-        order_e = np.argsort(ends, kind="stable")
-        ends_sorted = ends[order_e]
-        pref_e = np.concatenate(([0.0], np.cumsum(pw[order_e])))
-    if q_starts is None and in_order:
-        # One stable argsort merges the two sorted runs in O(n), an end
-        # before an equal start: end i follows the i earlier ends and every
-        # start_j < end_i, start i the i earlier starts and every
-        # end_j <= start_i.
-        is_end = np.argsort(np.concatenate((ends, starts)), kind="stable") < n
-        rank = np.arange(n)
-        hi = np.flatnonzero(is_end) - rank
-        lo = np.flatnonzero(~is_end) - rank
-    else:
-        if q_starts is None:
-            q_starts, q_ends = starts, ends
-        hi = np.searchsorted(starts, q_ends, side="left")         # start_j < q_end
-        lo = np.searchsorted(ends_sorted, q_starts, side="right")  # end_j <= q_start
+    pref_e = pref_s if order_e is None else np.concatenate(([0.0], np.cumsum(pw[order_e])))
     return pref_s[hi] - pref_e[lo], hi - lo
 
 
@@ -211,28 +209,36 @@ def _resolve_channel(starts, owner, node_toa, node_sf, node_pw, node_ok, model,
         return received
 
     if model == "IIC":
-        # per SF j (row) and packet: the power and count of the SF-j packets
-        # overlapping it, the packet itself taken out
+        # per SF j present and packet: power and count of the overlapping SF-j
+        # packets, itself taken out. Running SF-j counts map hi and lo to SF j,
+        # whose stable end order is its subsequence of the channel's.
         pw = node_pw[owner]
-        inter = np.zeros((NUM_SF, n))
-        cnt = np.zeros((NUM_SF, n), dtype=int)
-        for j in range(NUM_SF):
-            sub = np.flatnonzero(sf_idx == j)
-            if sub.size:
-                inter[j], cnt[j] = _overlap_aggregate(starts[sub], ends[sub], pw[sub],
-                                                      starts, ends)
-        own_row = (sf_idx, np.arange(n))
-        inter[own_row] -= pw
-        cnt[own_row] -= 1
-        inter[cnt == 0] = 0.0
-        sinr = pw / (noise_mw + inter.sum(axis=0))
+        hi, lo, order_e = _overlap_ranks(starts, ends)
+        sf_e, pw_e = (sf_idx, pw) if order_e is None else (sf_idx[order_e], pw[order_e])
+        rows, members = [], []
+        total = np.zeros(n)
+        for j in np.flatnonzero(np.bincount(sf_idx, minlength=NUM_SF)):
+            in_s, in_e = sf_idx == j, sf_e == j
+            hi_j = np.concatenate(([0], np.cumsum(in_s)))[hi]
+            lo_j = np.concatenate(([0], np.cumsum(in_e)))[lo]
+            pref_s = np.concatenate(([0.0], np.cumsum(pw[in_s])))
+            pref_e = np.concatenate(([0.0], np.cumsum(pw_e[in_e])))
+            cnt = hi_j - lo_j - in_s
+            inter = pref_s[hi_j] - pref_e[lo_j] - pw * in_s     # x - 0.0 is x
+            inter[cnt == 0] = 0.0
+            total += inter
+            rows.append((j, inter, cnt))
+            members.append(np.flatnonzero(in_s))
+        sinr = pw / (noise_mw + total)
         # one winner per SF and episode: groups run SF-major, then by start
-        by_sf = np.argsort(sf_idx, kind="stable")
+        by_sf = np.concatenate(members)
         group = (sf_idx * n + _component_ids(starts, ends))[by_sf]
         w = by_sf[_winners_per_group(group, sinr[by_sf])]
-        has = cnt[:, w] > 0
-        clears = pw[w] >= sir_lin[sf_idx[w]].T * (noise_mw + inter[:, w])
-        received[w] = node_ok[owner[w]] & (~has | clears).all(axis=0)
+        ok = node_ok[owner[w]]
+        pw_w, sir_w = pw[w], sir_lin[sf_idx[w]]
+        for j, inter, cnt in rows:      # the pairwise threshold against each SF present
+            ok &= (cnt[w] == 0) | (pw_w >= sir_w[:, j] * (noise_mw + inter[w]))
+        received[w] = ok
         return received
 
     raise ConfigurationError(f"unknown collision model {model!r}")
@@ -389,15 +395,12 @@ def run_replication(scenario: Scenario, offered_load: float, seed) -> Replicatio
     node_toa = np.array([toa_by_sf[sf] for sf in placement.sfs])
     rate = per_node_rate(offered_load, scenario.node_count, float(node_toa.mean()))
 
-    counts = np.zeros(scenario.node_count, dtype=int)
-    parts = []
-    for k in range(scenario.node_count):
-        n_arr = rng.poisson(rate * duration)
-        if n_arr:
-            counts[k] = n_arr
-            parts.append(np.sort(rng.random(n_arr)) * duration)
-    times = np.concatenate(parts) if parts else np.empty(0)
-    nodes = np.repeat(np.arange(scenario.node_count), counts)
+    # per node a Poisson count, then that many uniforms (none drawn for 0)
+    parts = [rng.random(rng.poisson(rate * duration)) for _ in range(scenario.node_count)]
+    for u in parts:
+        u.sort()
+    times = np.concatenate(parts) * duration
+    nodes = np.repeat(np.arange(scenario.node_count), [u.size for u in parts])
     keep, dropped_busy, dropped_duty = _accept(
         times, nodes, node_toa, scenario.duty_cycle_limit)
     starts = times[keep]

@@ -82,6 +82,16 @@ def test_coverage_rejects_jobs_flag(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("step", ["nan", "inf", "0", "-5"])
+def test_coverage_bad_grid_step_exits_config_error(step, tmp_path, capsys):
+    out = tmp_path / "cov.csv"
+    code = main(["coverage", "--scenario", "coverage_eu868.ini", f"--grid-step={step}",
+                 "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "--grid-step must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_mc_command(tmp_path):
     out = tmp_path / "mc.csv"
     code = main(["mc", "--scenario", "coverage_eu868.ini", "--out", str(out),
@@ -150,6 +160,17 @@ def test_simulate_non_finite_load_exits_config_error(load, tmp_path, capsys):
                  "--out", str(tmp_path / "x.csv")])
     assert code == EXIT_CONFIG
     assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("loads,message", [("0.1,x", "'x'"), ("", "must not be empty"),
+                                           ("0.2,,0.4", "''")])
+def test_simulate_bad_loads_exits_config_error(loads, message, tmp_path, capsys):
+    code = main(["simulate", "--case", "N1", f"--loads={loads}", "--replications", "1",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "--loads" in err and message in err
     assert not (tmp_path / "x.csv").exists()
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from loracell import PacketEvent, default_scenario, resolve_reception
 from loracell.coverage import noise_power_mw
 from loracell.scenario import NUM_SF, SF_RANGE
-from loracell.simulator import _resolve, sensitivity_dbm
+from loracell.simulator import _overlap_aggregate, _overlap_ranks, _resolve, sensitivity_dbm
 
 N2 = default_scenario("sim_n2")
 SF_TOA = (0.046336, 0.082432, 0.164864, 0.288768, 0.659456, 1.155072)
@@ -247,3 +247,95 @@ def test_dense_touching_chains_match_reference(model):
     got = _resolve(starts, np.arange(n), chans, range(1), durs, sf_idx, rx_dbm, model,
                    N2.thresholds, N2.radio)
     assert np.array_equal(got, ref_resolve(starts, durs, sf_idx, rx_dbm, chans, model))
+
+
+# ---------------------------------------------------------------------------
+# Overlap ranks against their definitions: hi[i] = #{j: start_j < end_i},
+# lo[i] = #{j: end_j <= start_i}, and order_e[:lo[i]] are those j.
+
+GRID = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5])    # exact ties of starts and ends
+
+
+@st.composite
+def sorted_intervals(draw, max_packets=40):
+    n = draw(st.integers(0, max_packets))
+    starts, ends = [], []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["grid", "touch", "free"]))
+        if kind == "touch" and ends:
+            start = draw(st.sampled_from(ends))         # end == start, bit for bit
+        elif kind == "grid":
+            start = draw(GRID)
+        else:
+            start = draw(st.floats(0.0, 3.0))
+        starts.append(start)
+        ends.append(start + draw(GRID.filter(bool) | st.floats(0.01, 2.0)))
+    order = np.argsort(np.array(starts), kind="stable")
+    return np.array(starts)[order], np.array(ends)[order]
+
+
+@settings(max_examples=500, deadline=None)
+@given(sorted_intervals())
+def test_overlap_ranks_match_definitions(intervals):
+    starts, ends = intervals
+    hi, lo, order_e = _overlap_ranks(starts, ends)
+    assert hi.tolist() == [int((starts < e).sum()) for e in ends]
+    assert lo.tolist() == [int((ends <= s).sum()) for s in starts]
+    if order_e is None:
+        assert np.all(np.diff(ends) >= 0)
+    else:
+        assert order_e.tolist() == np.argsort(ends, kind="stable").tolist()
+        for i, s in enumerate(starts):
+            assert sorted(order_e[:lo[i]]) == np.flatnonzero(ends <= s).tolist()
+
+
+def test_overlap_ranks_small_inputs():
+    hi, lo, order_e = _overlap_ranks(np.empty(0), np.empty(0))
+    assert hi.size == lo.size == 0 and order_e is None
+    hi, lo, order_e = _overlap_ranks(np.array([2.0]), np.array([3.0]))
+    assert hi.tolist() == [1] and lo.tolist() == [0] and order_e is None
+    # a long packet over a tied start, a tied end that the stable order keeps
+    # in start order, and a packet that starts where both tied ends touch it
+    hi, lo, order_e = _overlap_ranks(np.array([0.0, 0.0, 0.5, 1.0]),
+                                     np.array([3.0, 1.0, 1.0, 1.5]))
+    assert hi.tolist() == [4, 3, 3, 4] and lo.tolist() == [0, 0, 0, 2]
+    assert order_e.tolist() == [1, 2, 3, 0]
+
+
+@pytest.mark.parametrize("model", ["IC", "IIC"])
+def test_unequal_durations_at_scale_match_reference(model):
+    # thousands of packets whose same-SF durations differ, so the ends are
+    # out of start order within every SF and on the channel: back-to-back
+    # chains (each start is an earlier end, bit for bit), exact start ties,
+    # equal ends from different starts, six SFs on two channels
+    rng = np.random.default_rng(2018)
+    n = 3000
+    sf_idx = rng.integers(0, NUM_SF, size=n)
+    durs = np.where(rng.random(n) < 0.5, np.array(SF_TOA)[rng.integers(0, NUM_SF, size=n)],
+                    rng.choice([0.25, 0.5, 1.0], size=n))
+    starts = np.empty(n)
+    for k in range(n):
+        u = rng.random()
+        if k and u < 0.4:
+            j = rng.integers(max(0, k - 5), k)
+            starts[k] = starts[j] + durs[j]         # touch an earlier packet
+        elif k and u < 0.55:
+            starts[k] = starts[k - 1]               # tie with the previous start
+        else:
+            starts[k] = 0.25 * rng.integers(0, 400)
+    rx_dbm = rng.choice([-80.0, -86.0, -90.0, -100.0, -135.0], size=n)
+    chans = rng.integers(0, 2, size=n)
+    packets = [PacketEvent(node=k, sf=int(sf_idx[k]) + SF_RANGE[0], start_s=float(starts[k]),
+                           duration_s=float(durs[k]), rx_power_dbm=float(rx_dbm[k]),
+                           channel=int(chans[k])) for k in range(n)]
+    got = resolve_reception(packets, model, N2.thresholds, N2.radio)
+    want = ref_resolve(starts, durs, sf_idx, rx_dbm, chans, model)
+    assert got == want.tolist()
+    assert 0 < sum(got) < n
+    # the sums are bit-identical too: tied ends of unequal powers add up in
+    # the stable end order
+    order = np.argsort(starts, kind="stable")
+    st_, en, pw = starts[order], (starts + durs)[order], rng.uniform(1e-12, 1e-8, size=n)
+    for mine, ref in zip(_overlap_aggregate(st_, en, pw),
+                         ref_overlap_aggregate(st_, en, pw, st_, en)):
+        assert np.array_equal(mine, ref)

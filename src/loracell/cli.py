@@ -119,6 +119,8 @@ def cmd_coverage(args) -> int:
     radius = scenario.topology.cell_radius_m
     distances = np.arange(step, radius + step / 2, step)
     counts = args.node_counts or [scenario.node_count]
+    if min(counts) < 1:
+        raise ConfigurationError(f"--node-counts: every count must be at least 1, got {min(counts)}")
     multi = len(counts) > 1
     for count in counts:
         scn = scenario.with_node_count(count)
@@ -172,12 +174,17 @@ def _simulate_scenario(args) -> tuple[Scenario, str]:
 
 def _loads(text: str | None) -> tuple[float, ...] | None:
     """The --loads comma list as floats; None when the flag was not given."""
-    if text is not None and not text.strip():
+    if text is None:
+        return None
+    if not text.strip():
         raise ConfigurationError("--loads: must not be empty")
     try:
-        return None if text is None else tuple(float(v) for v in text.split(","))
+        loads = tuple(float(v) for v in text.split(","))
     except ValueError as exc:
         raise ConfigurationError(f"--loads: {exc}") from None
+    if not all(0 < g <= 1 for g in loads):
+        raise ConfigurationError(f"--loads: every load must be finite and in (0, 1], got {text}")
+    return loads
 
 
 def _sim_rows(outcomes) -> tuple[list[str], list[list]]:

@@ -8,6 +8,7 @@ enough to prove against an independent quadrature oracle.
 Evaluation is scipy.special.hyp2f1, except at b = 1, where the family has
 the closed form log(1 - x) / (-x) and scipy loses accuracy for large |x|
 (relative error 2.1e-10 at x = -1e8, 3.6e-9 at x = -1e10).
+The quadrature oracle imports scipy.integrate.quad when it is first called.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import math
 
 import numpy as np
 from scipy import special
-from scipy.integrate import quad
 
 # Against the oracle over |x| in [1e-6, 1e9], scipy's worst relative error
 # grows as b approaches 1 (the worst x lies near -2): 6.0e-11 at
@@ -91,6 +91,10 @@ def hyp2f1_oracle(a: float, b: float, c: float, x: float,
     there lets the quadrature deliver relative as well as absolute accuracy
     even where the function value is tiny.
     """
+    # Imported here: scipy.integrate adds about 0.35 s to every import of
+    # the package, and only the oracle needs it.
+    from scipy.integrate import quad
+
     _check_family(a, b, c, x)
     if x == 0.0:
         return 1.0

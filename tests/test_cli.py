@@ -92,6 +92,16 @@ def test_coverage_bad_grid_step_exits_config_error(step, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("counts", ["-5", "0", "250,0"])
+def test_coverage_bad_node_counts_exits_config_error(counts, tmp_path, capsys):
+    out = tmp_path / "cov.csv"
+    code = main(["coverage", "--scenario", "coverage_eu868.ini", f"--node-counts={counts}",
+                 "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "--node-counts" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_mc_command(tmp_path):
     out = tmp_path / "mc.csv"
     code = main(["mc", "--scenario", "coverage_eu868.ini", "--out", str(out),
@@ -160,6 +170,15 @@ def test_simulate_non_finite_load_exits_config_error(load, tmp_path, capsys):
                  "--out", str(tmp_path / "x.csv")])
     assert code == EXIT_CONFIG
     assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("load", ["1.5", "0", "-0.2"])
+def test_simulate_load_outside_unit_interval_exits_config_error(load, tmp_path, capsys):
+    code = main(["simulate", "--case", "N2", f"--loads=0.2,{load}", "--replications", "1",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == EXIT_CONFIG
+    assert "--loads" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
 
 

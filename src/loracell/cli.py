@@ -120,7 +120,7 @@ def cmd_coverage(args) -> int:
     distances = np.arange(step, radius + step / 2, step)
     counts = args.node_counts or [scenario.node_count]
     if min(counts) < 1:
-        raise ConfigurationError(f"--node-counts: every count must be at least 1, got {min(counts)}")
+        raise ConfigurationError(f"--node-counts: counts must be at least 1, got {min(counts)}")
     multi = len(counts) > 1
     for count in counts:
         scn = scenario.with_node_count(count)
@@ -183,7 +183,7 @@ def _loads(text: str | None) -> tuple[float, ...] | None:
     except ValueError as exc:
         raise ConfigurationError(f"--loads: {exc}") from None
     if not all(0 < g <= 1 for g in loads):
-        raise ConfigurationError(f"--loads: every load must be finite and in (0, 1], got {text}")
+        raise ConfigurationError(f"--loads: loads must be finite and in (0, 1], got {text}")
     return loads
 
 

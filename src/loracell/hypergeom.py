@@ -91,9 +91,7 @@ def hyp2f1_oracle(a: float, b: float, c: float, x: float,
     there lets the quadrature deliver relative as well as absolute accuracy
     even where the function value is tiny.
     """
-    # Imported here: scipy.integrate adds about 0.35 s to every import of
-    # the package, and only the oracle needs it.
-    from scipy.integrate import quad
+    from scipy.integrate import quad  # lazy: importing it costs about 0.35 s
 
     _check_family(a, b, c, x)
     if x == 0.0:

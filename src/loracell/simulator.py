@@ -464,8 +464,7 @@ def _ci95(values: np.ndarray) -> float:
     n = len(values)
     if n < 2:
         return 0.0
-    # stdtrit is the Student-t quantile that stats.t.ppf calls, bit for bit;
-    # importing it from special keeps scipy.stats (about 1 s) off the import.
+    # stats.t.ppf is this call; scipy.stats would add about 1 s to the import.
     half = special.stdtrit(n - 1, 0.975) * values.std(ddof=1) / math.sqrt(n)
     return float(half)
 

@@ -27,13 +27,15 @@ from .airtime import pure_aloha_throughput
 from .coverage import coverage_sweep, typical_at
 from .montecarlo import estimate_coverage
 from .scenario import (
+    COLLISION_MODELS,
     SF_RANGE,
     ConfigurationError,
     Scenario,
     default_scenario,
     load_scenario,
+    validate,
 )
-from .simulator import COLLISION_MODELS, multichannel_projection, sweep
+from .simulator import multichannel_projection, sweep
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -96,8 +98,9 @@ def _write_manifest(out_path: Path, command: str, scenario_path: str,
 
 
 def _override(scenario: Scenario, **values) -> Scenario:
-    """Replace every field whose value is not None (a flag that was not given)."""
-    return replace(scenario, **{k: v for k, v in values.items() if v is not None})
+    """Replace every field whose value is not None (a flag that was not given),
+    then validate the result."""
+    return validate(replace(scenario, **{k: v for k, v in values.items() if v is not None}))
 
 
 def _load(args) -> tuple[Scenario, str]:
@@ -221,7 +224,6 @@ def cmd_reproduce(args) -> int:
             f"reproduce: unknown figure {args.figure!r}; valid ids: {', '.join(_FIGURES)}"
         )
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
 
     if args.figure == "fig2":
         scenario = _override(default_scenario("coverage_eu868"), rng_seed=args.seed)

@@ -21,6 +21,7 @@ import numpy as np
 SPEED_OF_LIGHT = 299792458.0          # m/s
 SF_RANGE = (7, 8, 9, 10, 11, 12)
 NUM_SF = len(SF_RANGE)
+COLLISION_MODELS = ("BP", "IC", "IIC")
 
 CONFIG_DIR_ENV = "LORACELL_CONFIG_DIR"
 
@@ -300,8 +301,10 @@ class Scenario:
             errs.append("duty_cycle_limit: must be in (0, 1]")
         if self.payload_bytes < 1:
             errs.append("payload_bytes: must be at least 1")
-        if self.collision_model not in ("BP", "IC", "IIC"):
+        if self.collision_model not in COLLISION_MODELS:
             errs.append(f"collision_model: unknown model {self.collision_model!r}")
+        if self.rng_seed < 0:
+            errs.append("rng_seed: must be non-negative")
         if self.replications < 1:
             errs.append("replications: must be at least 1")
         if self.sim_duration_s <= 0:

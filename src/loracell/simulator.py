@@ -55,6 +55,7 @@ import math
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -63,6 +64,7 @@ from scipy import special
 from .airtime import lora_airtime, per_node_rate
 from .coverage import noise_power_dbm, noise_power_mw
 from .scenario import (
+    COLLISION_MODELS,
     NUM_SF,
     SF_RANGE,
     ConfigurationError,
@@ -70,9 +72,8 @@ from .scenario import (
     Scenario,
     ThresholdSet,
     sample_placement,
+    validate,
 )
-
-COLLISION_MODELS = ("BP", "IC", "IIC")
 
 _HATA_MIN_KM = 1.0          # model floor; nearer links close regardless
 
@@ -407,10 +408,7 @@ def run_replication(scenario: Scenario, offered_load: float, seed) -> Replicatio
     nodes = nodes[keep]
     node_tx = np.bincount(nodes, minlength=scenario.node_count)
     node_airtime = node_tx * node_toa
-    if scenario.channels > 1:
-        chans = rng.integers(0, scenario.channels, size=starts.size)
-    else:
-        chans = np.zeros(starts.size, dtype=int)
+    chans = rng.integers(0, scenario.channels, size=starts.size)   # one channel: no draw
 
     node_sf = placement.sfs - SF_RANGE[0]
     durs = node_toa[nodes]
@@ -489,38 +487,19 @@ def _aggregate(offered_load: float, reps: list[ReplicationResult]) -> SimOutcome
     )
 
 
-def _replication_seed(master_seed: int, stream_key: int, rep: int):
-    return np.random.SeedSequence([master_seed, stream_key, rep])
-
-
 def run(scenario: Scenario, offered_load: float, replications: int | None = None,
-        master_seed: int | None = None, stream_key: int = 0) -> SimOutcome:
+        master_seed: int | None = None) -> SimOutcome:
     """Run `replications` independent instances at one offered load."""
-    if scenario.sim_duration_s <= 0:
-        raise ConfigurationError("sim_duration_s must be positive")
-    if scenario.collision_model not in COLLISION_MODELS:
-        raise ConfigurationError(f"unknown collision model {scenario.collision_model!r}")
-    n_reps = scenario.replications if replications is None else replications
-    if n_reps < 1:
-        raise ConfigurationError(f"replications must be at least 1, got {n_reps}")
-    seed0 = scenario.rng_seed if master_seed is None else master_seed
-    reps = [
-        run_replication(scenario, offered_load, _replication_seed(seed0, stream_key, r))
-        for r in range(n_reps)
-    ]
-    return _aggregate(offered_load, reps)
-
-
-def _sweep_task(args):
-    scenario, g, reps, seed, key = args
-    return run(scenario, g, replications=reps, master_seed=seed, stream_key=key)
+    return sweep(scenario, (offered_load,), replications, master_seed)[0]
 
 
 def sweep(scenario: Scenario, loads: Sequence[float] | None = None,
           replications: int | None = None, master_seed: int | None = None,
           jobs: int = 1) -> list[SimOutcome]:
-    """One SimOutcome per offered load; seeds derive from (load index, rep),
-    so results do not depend on execution order or worker count."""
+    """One SimOutcome per offered load. Each task is one replication, seeded
+    from (master seed, load index, rep); each load averages its replications
+    in order, so results do not depend on execution order or worker count."""
+    validate(scenario)
     g_list = tuple(loads) if loads is not None else scenario.offered_loads
     if not g_list:
         raise ConfigurationError("sweep requires at least one offered load")
@@ -530,11 +509,15 @@ def sweep(scenario: Scenario, loads: Sequence[float] | None = None,
     if jobs < 1:
         raise ConfigurationError(f"jobs must be at least 1, got {jobs}")
     seed0 = scenario.rng_seed if master_seed is None else master_seed
-    tasks = [(scenario, g, reps, seed0, k) for k, g in enumerate(g_list)]
+    task_loads = [g for g in g_list for _ in range(reps)]
+    seeds = [np.random.SeedSequence([seed0, k, r])
+             for k in range(len(g_list)) for r in range(reps)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_sweep_task, tasks))
-    return [_sweep_task(t) for t in tasks]
+            results = list(pool.map(run_replication, repeat(scenario), task_loads, seeds))
+    else:
+        results = list(map(run_replication, repeat(scenario), task_loads, seeds))
+    return [_aggregate(g, results[k * reps:(k + 1) * reps]) for k, g in enumerate(g_list)]
 
 
 def multichannel_projection(outcome: SimOutcome, channels: int) -> SimOutcome:

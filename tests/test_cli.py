@@ -123,6 +123,19 @@ def test_zero_trials_exits_config_error(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+
+@pytest.mark.parametrize("argv", [
+    ["coverage", "--scenario", "coverage_eu868.ini", "--grid-step", "1500"],
+    ["mc", "--scenario", "coverage_eu868.ini", "--distances", "500", "--trials", "1000"],
+    ["simulate", "--case", "N2", "--loads", "0.5", "--replications", "1"],
+    ["reproduce", "fig3", "--replications", "1"],
+], ids=lambda argv: argv[0])
+def test_negative_seed_exits_config_error(argv, tmp_path, capsys):
+    flag = "--outdir" if argv[0] == "reproduce" else "--out"
+    assert main(argv + [flag, str(tmp_path / "out"), "--seed", "-3"]) == EXIT_CONFIG
+    assert "rng_seed" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
 def test_simulate_rejects_redundant_iic_n1(capsys):
     code = main(["simulate", "--case", "N1", "--model", "IIC",
                  "--out", "/tmp/never.csv"])

@@ -302,6 +302,33 @@ def test_sweep_deterministic_and_order_free():
     assert a == c
 
 
+
+def test_run_is_single_load_sweep():
+    assert run(N2, 0.4, 3, 5) == sweep(N2, (0.4,), 3, 5)[0]
+
+
+def test_single_load_sweep_parallel_matches_serial():
+    assert sweep(N2, (0.6,), 3, 8, jobs=2) == sweep(N2, (0.6,), 3, 8, jobs=1)
+
+
+@pytest.mark.parametrize("bad", [replace(N1, rng_seed=-1), replace(N1, channels=0)],
+                         ids=["negative-seed", "zero-channels"])
+def test_run_and_sweep_validate_scenario(bad):
+    with pytest.raises(ConfigurationError, match="invalid scenario"):
+        run(bad, 0.3, replications=1)
+    with pytest.raises(ConfigurationError, match="invalid scenario"):
+        sweep(bad, (0.3,), replications=1)
+
+
+def test_channel_draw_leaves_traffic_unchanged():
+    # the channel draw is the replication's last, so traffic and drops match
+    # the one-channel run at the same seed
+    one = run_replication(N2, 0.8, seed=7)
+    three = run_replication(replace(N2, channels=3), 0.8, seed=7)
+    assert three == run_replication(replace(N2, channels=3), 0.8, seed=7)
+    for field in ("tx_count", "measured_g", "dropped_busy", "dropped_duty"):
+        assert getattr(three, field) == getattr(one, field)
+
 def test_multichannel_projection_scales_linearly():
     out = run(N1, 0.3, replications=2, master_seed=77)
     proj1 = multichannel_projection(out, 1)

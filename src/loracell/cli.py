@@ -17,7 +17,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -52,29 +52,12 @@ def _fmt(value) -> str:
     return format(float(value), ".12g")
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_table(path: Path, header: list[str], rows: list[list], sep: str = ",") -> None:
+    """CSV, or with sep=" " gnuplot-friendly columnar text under a '# ' header."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    lines = [("# " if sep == " " else "") + sep.join(header)]
+    lines += [sep.join(_fmt(v) for v in row) for row in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-
-
-def _write_dat(path: Path, header: list[str], rows: list[list]) -> None:
-    """gnuplot-friendly columnar text: '#' header, space separated."""
-    lines = ["# " + " ".join(header)]
-    lines += [" ".join(_fmt(v) for v in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    scenario_path: str
-    output_path: str
-    seed: int | None
-    timestamp: str
-    tool_version: str
-    config_digests: dict[str, str]
 
 
 def _scenario_digest(scenario: Scenario) -> str:
@@ -84,17 +67,17 @@ def _scenario_digest(scenario: Scenario) -> str:
 
 def _write_manifest(out_path: Path, command: str, scenario_path: str,
                     scenarios: dict[str, Scenario], seed: int | None) -> None:
-    manifest = RunManifest(
-        command=command,
-        scenario_path=str(scenario_path),
-        output_path=str(out_path),
-        seed=seed,
-        timestamp=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        tool_version=__version__,
-        config_digests={label: _scenario_digest(scn) for label, scn in scenarios.items()},
-    )
+    manifest = {
+        "command": command,
+        "scenario_path": str(scenario_path),
+        "output_path": str(out_path),
+        "seed": seed,
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "tool_version": __version__,
+        "config_digests": {label: _scenario_digest(scn) for label, scn in scenarios.items()},
+    }
     path = out_path.with_suffix(out_path.suffix + ".manifest.json")
-    path.write_text(json.dumps(asdict(manifest), indent=2) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
 
 def _override(scenario: Scenario, **values) -> Scenario:
@@ -137,7 +120,7 @@ def cmd_coverage(args) -> int:
         out = Path(args.out)
         if multi:
             out = out.with_name(f"{out.stem}_N{count}{out.suffix}")
-        _write_csv(out, header, rows)
+        _write_table(out, header, rows)
         _write_manifest(out, "coverage", spath, {Path(spath).stem: scn}, scn.rng_seed)
         print(f"coverage: wrote {len(rows)} rows to {out}")
     return EXIT_OK
@@ -155,22 +138,17 @@ def cmd_mc(args) -> int:
         rows.append([d, typical.sf, args.trials, h1.mean, h1.standard_error,
                      q1.mean, q1.standard_error, c1.mean, c1.standard_error])
     out = Path(args.out)
-    _write_csv(out, header, rows)
+    _write_table(out, header, rows)
     _write_manifest(out, "mc", spath, {Path(spath).stem: scenario}, scenario.rng_seed)
     print(f"mc: wrote {len(rows)} rows to {out}")
     return EXIT_OK
 
 
 def _simulate_scenario(args) -> tuple[Scenario, str]:
-    if args.scenario:
-        scenario = load_scenario(args.scenario)
-        spath = str(args.scenario)
-    elif args.case:
-        scenario = default_scenario(_CASE_FILES[args.case])
-        spath = f"{_CASE_FILES[args.case]}.ini"
-    else:
+    if not (args.scenario or args.case):
         raise ConfigurationError("simulate: provide --scenario or --case")
-    scenario = _override(scenario, collision_model=args.model, rng_seed=args.seed,
+    spath = str(args.scenario or f"{_CASE_FILES[args.case]}.ini")
+    scenario = _override(load_scenario(spath), collision_model=args.model, rng_seed=args.seed,
                          replications=args.replications, offered_loads=_loads(args.loads))
     return scenario, spath
 
@@ -211,7 +189,7 @@ def cmd_simulate(args) -> int:
     outcomes = sweep(scenario, jobs=args.jobs)
     header, rows = _sim_rows(outcomes)
     out = Path(args.out)
-    _write_csv(out, header, rows)
+    _write_table(out, header, rows)
     _write_manifest(out, "simulate", spath, {Path(spath).stem: scenario},
                     scenario.rng_seed)
     print(f"simulate: wrote {len(rows)} rows to {out}")
@@ -228,19 +206,15 @@ def cmd_reproduce(args) -> int:
     if args.figure == "fig2":
         scenario = _override(default_scenario("coverage_eu868"), rng_seed=args.seed)
         distances = np.arange(10.0, scenario.topology.cell_radius_m + 5.0, 10.0)
-        header = ["distance_m", "sf"]
-        columns = [list(distances)]
-        for count in (250, 500, 2500):
-            scn = scenario.with_node_count(count)
-            _, rows = _coverage_rows(scn, distances)
-            if len(columns) == 1:
-                columns.append([r[1] for r in rows])
-            header.append(f"c1_N{count}")
-            columns.append([r[4] for r in rows])
-        rows = [list(vals) for vals in zip(*columns)]
+        counts = (250, 500, 2500)
+        header = ["distance_m", "sf"] + [f"c1_N{count}" for count in counts]
+        curves = [coverage_sweep(scenario.with_node_count(count), distances)
+                  for count in counts]
+        rows = [[d, scenario.topology.sf_at(float(d)), *(br.c1 for br in brs)]
+                for d, *brs in zip(distances, *curves)]
         csv_path = outdir / "fig2_coverage.csv"
-        _write_csv(csv_path, header, rows)
-        _write_dat(outdir / "fig2_coverage.dat", header, rows)
+        _write_table(csv_path, header, rows)
+        _write_table(outdir / "fig2_coverage.dat", header, rows, sep=" ")
         _write_manifest(csv_path, "reproduce fig2", "coverage_eu868.ini",
                         {"coverage_eu868": scenario}, scenario.rng_seed)
         print(f"reproduce fig2: wrote {csv_path}")
@@ -280,8 +254,8 @@ def cmd_reproduce(args) -> int:
                 for k, g in enumerate(loads)]
         stem = "fig4_pdr"
     csv_path = outdir / f"{stem}.csv"
-    _write_csv(csv_path, header, rows)
-    _write_dat(outdir / f"{stem}.dat", header, rows)
+    _write_table(csv_path, header, rows)
+    _write_table(outdir / f"{stem}.dat", header, rows, sep=" ")
     # without --seed each case keeps its own packaged seed, so none is shared
     _write_manifest(csv_path, f"reproduce {args.figure}", "sim_n1.ini+sim_n2.ini",
                     scenarios, args.seed)

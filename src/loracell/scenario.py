@@ -330,9 +330,6 @@ class NodePlacement:
     angles_rad: np.ndarray
     sfs: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.distances_m)
-
 
 def sample_placement(scenario: Scenario, seed: int | None = None,
                      rng: np.random.Generator | None = None) -> NodePlacement:

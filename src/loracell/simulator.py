@@ -40,9 +40,10 @@ other belong to one episode when a chain of overlapping packets links them.
 
 Outcomes depend only on each packet's overlaps and its episode, so
 reception is resolved after the fact over the sorted event calendar, which
-permits a fully vectorized implementation. Overlap windows are counted with
-one stable merge of the sorted ends and starts per channel (per SF under
-IC); IIC reads each SF's window from running per-SF counts over that merge.
+permits a fully vectorized implementation. BP and IIC resolve each channel
+alone; IC resolves each (channel, SF) partition alone. Overlap windows are
+counted with one stable merge of the sorted ends and starts per partition;
+IIC reads each SF's window from running per-SF counts over that merge.
 Each packet carries only its start, channel and sending node; airtime, SF
 and receive power are read from per-node tables. A replication is
 bit-reproducible from its seed; replications use independently derived
@@ -177,11 +178,12 @@ def _winners_per_group(group_ids, score):
     return at_best[np.append(ids[1:] != ids[:-1], True)]
 
 
-def _resolve_channel(starts, owner, node_toa, node_sf, node_pw, node_ok, model,
-                     sir_lin, noise_mw):
-    """Reception flags for one channel's packets, sorted by start time.
-    Packet k is sent by node owner[k]; its airtime, SF index, receive power
-    (mW) and sensitivity flag are read from the per-node tables."""
+def _resolve_partition(starts, owner, node_toa, node_sf, node_pw, node_ok, model,
+                       sir_lin, noise_mw):
+    """Reception flags for one partition's packets, sorted by start time: a
+    channel, or under IC one SF of a channel. Packet k is sent by node
+    owner[k]; its airtime, SF index, receive power (mW) and sensitivity flag
+    are read from the per-node tables."""
     ends = starts + node_toa[owner]
     if model == "BP":       # alone in its episode: the next packet opens a new one
         heads = _episode_heads(starts, ends)
@@ -189,31 +191,25 @@ def _resolve_channel(starts, owner, node_toa, node_sf, node_pw, node_ok, model,
 
     n = len(starts)
     received = np.zeros(n, dtype=bool)
-    sf_idx = node_sf[owner]
+    pw = node_pw[owner]
     if model == "IC":
-        for s in range(NUM_SF):
-            idx = np.flatnonzero(sf_idx == s)
-            if idx.size == 0:
-                continue
-            own, st, en = owner[idx], starts[idx], ends[idx]
-            pw = node_pw[own]
-            tot, cnt = _overlap_aggregate(st, en, pw)
-            inter = tot - pw
-            cnt = cnt - 1
-            inter[cnt == 0] = 0.0          # clear cancellation residue
-            sinr = pw / (noise_mw + inter)
-            winners = _winners_per_group(_component_ids(st, en), sinr)
-            ok = node_ok[own[winners]] & (
-                (cnt[winners] == 0) | (sinr[winners] >= sir_lin[s, s])
-            )
-            received[idx[winners]] = ok
+        tot, cnt = _overlap_aggregate(starts, ends, pw)
+        inter = tot - pw
+        cnt = cnt - 1
+        inter[cnt == 0] = 0.0          # clear cancellation residue
+        sinr = pw / (noise_mw + inter)
+        winners = _winners_per_group(_component_ids(starts, ends), sinr)
+        sf = node_sf[owner[0]]         # the partition's one SF
+        received[winners] = node_ok[owner[winners]] & (
+            (cnt[winners] == 0) | (sinr[winners] >= sir_lin[sf, sf])
+        )
         return received
 
     if model == "IIC":
         # per SF j present and packet: power and count of the overlapping SF-j
         # packets, itself taken out. Running SF-j counts map hi and lo to SF j,
         # whose stable end order is its subsequence of the channel's.
-        pw = node_pw[owner]
+        sf_idx = node_sf[owner]
         hi, lo, order_e = _overlap_ranks(starts, ends)
         sf_e, pw_e = (sf_idx, pw) if order_e is None else (sf_idx[order_e], pw[order_e])
         rows, members = [], []
@@ -255,27 +251,30 @@ def _argsort_stable(x):
     return order, x_sorted
 
 
-def _resolve(starts, owner, chans, channels, node_toa, node_sf, node_dbm, model,
-             thresholds, radio):
+def _resolve(starts, owner, chans, node_toa, node_sf, node_dbm, model, thresholds,
+             radio):
     """Received flag per packet. Packet k starts at starts[k] on channel
-    chans[k], one of `channels`, and is sent by node owner[k]; the node
-    tables give each node's airtime, SF index and receive power (dBm). Each
-    channel is resolved in stable start order through `_resolve_channel`."""
+    chans[k] (a label in 0..C-1) and is sent by node owner[k]; the node
+    tables give each node's airtime, SF index and receive power (dBm). A
+    packet competes only with its partition: its channel, and under IC its
+    (channel, SF) pair. Each partition is resolved in stable start order
+    through `_resolve_partition`."""
     node_ok = node_dbm >= sensitivity_dbm(radio, thresholds)[node_sf]
     node_pw = 10.0 ** (node_dbm / 10.0)
     noise = noise_power_mw(radio)
+    part = chans * NUM_SF + node_sf[owner] if model == "IC" else chans
+    labels = np.flatnonzero(np.bincount(part))
     received = np.zeros(starts.size, dtype=bool)
-    for ch in channels:
-        if len(channels) == 1:              # every packet is on it
-            order, ch_starts = _argsort_stable(starts)
+    for label in labels:
+        if labels.size == 1:                # every packet is in it
+            order, part_starts = _argsort_stable(starts)
         else:
-            on = np.flatnonzero(chans == ch)
-            order, ch_starts = _argsort_stable(starts[on])
+            on = np.flatnonzero(part == label)
+            order, part_starts = _argsort_stable(starts[on])
             order = on[order]
-        if order.size:
-            received[order] = _resolve_channel(
-                ch_starts, owner[order], node_toa, node_sf, node_pw, node_ok,
-                model, thresholds.sir_linear, noise)
+        received[order] = _resolve_partition(
+            part_starts, owner[order], node_toa, node_sf, node_pw, node_ok,
+            model, thresholds.sir_linear, noise)
     return received
 
 
@@ -289,10 +288,10 @@ def resolve_reception(packets: Sequence[PacketEvent], model: str,
     durs = np.array([p.duration_s for p in packets])
     if np.any(durs <= 0):
         raise ConfigurationError("packet durations must be positive")
-    chans = np.array([p.channel for p in packets])
-    # every packet is its own node-table entry
+    # channels as labels 0..C-1; every packet is its own node-table entry
+    chans = np.unique([p.channel for p in packets], return_inverse=True)[1]
     return _resolve(np.array([p.start_s for p in packets]), np.arange(len(packets)),
-                    chans, np.unique(chans), durs,
+                    chans, durs,
                     np.array([p.sf - SF_RANGE[0] for p in packets]),
                     np.array([p.rx_power_dbm for p in packets]),
                     model, thresholds, radio).tolist()
@@ -412,9 +411,8 @@ def run_replication(scenario: Scenario, offered_load: float, seed) -> Replicatio
 
     node_sf = placement.sfs - SF_RANGE[0]
     durs = node_toa[nodes]
-    received = _resolve(starts, nodes, chans, range(scenario.channels), node_toa,
-                        node_sf, rx_dbm, scenario.collision_model,
-                        scenario.thresholds, radio)
+    received = _resolve(starts, nodes, chans, node_toa, node_sf, rx_dbm,
+                        scenario.collision_model, scenario.thresholds, radio)
 
     tx = int(starts.size)
     rx = int(received.sum())
@@ -499,13 +497,11 @@ def sweep(scenario: Scenario, loads: Sequence[float] | None = None,
     """One SimOutcome per offered load. Each task is one replication, seeded
     from (master seed, load index, rep); each load averages its replications
     in order, so results do not depend on execution order or worker count."""
-    validate(scenario)
-    g_list = tuple(loads) if loads is not None else scenario.offered_loads
-    if not g_list:
-        raise ConfigurationError("sweep requires at least one offered load")
-    reps = scenario.replications if replications is None else replications
-    if reps < 1:
-        raise ConfigurationError(f"replications must be at least 1, got {reps}")
+    scenario = validate(replace(
+        scenario,
+        offered_loads=scenario.offered_loads if loads is None else tuple(loads),
+        replications=scenario.replications if replications is None else replications))
+    g_list, reps = scenario.offered_loads, scenario.replications
     if jobs < 1:
         raise ConfigurationError(f"jobs must be at least 1, got {jobs}")
     seed0 = scenario.rng_seed if master_seed is None else master_seed

@@ -168,6 +168,17 @@ def test_simulate_theory_column_and_rerun_identical(tmp_path):
     assert m1["config_digests"] == m2["config_digests"]
 
 
+def test_simulate_case_is_its_packaged_scenario_file(tmp_path):
+    args = ["simulate", "--model", "BP", "--loads", "0.3", "--replications", "1"]
+    assert main(args + ["--case", "N1", "--out", str(tmp_path / "case.csv")]) == EXIT_OK
+    assert main(args + ["--scenario", "sim_n1.ini",
+                        "--out", str(tmp_path / "file.csv")]) == EXIT_OK
+    assert (tmp_path / "case.csv").read_bytes() == (tmp_path / "file.csv").read_bytes()
+    m_case, m_file = (json.loads((tmp_path / f"{stem}.csv.manifest.json").read_text())
+                      for stem in ("case", "file"))
+    assert m_case["config_digests"] == m_file["config_digests"]
+
+
 @pytest.mark.parametrize("flag,value", [("--replications", "0"), ("--jobs", "-3")])
 def test_simulate_bad_count_exits_config_error(flag, value, tmp_path, capsys):
     code = main(["simulate", "--case", "N2", "--loads", "0.2", flag, value,
@@ -231,6 +242,8 @@ def test_reproduce_fig2_outputs(tmp_path):
     dat = (tmp_path / "fig2_coverage.dat").read_text().splitlines()
     assert dat[0].startswith("# distance_m")
     assert len(dat) == 301
+    csv = (tmp_path / "fig2_coverage.csv").read_text().replace(",", " ")
+    assert (tmp_path / "fig2_coverage.dat").read_text() == "# " + csv
 
 
 def test_reproduce_fig3_emits_all_curves(tmp_path):

@@ -193,7 +193,7 @@ def node_tables(draw):
 def test_node_table_gathers_match_reference(tables, model):
     starts, owner, chans, channels, node_sf, node_dbm = tables
     node_toa = np.array(SF_TOA)[node_sf]
-    got = _resolve(starts, owner, chans, range(channels), node_toa, node_sf, node_dbm,
+    got = _resolve(starts, owner, chans, node_toa, node_sf, node_dbm,
                    model, N2.thresholds, N2.radio)
     want = ref_resolve(starts, node_toa[owner], node_sf[owner], node_dbm[owner], chans, model)
     assert np.array_equal(got, want)
@@ -244,7 +244,7 @@ def test_dense_touching_chains_match_reference(model):
         starts[k] = t
     rx_dbm = rng.choice([-80.0, -86.0, -90.0, -100.0], size=n)
     chans = np.zeros(n, dtype=int)
-    got = _resolve(starts, np.arange(n), chans, range(1), durs, sf_idx, rx_dbm, model,
+    got = _resolve(starts, np.arange(n), chans, durs, sf_idx, rx_dbm, model,
                    N2.thresholds, N2.radio)
     assert np.array_equal(got, ref_resolve(starts, durs, sf_idx, rx_dbm, chans, model))
 

@@ -128,6 +128,19 @@ def test_multichannel_packets_resolved_independently():
     assert resolve_reception(packets, "BP", N1.thresholds, N1.radio) == [True, True]
 
 
+@pytest.mark.parametrize("model", ["BP", "IC", "IIC"])
+def test_channels_are_any_integer_labels(model):
+    # a channel is a label, not an index: -1 and 868_100_000 resolve as 0 and 1,
+    # and as two channels, not one
+    def flags(a, b):
+        packets = [pkt(7, 0.0, 1.0, -80.0, node=0, channel=a),
+                   pkt(7, 0.2, 1.0, -90.0, node=1, channel=a),
+                   pkt(8, 0.1, 1.0, -80.0, node=2, channel=a),
+                   pkt(7, 0.5, 1.0, -80.0, node=3, channel=b)]
+        return resolve_reception(packets, model, N1.thresholds, N1.radio)
+    assert flags(-1, 868_100_000) == flags(0, 1) != flags(0, 0)
+
+
 def test_replication_bit_exact_determinism():
     a = run_replication(N1, 0.3, seed=123)
     b = run_replication(N1, 0.3, seed=123)
@@ -352,6 +365,15 @@ def test_run_rejects_bad_model():
 def test_sweep_rejects_bad_counts(kwargs):
     with pytest.raises(ConfigurationError):
         sweep(N2, loads=(0.2,), **kwargs)
+
+
+@pytest.mark.parametrize("loads", [(1.5,), (0.0,), ()])
+def test_run_and_sweep_check_loads_as_scenario_loads(loads):
+    with pytest.raises(ConfigurationError, match="invalid scenario"):
+        sweep(N2, loads, replications=1)
+    if loads:
+        with pytest.raises(ConfigurationError, match="invalid scenario"):
+            run(N2, loads[0], replications=1)
 
 
 def test_run_rejects_zero_replications():

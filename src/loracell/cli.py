@@ -61,8 +61,7 @@ def _write_table(path: Path, header: list[str], rows: list[list], sep: str = ","
 
 
 def _scenario_digest(scenario: Scenario) -> str:
-    blob = repr(scenario).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
+    return hashlib.sha256(repr(scenario).encode("utf-8")).hexdigest()
 
 
 def _write_manifest(out_path: Path, command: str, scenario_path: str,

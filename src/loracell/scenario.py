@@ -154,10 +154,6 @@ class RingTopology:
         """Active-interferer intensity alpha_j = p * rho_j."""
         return self.transmit_probability * self.densities
 
-    @property
-    def total_mean_nodes(self) -> float:
-        return float(sum(self.mean_nodes))
-
     def ring_index(self, distance_m):
         """Index into SF_RANGE of the ring containing each distance (outer
         boundary inclusive); a distance or an array of them, all in (0, R]."""
@@ -175,7 +171,7 @@ class RingTopology:
 
     def scaled_to(self, mean_node_count: float) -> "RingTopology":
         """Same geometry with the total mean node count rescaled."""
-        factor = mean_node_count / self.total_mean_nodes
+        factor = mean_node_count / float(sum(self.mean_nodes))
         return replace(self, mean_nodes=tuple(n * factor for n in self.mean_nodes))
 
     def errors(self) -> list[str]:
@@ -224,9 +220,7 @@ class ThresholdSet:
         return db_to_linear(np.asarray(self.sir_db, dtype=float))
 
     def sir(self, desired_sf: int, interferer_sf: int) -> float:
-        """Linear SIR threshold of one SF pair. Outside the tests only
-        perfbench/workloads.py calls it, and perfbench/ changes only with the
-        benchmark definition, so it stays here."""
+        """Linear SIR threshold of one SF pair; perfbench/workloads.py reads it."""
         return float(self.sir_linear[desired_sf - SF_RANGE[0], interferer_sf - SF_RANGE[0]])
 
     def errors(self) -> list[str]:
@@ -324,10 +318,9 @@ def validate(scenario: Scenario) -> Scenario:
 
 @dataclass(frozen=True)
 class NodePlacement:
-    """Sampled node positions (polar, gateway at origin) and assigned SFs."""
+    """Sampled node distances to the gateway and assigned SFs."""
 
     distances_m: np.ndarray
-    angles_rad: np.ndarray
     sfs: np.ndarray
 
 
@@ -344,7 +337,6 @@ def sample_placement(scenario: Scenario, seed: int | None = None,
         rng = np.random.default_rng(scenario.rng_seed if seed is None else seed)
     n = scenario.node_count
     R = scenario.topology.cell_radius_m
-    angles = rng.uniform(0.0, 2.0 * np.pi, size=n)
     if scenario.sf_assignment == "distance_rings":
         d = R * np.sqrt(rng.random(n))
         bounds = np.asarray(scenario.topology.boundaries_m)[1:]
@@ -356,7 +348,7 @@ def sample_placement(scenario: Scenario, seed: int | None = None,
             d = R * np.sqrt(rng.random(n))
         quota = n // len(scenario.sf_set)
         sfs = rng.permutation(np.repeat(np.asarray(scenario.sf_set), quota))
-    return NodePlacement(distances_m=d, angles_rad=angles, sfs=sfs)
+    return NodePlacement(distances_m=d, sfs=sfs)
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,15 @@ cycle budget (airtime within the trailing hour) would be exceeded; such
 arrivals are dropped, so the reported offered load is measured from the
 airtime actually transmitted.
 
-Traffic is drawn node by node, in node order, from the replication's RNG
-(a Poisson count, then sorted uniform times), and the acceptance rule runs
-over all nodes at once. An arrival is close when t[i] < t[i-1] + ToA within
-its node. A lone close arrival is a busy drop, and a chain of close arrivals
-keeps each arrival that starts after the last kept airtime ends. A node that
-could exceed the duty budget (its densest trailing hour holds more airtime
-than the budget) runs the exact sequential loop over all its arrivals. The
-result equals that loop run on every node.
+Traffic is the nodes' Poisson processes superposed (one Poisson total, sorted
+uniform times, an iid node label each), and the acceptance rule runs over all
+nodes at once in node-major order; its keep mask is scattered back, so
+packets stay in start order. An arrival is close when t[i] < t[i-1] + ToA
+within its node. A lone close arrival is a busy drop, and a chain of close
+arrivals keeps each arrival that starts after the last kept airtime ends. A
+node that could exceed the duty budget (its densest trailing hour holds more
+airtime than the budget) runs the exact sequential loop over all its
+arrivals. The result equals that loop run on every node.
 
 Propagation is the Okumura-Hata open-area (rural) median model, reception
 is threshold-based: a packet is detectable iff its receive power clears the
@@ -242,8 +243,11 @@ def _resolve_partition(starts, owner, node_toa, node_sf, node_pw, node_ok, model
 
 
 def _argsort_stable(x):
-    """np.argsort(x, kind="stable") and x sorted: without ties every sort order
-    agrees and the default sort is faster; tied keys sort to the same x."""
+    """np.argsort(x, kind="stable") and x sorted: sorted input is its own
+    stable order; without ties every sort order agrees and the default sort
+    is faster; tied keys sort to the same x."""
+    if not (x[1:] < x[:-1]).any():
+        return np.arange(x.size), x
     order = np.argsort(x)
     x_sorted = x[order]
     if np.any(x_sorted[1:] == x_sorted[:-1]):
@@ -263,14 +267,12 @@ def _resolve(starts, owner, chans, node_toa, node_sf, node_dbm, model, threshold
     node_pw = 10.0 ** (node_dbm / 10.0)
     noise = noise_power_mw(radio)
     part = chans * NUM_SF + node_sf[owner] if model == "IC" else chans
-    labels = np.flatnonzero(np.bincount(part))
+    members = ([None] if starts.size and part.min() == part.max()    # one: every packet
+               else [np.flatnonzero(part == k) for k in np.flatnonzero(np.bincount(part))])
     received = np.zeros(starts.size, dtype=bool)
-    for label in labels:
-        if labels.size == 1:                # every packet is in it
-            order, part_starts = _argsort_stable(starts)
-        else:
-            on = np.flatnonzero(part == label)
-            order, part_starts = _argsort_stable(starts[on])
+    for on in members:
+        order, part_starts = _argsort_stable(starts if on is None else starts[on])
+        if on is not None:
             order = on[order]
         received[order] = _resolve_partition(
             part_starts, owner[order], node_toa, node_sf, node_pw, node_ok,
@@ -299,6 +301,17 @@ def resolve_reception(packets: Sequence[PacketEvent], model: str,
 
 # ---------------------------------------------------------------------------
 # Traffic generation
+
+def _arrivals(rng, node_count, rate, duration):
+    """Start-ordered arrival times, their nodes, and the node-major order (a
+    stable radix argsort of the labels in their smallest dtype) of node_count
+    Poisson(rate) processes over (0, duration), superposed."""
+    times = rng.random(rng.poisson(rate * duration * node_count))
+    times.sort()
+    times *= duration
+    nodes = rng.integers(0, node_count, size=times.size)
+    return times, nodes, np.argsort(nodes.astype(np.min_scalar_type(node_count)), kind="stable")
+
 
 def _accept_sequential(times, toa, budget):
     """Keep mask and duty-drop count for one node's sorted arrivals under the
@@ -386,23 +399,18 @@ def run_replication(scenario: Scenario, offered_load: float, seed) -> Replicatio
     radio = scenario.radio
     duration = scenario.sim_duration_s
 
-    loss = hata_rural_loss(placement.distances_m, radio)
     rx_dbm = (radio.tx_power_dbm + radio.gateway_gain_dbi + radio.device_gain_dbi
-              - loss)
+              - hata_rural_loss(placement.distances_m, radio))
     toa_by_sf = {sf: lora_airtime(sf, scenario.payload_bytes,
                                   radio.bandwidth_hz, radio.coding_rate_index)
                  for sf in scenario.sf_set}
     node_toa = np.array([toa_by_sf[sf] for sf in placement.sfs])
     rate = per_node_rate(offered_load, scenario.node_count, float(node_toa.mean()))
 
-    # per node a Poisson count, then that many uniforms (none drawn for 0)
-    parts = [rng.random(rng.poisson(rate * duration)) for _ in range(scenario.node_count)]
-    for u in parts:
-        u.sort()
-    times = np.concatenate(parts) * duration
-    nodes = np.repeat(np.arange(scenario.node_count), [u.size for u in parts])
-    keep, dropped_busy, dropped_duty = _accept(
-        times, nodes, node_toa, scenario.duty_cycle_limit)
+    times, nodes, by_node = _arrivals(rng, scenario.node_count, rate, duration)
+    keep = np.empty(times.size, dtype=bool)
+    keep[by_node], dropped_busy, dropped_duty = _accept(
+        times[by_node], nodes[by_node], node_toa, scenario.duty_cycle_limit)
     starts = times[keep]
     nodes = nodes[keep]
     node_tx = np.bincount(nodes, minlength=scenario.node_count)
@@ -410,13 +418,12 @@ def run_replication(scenario: Scenario, offered_load: float, seed) -> Replicatio
     chans = rng.integers(0, scenario.channels, size=starts.size)   # one channel: no draw
 
     node_sf = placement.sfs - SF_RANGE[0]
-    durs = node_toa[nodes]
     received = _resolve(starts, nodes, chans, node_toa, node_sf, rx_dbm,
                         scenario.collision_model, scenario.thresholds, radio)
 
     tx = int(starts.size)
     rx = int(received.sum())
-    measured_g = float(durs.sum() / duration)
+    measured_g = float(node_airtime.sum() / duration)
     pdr = rx / tx if tx else 0.0
     node_rx = np.bincount(nodes[received], minlength=scenario.node_count)
     per_sf_tx = np.bincount(node_sf, weights=node_tx, minlength=NUM_SF)
@@ -430,7 +437,7 @@ def run_replication(scenario: Scenario, offered_load: float, seed) -> Replicatio
         dropped_duty=dropped_duty,
         pdr=pdr,
         throughput=measured_g * pdr,
-        rx_airtime_fraction=float(durs[received].sum() / duration),
+        rx_airtime_fraction=float(node_rx @ node_toa / duration),
         per_sf_tx=tuple(int(v) for v in per_sf_tx),
         per_sf_rx=tuple(int(v) for v in per_sf_rx),
         max_node_airtime_fraction=float(node_airtime.max() / duration),

@@ -148,75 +148,76 @@ def test_replication_bit_exact_determinism():
 
 
 # Golden replications: every ReplicationResult field, floats as float.hex.
-# The traffic stage keeps the per-node RNG draws in node order, so these
-# values pin the random stream; a change to the draws must regenerate them.
+# The traffic stage draws the cell's superposed Poisson stream (a total, the
+# sorted times, then the node labels), so these values pin the random stream;
+# a change to the draws must regenerate them.
 # "N1x3" is N1 on three channels, which draws a channel per packet.
 GOLDEN = {
     ("N1", "IC", 1.0, 123): dict(
         offered_load="0x1.0000000000000p+0",
-        measured_g="0x1.feb4b7193adfap-1",
-        tx_count=154994, rx_count=42500, dropped_busy=535, dropped_duty=0,
-        pdr="0x1.18c8f9dd9cb1dp-2",
-        throughput="0x1.18134bf542668p-2",
-        rx_airtime_fraction="0x1.18134bf542669p-2",
-        per_sf_tx=(154994, 0, 0, 0, 0, 0),
-        per_sf_rx=(42500, 0, 0, 0, 0, 0),
-        max_node_airtime_fraction="0x1.f43541c3227a3p-9",
+        measured_g="0x1.fcc9c9327b5bep-1",
+        tx_count=154412, rx_count=44485, dropped_busy=527, dropped_duty=0,
+        pdr="0x1.2701d2dd824dfp-2",
+        throughput="0x1.2528135c5cc87p-2",
+        rx_airtime_fraction="0x1.2528135c5cc85p-2",
+        per_sf_tx=(154412, 0, 0, 0, 0, 0),
+        per_sf_rx=(44485, 0, 0, 0, 0, 0),
+        max_node_airtime_fraction="0x1.e6b631bddea21p-9",
     ),
     ("N2", "IIC", 1.0, 2): dict(
         offered_load="0x1.0000000000000p+0",
-        measured_g="0x1.e911156436bb0p-1",
-        tx_count=17858, rx_count=11771, dropped_busy=62, dropped_duty=210,
-        pdr="0x1.517b5ea4485d6p-1",
-        throughput="0x1.425d9696291f1p-1",
-        rx_airtime_fraction="0x1.17bdcc53d615fp-1",
-        per_sf_tx=(3132, 3001, 2948, 3073, 2980, 2724),
-        per_sf_rx=(2318, 2162, 2109, 2136, 1684, 1362),
+        measured_g="0x1.f15bdf408979cp-1",
+        tx_count=17879, rx_count=11866, dropped_busy=48, dropped_duty=266,
+        pdr="0x1.53ce57f1ae788p-1",
+        throughput="0x1.4a16c5b5efa6cp-1",
+        rx_airtime_fraction="0x1.1faafaa81dc5ap-1",
+        per_sf_tx=(2971, 3062, 2988, 3002, 3066, 2790),
+        per_sf_rx=(2189, 2242, 2180, 2092, 1731, 1432),
         max_node_airtime_fraction="0x1.45ece5e390d03p-7",
     ),
     ("N1", "BP", 0.1, 7): dict(
         offered_load="0x1.999999999999ap-4",
-        measured_g="0x1.94a0654dd900bp-4",
-        tx_count=15350, rx_count=12726, dropped_busy=7, dropped_duty=0,
-        pdr="0x1.a879f230e6043p-1",
-        throughput="0x1.4f753332dd4d0p-4",
-        rx_airtime_fraction="0x1.4f753332dd4cfp-4",
-        per_sf_tx=(15350, 0, 0, 0, 0, 0),
-        per_sf_rx=(12726, 0, 0, 0, 0, 0),
-        max_node_airtime_fraction="0x1.072db866aaf68p-11",
+        measured_g="0x1.99950d2fc7e9fp-4",
+        tx_count=15538, rx_count=12835, dropped_busy=9, dropped_duty=0,
+        pdr="0x1.a6eea27365644p-1",
+        throughput="0x1.5254c01bfc3e7p-4",
+        rx_airtime_fraction="0x1.5254c01bfc3e6p-4",
+        per_sf_tx=(15538, 0, 0, 0, 0, 0),
+        per_sf_rx=(12835, 0, 0, 0, 0, 0),
+        max_node_airtime_fraction="0x1.e5de40bd8a649p-12",
     ),
     ("N1", "BP", 1.0, 11): dict(
         offered_load="0x1.0000000000000p+0",
-        measured_g="0x1.fd15b3ec98f97p-1",
-        tx_count=154502, rx_count=21178, dropped_busy=547, dropped_duty=0,
-        pdr="0x1.18b98ce55c1a4p-3",
-        throughput="0x1.17205cd4e3a16p-3",
-        rx_airtime_fraction="0x1.17205cd4e3a16p-3",
-        per_sf_tx=(154502, 0, 0, 0, 0, 0),
-        per_sf_rx=(21178, 0, 0, 0, 0, 0),
-        max_node_airtime_fraction="0x1.e78e22be32df9p-9",
+        measured_g="0x1.fe5dd52218fafp-1",
+        tx_count=154891, rx_count=21180, dropped_busy=508, dropped_duty=0,
+        pdr="0x1.180bd57885a30p-3",
+        throughput="0x1.17271c5ce6434p-3",
+        rx_airtime_fraction="0x1.17271c5ce6434p-3",
+        per_sf_tx=(154891, 0, 0, 0, 0, 0),
+        per_sf_rx=(21180, 0, 0, 0, 0, 0),
+        max_node_airtime_fraction="0x1.f1ad6ec225c1ap-9",
     ),
     ("N2", "BP", 1.0, 3): dict(
         offered_load="0x1.0000000000000p+0",
-        measured_g="0x1.e7026b35b2d27p-1",
-        tx_count=17690, rx_count=3591, dropped_busy=65, dropped_duty=259,
-        pdr="0x1.9fbc63adeafcdp-3",
-        throughput="0x1.8b71a799c9b9fp-3",
-        rx_airtime_fraction="0x1.753552e4c6047p-4",
-        per_sf_tx=(2988, 3032, 2938, 3018, 3018, 2696),
-        per_sf_rx=(980, 949, 771, 576, 252, 63),
+        measured_g="0x1.ec8f23017025dp-1",
+        tx_count=17840, rx_count=3549, dropped_busy=58, dropped_duty=243,
+        pdr="0x1.976b38b5d721cp-3",
+        throughput="0x1.87f2eecc0cd7ap-3",
+        rx_airtime_fraction="0x1.6508d1991dac3p-4",
+        per_sf_tx=(3025, 2996, 3079, 2992, 2969, 2779),
+        per_sf_rx=(1039, 909, 745, 572, 225, 59),
         max_node_airtime_fraction="0x1.45ece5e390d03p-7",
     ),
     ("N1x3", "IC", 0.7, 5): dict(
         offered_load="0x1.6666666666666p-1",
-        measured_g="0x1.65c226ab90672p-1",
-        tx_count=108576, rx_count=78912, dropped_busy=259, dropped_duty=0,
-        pdr="0x1.741de0c390a30p-1",
-        throughput="0x1.0403f0a56f0fep-1",
-        rx_airtime_fraction="0x1.0403f0a56f0fdp-1",
-        per_sf_tx=(108576, 0, 0, 0, 0, 0),
-        per_sf_rx=(78912, 0, 0, 0, 0, 0),
-        max_node_airtime_fraction="0x1.5e0faf888fb5cp-9",
+        measured_g="0x1.654477665f5f5p-1",
+        tx_count=108427, rx_count=78819, dropped_busy=233, dropped_duty=0,
+        pdr="0x1.74305d0b2f296p-1",
+        throughput="0x1.03b57e1850758p-1",
+        rx_airtime_fraction="0x1.03b57e1850757p-1",
+        per_sf_tx=(108427, 0, 0, 0, 0, 0),
+        per_sf_rx=(78819, 0, 0, 0, 0, 0),
+        max_node_airtime_fraction="0x1.609782898c6e5p-9",
     ),
 }
 GOLDEN_CASES = {"N1": N1, "N2": N2, "N1x3": replace(N1, channels=3)}
@@ -236,7 +237,7 @@ def test_golden_replication(key):
 # seeds, the same 5 on 2 and 3 channels at G=1, and N1/BP and N2/IIC at duty
 # limits 0.001 and 0.0005. The hash covers the repr of every ReplicationResult,
 # so any change to a count or a float bit shows.
-REPLICATION_SET_SHA256 = "45788e8131adbbb3449a5e127147ed877d477a98fe9279d8c61d18096965b5ce"
+REPLICATION_SET_SHA256 = "f1d23031958269b9668db24fe18dffa79115f400cdf7fdbf0ba48edbb31c1446"
 CASE_MODELS = (("N1", "BP"), ("N1", "IC"), ("N2", "BP"), ("N2", "IC"), ("N2", "IIC"))
 
 
@@ -265,6 +266,15 @@ def test_replication_set_bit_identical():
         count += 1
     assert count == 98
     assert digest.hexdigest() == REPLICATION_SET_SHA256
+
+
+@pytest.mark.parametrize("model", ["BP", "IC", "IIC"])
+def test_replication_without_traffic(model):
+    # a 10 ms run at G=0.001 draws no arrival: every tally is zero
+    scn = replace(N2, collision_model=model, sim_duration_s=0.01, channels=2)
+    r = run_replication(scn, 0.001, seed=0)
+    assert (r.tx_count, r.rx_count, r.dropped_busy, r.dropped_duty) == (0, 0, 0, 0)
+    assert r.measured_g == r.pdr == r.max_node_airtime_fraction == 0.0
 
 
 def test_replication_accounting():

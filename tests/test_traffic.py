@@ -1,17 +1,21 @@
 """Differential tests of the vectorized traffic acceptance, winner selection
 and start-order sort against the sequential per-node rule, the lexsort
-selector and numpy's stable argsort."""
+selector and numpy's stable argsort, and statistical checks of the
+superposed arrival draw."""
 
 import math
 from collections import deque
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from loracell.simulator import (
     _accept,
     _argsort_stable,
+    _arrivals,
     _component_ids,
     _winners_per_group,
 )
@@ -104,6 +108,43 @@ def test_accept_binding_duty_cycle_and_chains():
     assert busy == 2 and keep[-1]
 
 
+@pytest.mark.parametrize("node_count", [300, 7])
+def test_arrivals_are_independent_poisson_per_node(node_count):
+    # per node the count is Poisson(rate * duration): mean and variance both
+    # within 3 SE of it, pooled over fixed seeds; labels are uniform over nodes
+    rate, duration = 0.01, 4000.0
+    lam = rate * duration
+    counts = []
+    for seed in range(2000 // node_count + 5):
+        times, nodes, by_node = _arrivals(np.random.default_rng(seed), node_count,
+                                          rate, duration)
+        assert np.all(times[1:] >= times[:-1])
+        assert times.size == 0 or (times[0] >= 0.0 and times[-1] < duration)
+        counts.append(np.bincount(nodes, minlength=node_count))
+    counts = np.concatenate(counts)
+    n = counts.size
+    assert abs(counts.mean() - lam) <= 3 * np.sqrt(lam / n)
+    # Var(s^2) of a Poisson sample is (lam + 2 lam^2) / n to first order
+    assert abs(counts.var(ddof=1) - lam) <= 3 * np.sqrt((lam + 2 * lam ** 2) / n)
+    per_node = counts.reshape(-1, node_count).sum(axis=0)
+    assert stats.chisquare(per_node).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("node_count", [1, 200, 300, 70_000])
+def test_arrivals_node_major_order_is_stable_argsort(node_count):
+    # labels are cast to uint8, uint16 or uint32 for the radix sort
+    times, nodes, by_node = _arrivals(np.random.default_rng(3), node_count,
+                                      30.0 / node_count, 1000.0)
+    assert times.size > 0
+    assert np.array_equal(by_node, np.argsort(nodes, kind="stable"))
+    assert np.all(np.diff(times[by_node])[np.diff(nodes[by_node]) == 0] >= 0)
+
+
+def test_arrivals_empty():
+    times, nodes, by_node = _arrivals(np.random.default_rng(0), 300, 0.0, 7200.0)
+    assert times.size == nodes.size == by_node.size == 0
+
+
 def test_accept_empty():
     keep, busy, duty = _accept(np.empty(0), np.empty(0, dtype=int),
                                np.full(3, 0.05), 0.01)
@@ -168,3 +209,15 @@ def test_argsort_stable_matches_numpy_stable(values):
     stable = np.argsort(x, kind="stable")
     assert np.array_equal(order, stable)
     assert np.array_equal(x_sorted, x[stable])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from([0.0, 0.25, 1.0, 3.5]) | st.floats(0.0, 10.0),
+                max_size=80))
+def test_argsort_stable_sorted_input_with_ties(values):
+    # sorted input is its own stable order, ties included
+    x = np.sort(np.array(values + [1.0, 1.0, 3.5], dtype=float))
+    order, x_sorted = _argsort_stable(x)
+    assert np.array_equal(order, np.argsort(x, kind="stable"))
+    assert np.array_equal(order, np.arange(x.size))
+    assert np.array_equal(x_sorted, x)

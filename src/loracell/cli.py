@@ -61,7 +61,8 @@ def _write_table(path: Path, header: list[str], rows: list[list], sep: str = ","
 
 
 def _scenario_digest(scenario: Scenario) -> str:
-    return hashlib.sha256(repr(scenario).encode("utf-8")).hexdigest()
+    blob = repr(scenario).encode("utf-8")
+    return hashlib.sha256(blob).hexdigest()
 
 
 def _write_manifest(out_path: Path, command: str, scenario_path: str,

@@ -267,7 +267,7 @@ def _resolve(starts, owner, chans, node_toa, node_sf, node_dbm, model, threshold
     node_pw = 10.0 ** (node_dbm / 10.0)
     noise = noise_power_mw(radio)
     part = chans * NUM_SF + node_sf[owner] if model == "IC" else chans
-    members = ([None] if starts.size and part.min() == part.max()    # one: every packet
+    members = ([None] if starts.size and part.min() == part.max()    # None: all packets
                else [np.flatnonzero(part == k) for k in np.flatnonzero(np.bincount(part))])
     received = np.zeros(starts.size, dtype=bool)
     for on in members:
@@ -399,8 +399,9 @@ def run_replication(scenario: Scenario, offered_load: float, seed) -> Replicatio
     radio = scenario.radio
     duration = scenario.sim_duration_s
 
+    loss = hata_rural_loss(placement.distances_m, radio)
     rx_dbm = (radio.tx_power_dbm + radio.gateway_gain_dbi + radio.device_gain_dbi
-              - hata_rural_loss(placement.distances_m, radio))
+              - loss)
     toa_by_sf = {sf: lora_airtime(sf, scenario.payload_bytes,
                                   radio.bandwidth_hz, radio.coding_rate_index)
                  for sf in scenario.sf_set}

@@ -84,22 +84,11 @@ def pure_aloha_throughput(offered_load: float) -> float:
     return offered_load * math.exp(-2.0 * offered_load)
 
 
-def per_node_rate(offered_load: float, node_count: int, mean_toa_s: float,
-                  duty_cycle_limit: float | None = None) -> float:
+def per_node_rate(offered_load: float, node_count: int, mean_toa_s: float) -> float:
     """Packet generation rate (packets/s) per node so that the aggregate
-    attempted utilization equals the offered load.
-
-    With duty_cycle_limit given, rejects workloads whose per-node airtime
-    fraction rate * mean_toa would exceed the limit.
-    """
+    attempted utilization equals the offered load."""
     if offered_load <= 0 or node_count <= 0 or mean_toa_s <= 0:
         raise ConfigurationError("offered_load, node_count and mean_toa_s must be positive")
     if not (math.isfinite(offered_load) and math.isfinite(mean_toa_s)):
         raise ConfigurationError("offered_load and mean_toa_s must be finite")
-    rate = offered_load / (node_count * mean_toa_s)
-    if duty_cycle_limit is not None and rate * mean_toa_s > duty_cycle_limit:
-        raise ConfigurationError(
-            f"per-node utilization {rate * mean_toa_s:.4%} exceeds the duty cycle "
-            f"limit of {duty_cycle_limit:.2%}"
-        )
-    return rate
+    return offered_load / (node_count * mean_toa_s)

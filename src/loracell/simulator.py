@@ -41,10 +41,13 @@ other belong to one episode when a chain of overlapping packets links them.
 
 Outcomes depend only on each packet's overlaps and its episode, so
 reception is resolved after the fact over the sorted event calendar, which
-permits a fully vectorized implementation. BP and IIC resolve each channel
-alone; IC resolves each (channel, SF) partition alone. Overlap windows are
-counted with one stable merge of the sorted ends and starts per partition;
-IIC reads each SF's window from running per-SF counts over that merge.
+permits a fully vectorized implementation. The resolver takes packets in
+start order and sorts none: `run_replication` draws them in that order, and
+`resolve_reception` takes one stable argsort of the starts and scatters the
+flags back. BP and IIC resolve each channel alone; IC resolves each
+(channel, SF) partition alone. Overlap windows are counted with one stable
+merge of the sorted ends and starts per partition; IIC reads each SF's
+window from running per-SF counts over that merge.
 Each packet carries only its start, channel and sending node; airtime, SF
 and receive power are read from per-node tables. A replication is
 bit-reproducible from its seed; replications use independently derived
@@ -242,40 +245,26 @@ def _resolve_partition(starts, owner, node_toa, node_sf, node_pw, node_ok, model
     raise ConfigurationError(f"unknown collision model {model!r}")
 
 
-def _argsort_stable(x):
-    """np.argsort(x, kind="stable") and x sorted: sorted input is its own
-    stable order; without ties every sort order agrees and the default sort
-    is faster; tied keys sort to the same x."""
-    if not (x[1:] < x[:-1]).any():
-        return np.arange(x.size), x
-    order = np.argsort(x)
-    x_sorted = x[order]
-    if np.any(x_sorted[1:] == x_sorted[:-1]):
-        order = np.argsort(x, kind="stable")
-    return order, x_sorted
-
-
 def _resolve(starts, owner, chans, node_toa, node_sf, node_dbm, model, thresholds,
              radio):
     """Received flag per packet. Packet k starts at starts[k] on channel
     chans[k] (a label in 0..C-1) and is sent by node owner[k]; the node
     tables give each node's airtime, SF index and receive power (dBm). A
     packet competes only with its partition: its channel, and under IC its
-    (channel, SF) pair. Each partition is resolved in stable start order
-    through `_resolve_partition`."""
+    (channel, SF) pair. Packets must come in start order, ties in their
+    stable order; each partition is a subsequence and so in that order too.
+    `run_replication` draws packets in start order, and `resolve_reception`
+    sorts them once."""
     node_ok = node_dbm >= sensitivity_dbm(radio, thresholds)[node_sf]
     node_pw = 10.0 ** (node_dbm / 10.0)
     noise = noise_power_mw(radio)
     part = chans * NUM_SF + node_sf[owner] if model == "IC" else chans
-    members = ([None] if starts.size and part.min() == part.max()    # None: all packets
+    members = ([slice(None)] if starts.size and part.min() == part.max()
                else [np.flatnonzero(part == k) for k in np.flatnonzero(np.bincount(part))])
     received = np.zeros(starts.size, dtype=bool)
     for on in members:
-        order, part_starts = _argsort_stable(starts if on is None else starts[on])
-        if on is not None:
-            order = on[order]
-        received[order] = _resolve_partition(
-            part_starts, owner[order], node_toa, node_sf, node_pw, node_ok,
+        received[on] = _resolve_partition(
+            starts[on], owner[on], node_toa, node_sf, node_pw, node_ok,
             model, thresholds.sir_linear, noise)
     return received
 
@@ -287,16 +276,24 @@ def resolve_reception(packets: Sequence[PacketEvent], model: str,
         raise ConfigurationError(f"unknown collision model {model!r}")
     if not packets:
         return []
-    durs = np.array([p.duration_s for p in packets])
+    starts = np.array([p.start_s for p in packets], dtype=float)
+    durs = np.array([p.duration_s for p in packets], dtype=float)
+    dbm = np.array([p.rx_power_dbm for p in packets], dtype=float)
+    sfs = np.array([p.sf for p in packets])
+    for name, v in (("start_s", starts), ("duration_s", durs), ("rx_power_dbm", dbm)):
+        if not np.isfinite(v).all():
+            raise ConfigurationError(f"packet {name} must be finite")
     if np.any(durs <= 0):
-        raise ConfigurationError("packet durations must be positive")
+        raise ConfigurationError("packet duration_s must be positive")
+    if not np.isin(sfs, SF_RANGE).all():
+        raise ConfigurationError(f"packet sf must be in {SF_RANGE[0]}..{SF_RANGE[-1]}")
     # channels as labels 0..C-1; every packet is its own node-table entry
     chans = np.unique([p.channel for p in packets], return_inverse=True)[1]
-    return _resolve(np.array([p.start_s for p in packets]), np.arange(len(packets)),
-                    chans, durs,
-                    np.array([p.sf - SF_RANGE[0] for p in packets]),
-                    np.array([p.rx_power_dbm for p in packets]),
-                    model, thresholds, radio).tolist()
+    order = np.argsort(starts, kind="stable")
+    received = np.empty(order.size, dtype=bool)
+    received[order] = _resolve(starts[order], order, chans[order], durs,
+                               sfs.astype(int) - SF_RANGE[0], dbm, model, thresholds, radio)
+    return received.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -109,10 +109,3 @@ def test_per_node_rate_rejects_non_finite(load, toa):
     with pytest.raises(ConfigurationError, match="finite"):
         per_node_rate(load, 300, toa)
 
-
-def test_per_node_rate_duty_cycle_feasibility():
-    # fine under the packaged workloads
-    per_node_rate(1.0, 300, 0.0463, duty_cycle_limit=0.01)
-    # per-node utilization 10% > 1% limit
-    with pytest.raises(ConfigurationError, match="duty cycle"):
-        per_node_rate(1.0, 10, 0.5, duty_cycle_limit=0.01)

@@ -193,8 +193,10 @@ def node_tables(draw):
 def test_node_table_gathers_match_reference(tables, model):
     starts, owner, chans, channels, node_sf, node_dbm = tables
     node_toa = np.array(SF_TOA)[node_sf]
-    got = _resolve(starts, owner, chans, node_toa, node_sf, node_dbm,
-                   model, N2.thresholds, N2.radio)
+    order = np.argsort(starts, kind="stable")       # _resolve takes start order
+    got = np.empty(starts.size, dtype=bool)
+    got[order] = _resolve(starts[order], owner[order], chans[order], node_toa, node_sf,
+                          node_dbm, model, N2.thresholds, N2.radio)
     want = ref_resolve(starts, node_toa[owner], node_sf[owner], node_dbm[owner], chans, model)
     assert np.array_equal(got, want)
 
@@ -244,8 +246,10 @@ def test_dense_touching_chains_match_reference(model):
         starts[k] = t
     rx_dbm = rng.choice([-80.0, -86.0, -90.0, -100.0], size=n)
     chans = np.zeros(n, dtype=int)
-    got = _resolve(starts, np.arange(n), chans, durs, sf_idx, rx_dbm, model,
-                   N2.thresholds, N2.radio)
+    order = np.argsort(starts, kind="stable")       # _resolve takes start order
+    got = np.empty(n, dtype=bool)
+    got[order] = _resolve(starts[order], order, chans, durs, sf_idx, rx_dbm, model,
+                          N2.thresholds, N2.radio)
     assert np.array_equal(got, ref_resolve(starts, durs, sf_idx, rx_dbm, chans, model))
 
 

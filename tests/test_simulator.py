@@ -1,4 +1,5 @@
 import hashlib
+import math
 from dataclasses import replace
 
 import pytest
@@ -402,3 +403,27 @@ def test_resolve_reception_rejects_bad_duration():
         resolve_reception([pkt(7, 0.0, 0.0, -80.0)], "BP", N1.thresholds, N1.radio)
     with pytest.raises(ConfigurationError):
         resolve_reception([pkt(7, 0.0, 1.0, -80.0)], "NOPE", N1.thresholds, N1.radio)
+
+
+@pytest.mark.parametrize("field,bad", [
+    ("sf", {"sf": 6}), ("sf", {"sf": 13}),
+    ("start_s", {"start": math.inf}), ("start_s", {"start": math.nan}),
+    ("duration_s", {"dur": math.nan}), ("duration_s", {"dur": math.inf}),
+    ("rx_power_dbm", {"rx_dbm": math.nan}), ("rx_power_dbm", {"rx_dbm": -math.inf}),
+])
+@pytest.mark.parametrize("model", ["BP", "IC", "IIC"])
+def test_resolve_reception_rejects_bad_packet_fields(field, bad, model):
+    # an SF outside 7..12 would index the per-SF tables out of range or
+    # from the end, and a non-finite time or power has no place in the order
+    packet = dict(sf=7, start=0.5, dur=0.1, rx_dbm=-80.0) | bad
+    packets = [pkt(7, 0.0, 0.1, -80.0), pkt(**packet)]
+    with pytest.raises(ConfigurationError, match=field):
+        resolve_reception(packets, model, N1.thresholds, N1.radio)
+
+
+def test_resolve_reception_takes_integral_float_sf():
+    packets = [pkt(7, 0.0, 1.0, -80.0), pkt(9, 0.5, 1.0, -80.0)]
+    as_float = [replace(p, sf=float(p.sf)) for p in packets]
+    for model in ("BP", "IC", "IIC"):
+        assert resolve_reception(as_float, model, N2.thresholds, N2.radio) == \
+            resolve_reception(packets, model, N2.thresholds, N2.radio)

@@ -1,7 +1,6 @@
-"""Differential tests of the vectorized traffic acceptance, winner selection
-and start-order sort against the sequential per-node rule, the lexsort
-selector and numpy's stable argsort, and statistical checks of the
-superposed arrival draw."""
+"""Differential tests of the vectorized traffic acceptance and winner
+selection against the sequential per-node rule and the lexsort selector,
+and statistical checks of the superposed arrival draw."""
 
 import math
 from collections import deque
@@ -14,7 +13,6 @@ from scipy import stats
 
 from loracell.simulator import (
     _accept,
-    _argsort_stable,
     _arrivals,
     _component_ids,
     _winners_per_group,
@@ -197,27 +195,3 @@ def test_winners_iic_style_candidate_subset(data):
         st.sampled_from([1.0, 2.0, 3.0]), min_size=cand.size, max_size=cand.size)))
     assert np.array_equal(_winners_per_group(comp_all[cand], score),
                           reference_winners(comp_all[cand], score))
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.sampled_from([0.0, 0.25, 1.0, 3.5]) | st.floats(0.0, 10.0),
-                max_size=80))
-def test_argsort_stable_matches_numpy_stable(values):
-    # a few repeated levels force exact ties, where sort orders may differ
-    x = np.array(values, dtype=float)
-    order, x_sorted = _argsort_stable(x)
-    stable = np.argsort(x, kind="stable")
-    assert np.array_equal(order, stable)
-    assert np.array_equal(x_sorted, x[stable])
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.sampled_from([0.0, 0.25, 1.0, 3.5]) | st.floats(0.0, 10.0),
-                max_size=80))
-def test_argsort_stable_sorted_input_with_ties(values):
-    # sorted input is its own stable order, ties included
-    x = np.sort(np.array(values + [1.0, 1.0, 3.5], dtype=float))
-    order, x_sorted = _argsort_stable(x)
-    assert np.array_equal(order, np.argsort(x, kind="stable"))
-    assert np.array_equal(order, np.arange(x.size))
-    assert np.array_equal(x_sorted, x)

@@ -3,10 +3,17 @@
 The interference is sampled from the generative model with no closed form:
 Poisson interferer counts per SF ring (intensity alpha_j over the ring area),
 uniform positions inside each ring and unit-mean exponential Rayleigh fading.
-Per ring and chunk of m trials one Poisson(mean * m) total is drawn and each
-interferer gets a uniform trial label; by Poisson splitting the per-trial
-counts are iid Poisson(mean). Thresholds and the fading mode never alter the
-positions drawn from the seed (common random numbers).
+The trials of a call are split into equal blocks of about 2^18 expected
+interferers over the rings drawn, and at most 2^18 trials, so memory stays
+bounded and a block's arrays stay near the cache. Block k draws from its own
+generator, SeedSequence(seed).spawn(n_blocks)[k]. Per ring and block of m
+trials one Poisson(mean * m) total is drawn and each interferer gets a
+uniform trial label; by Poisson splitting the per-trial counts are iid
+Poisson(mean). The block layout depends only on the trial count and the ring
+intensities, so thresholds and the fading mode never alter the positions
+drawn from the seed (common random numbers). Blocks run on worker threads
+(numpy's draws and ufuncs release the GIL) and their summaries are pooled in
+block order, so every estimate is the same for any number of cores.
 
 Fading is averaged out wherever the estimand allows. With mean signal S,
 P(S h > x) = exp(-x / S), so H1 = exp(-gamma sigma^2 / S) is exact (SE 0).
@@ -15,13 +22,15 @@ closed-form product) E[exp(-w P h)] = 1 / (1 + w P) averages out each
 interferer's too: a trial gives the PGFL form q_t = exp(-sum_k log1p(w_j P_k)),
 w_j = delta_j / S, with Q1 = mean(q) and C1 = H1 * Q1. With one shared draw
 (shared_fading=True) interferer fading is drawn from a stream spawned off the
-seed, q_t = exp(-max_j w_j I_j), and C1 averages exp(-max(gamma sigma^2,
+block's, q_t = exp(-max_j w_j I_j), and C1 averages exp(-max(gamma sigma^2,
 max_j delta_j I_j) / S), above the product form. Standard errors are sample
 standard errors of the per-trial values (variance over n); C1 <= min(H1, Q1).
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +38,7 @@ import numpy as np
 from .coverage import TypicalNode, connection_probability, path_gain, sf_indices
 from .scenario import ConfigurationError, RadioConfig, Scenario
 
-_CHUNK = 250_000
+_BLOCK = 1 << 18       # expected interferers, and the trial cap, of one block
 
 
 @dataclass(frozen=True)
@@ -39,11 +48,23 @@ class MCEstimate:
     trials: int
 
 
-def _chunks(trials: int) -> list[int]:
-    """Chunk sizes covering `trials` trials, so memory stays bounded."""
+def _blocks(trials: int, interferers_per_trial: float) -> list[int]:
+    """Equal block sizes (differing by at most 1) covering `trials` trials, each
+    of about `_BLOCK` expected interferers and at most `_BLOCK` trials."""
     if trials < 1:
         raise ConfigurationError(f"trials must be at least 1, got {trials}")
-    return [min(_CHUNK, trials - start) for start in range(0, trials, _CHUNK)]
+    n = -(-trials // max(1, int(_BLOCK / max(interferers_per_trial, 1.0))))
+    return [trials // n + (k < trials % n) for k in range(n)]
+
+
+def _map_blocks(block, trials: int, rings: slice, scenario: Scenario, seed: int) -> list:
+    """`block(stream, m)` over the call's trial blocks on worker threads, block k
+    drawing from `SeedSequence(seed).spawn(n_blocks)[k]`; results in block order."""
+    topo = scenario.topology
+    sizes = _blocks(trials, float((topo.intensities * topo.ring_areas_m2)[rings].sum()))
+    streams = np.random.SeedSequence(seed).spawn(len(sizes))
+    with ThreadPoolExecutor(min(len(sizes), len(os.sched_getaffinity(0)))) as pool:
+        return list(pool.map(block, streams, sizes))
 
 
 def _summary(values: np.ndarray) -> tuple[int, float, float]:
@@ -94,22 +115,22 @@ def estimate_coverage(typical: TypicalNode, scenario: Scenario, trials: int,
                       ) -> tuple[MCEstimate, MCEstimate, MCEstimate]:
     """Estimate (H1, Q1, C1) by sampling the interference. Deterministic per seed."""
     (i,) = sf_indices(typical, topology=scenario.topology)
-    rng = np.random.default_rng(seed)
-    fading = (np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-              if shared_fading else None)
     h1 = connection_probability(typical, scenario.radio, scenario.thresholds)
     weights = scenario.thresholds.sir_linear[i] / _received_mw(typical.distance_m,
                                                                scenario.radio)
     combine = np.maximum if shared_fading else np.add
-    q_parts, c_parts = [], []
-    for m in _chunks(trials):
+
+    def block(stream: np.random.SeedSequence, m: int):
+        rng = np.random.default_rng(stream)
+        fading = np.random.default_rng(stream.spawn(1)[0]) if shared_fading else None
         load = np.zeros(m)
         for j, w in enumerate(weights):
             combine(load, _ring_exponent(rng, scenario, j, m, w, fading), out=load)
         q = np.exp(np.negative(load, out=load), out=load)
-        q_parts.append(_summary(q))
-        if shared_fading:       # min(H1, q_t) = exp(-max(gamma sigma^2, max_j delta_j I_j) / S)
-            c_parts.append(_summary(np.minimum(q, h1)))
+        # min(H1, q_t) = exp(-max(gamma sigma^2, max_j delta_j I_j) / S)
+        return _summary(q), _summary(np.minimum(q, h1)) if shared_fading else None
+
+    q_parts, c_parts = zip(*_map_blocks(block, trials, slice(None), scenario, seed))
     q1 = _estimate(q_parts)
     # the cap holds the mean to the bounds it obeys in exact arithmetic
     c1 = (_estimate(c_parts, cap=min(h1, q1.mean)) if shared_fading
@@ -126,8 +147,11 @@ def estimate_sir_ring(typical: TypicalNode, ring_sf: int, scenario: Scenario,
     identical draws.
     """
     i, j = sf_indices(typical, ring_sf, topology=scenario.topology)
-    rng = np.random.default_rng(seed)
     weight = scenario.thresholds.sir_linear[i, j] / _received_mw(typical.distance_m,
                                                                  scenario.radio)
-    return _estimate([_summary(np.exp(-_ring_exponent(rng, scenario, j, m, weight, None)))
-                      for m in _chunks(trials)])
+
+    def block(stream: np.random.SeedSequence, m: int):
+        return _summary(np.exp(-_ring_exponent(np.random.default_rng(stream), scenario,
+                                               j, m, weight, None)))
+
+    return _estimate(_map_blocks(block, trials, slice(j, j + 1), scenario, seed))

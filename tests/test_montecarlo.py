@@ -19,7 +19,7 @@ from loracell import (
 from loracell import montecarlo
 from loracell.coverage import noise_power_mw
 from loracell.montecarlo import (
-    _CHUNK,
+    _blocks,
     _estimate,
     _ring_exponent,
     _sum_by_trial,
@@ -278,22 +278,27 @@ class RecordedDraws:
 
 
 def test_fading_modes_draw_the_same_interferer_positions(monkeypatch):
-    logs = {False: [], True: []}
+    # blocks run on worker threads, so each block stream keeps its own log
+    logs = {False: {}, True: {}}
     original = montecarlo._ring_exponent
 
     def recording(rng, scenario, ring, trials, weight, fading):
-        return original(RecordedDraws(rng, logs[fading is not None]), scenario, ring,
-                        trials, weight, fading)
+        log = logs[fading is not None].setdefault(rng.bit_generator.seed_seq.spawn_key, [])
+        return original(RecordedDraws(rng, log), scenario, ring, trials, weight, fading)
 
     monkeypatch.setattr(montecarlo, "_ring_exponent", recording)
-    monkeypatch.setattr(montecarlo, "_CHUNK", 7_000)     # 3 chunks
+    monkeypatch.setattr(montecarlo, "_BLOCK", 35_000)    # 7,000 trials at N=500: 3 blocks
     typical = typical_at(SCN.topology, 1500.0)
     for shared_fading in (False, True):
         estimate_coverage(typical, SCN, trials=20_000, seed=31, shared_fading=shared_fading)
-    assert len(logs[True]) == len(logs[False]) == 3 * 6 * 3
-    for (name_a, a), (name_b, b) in zip(logs[False], logs[True]):
-        assert name_a == name_b != "exponential"
-        np.testing.assert_array_equal(a, b)
+    assert logs[True].keys() == logs[False].keys() == {(0,), (1,), (2,)}
+    assert (sum(map(len, logs[True].values())) == sum(map(len, logs[False].values()))
+            == 3 * 6 * 3)
+    for key, log in logs[False].items():
+        assert len(log) == len(logs[True][key])
+        for (name_a, a), (name_b, b) in zip(log, logs[True][key]):
+            assert name_a == name_b != "exponential"
+            np.testing.assert_array_equal(a, b)
 
 
 @pytest.mark.parametrize("ring_sf", SF_RANGE)
@@ -325,13 +330,18 @@ def brute_force_coverage(typical, scn, trials, seed, shared_fading):
     """(H1, Q1, C1) with the typical node's fading drawn, not averaged.
 
     The interference is drawn exactly as `estimate_coverage` draws it for the
-    same seed (one chunk), so the two differ only by the fading draws.
+    same seed (the same trial blocks and block streams), so the two differ only
+    by the fading draws.
     """
-    assert trials <= _CHUNK
-    rng = np.random.default_rng(seed)
-    inter_fading = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    interference = [_ring_exponent(rng, scn, j, trials, 1.0, inter_fading)
-                    for j in range(len(SF_RANGE))]
+    topo = scn.topology
+    sizes = _blocks(trials, float(np.sum(topo.intensities * topo.ring_areas_m2)))
+    per_block = []
+    for stream, m in zip(np.random.SeedSequence(seed).spawn(len(sizes)), sizes):
+        rng = np.random.default_rng(stream)
+        inter_fading = np.random.default_rng(stream.spawn(1)[0])
+        per_block.append([_ring_exponent(rng, scn, j, m, 1.0, inter_fading)
+                          for j in range(len(SF_RANGE))])
+    interference = [np.concatenate(ring) for ring in zip(*per_block)]
     fading = np.random.default_rng(seed + 1)
     i = typical.sf - SF_RANGE[0]
     radio = scn.radio
@@ -363,7 +373,7 @@ def test_averaged_fading_matches_drawn_fading(shared_fading, sir_db):
 
 
 def test_chunked_estimate_pools_every_trial(monkeypatch):
-    monkeypatch.setattr(montecarlo, "_CHUNK", 7_000)     # 8 chunks, the last of 1,000
+    monkeypatch.setattr(montecarlo, "_BLOCK", 35_000)    # 7,000 trials at N=500: 8 blocks
     typical = typical_at(SCN.topology, 1500.0)
     for shared_fading in (False, True):
         h1, q1, c1 = estimate_coverage(typical, SCN, trials=50_000, seed=12,
@@ -375,9 +385,64 @@ def test_chunked_estimate_pools_every_trial(monkeypatch):
 
 
 @pytest.mark.parametrize("trials", [0, -5])
-def test_estimators_reject_non_positive_trials(trials):
+def test_estimators_reject_non_positive_trials(trials, monkeypatch):
+    def no_pool(workers):
+        raise AssertionError(f"a pool of {workers} workers was started")
+
+    # the trial count is checked before any block stream or worker pool
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", no_pool)
     typical = TypicalNode(1500.0, 8)
     with pytest.raises(ConfigurationError, match="trials must be at least 1"):
         estimate_coverage(typical, SCN, trials=trials, seed=1)
     with pytest.raises(ConfigurationError, match="trials must be at least 1"):
         estimate_sir_ring(typical, 9, SCN, trials=trials, seed=1)
+
+
+@pytest.mark.parametrize("trials, interferers, sizes", [
+    (200_000, 25.0, [10_000] * 20),             # N=2500: 10,485 trials a block at most
+    (200_000, 2.5, [100_000] * 2),
+    (1_000_000, 0.0, [250_000] * 4),            # interferer-free: the trial cap
+    (7, 0.5, [7]),
+    (5, 1e9, [1] * 5),                          # one trial a block, whatever its load
+])
+def test_blocks_are_equal_and_interference_sized(trials, interferers, sizes):
+    assert _blocks(trials, interferers) == sizes
+
+
+@pytest.mark.parametrize("trials", [1, 999, 20_000, 262_145, 1_000_003])
+@pytest.mark.parametrize("interferers", [0.0, 5.0, 25.0, 3e5])
+def test_block_sizes_cover_trials_within_bounds(trials, interferers):
+    sizes = _blocks(trials, interferers)
+    assert sum(sizes) == trials and max(sizes) - min(sizes) <= 1
+    assert max(sizes) <= montecarlo._BLOCK
+    # as few blocks as the interferer budget allows
+    cap = max(1, int(montecarlo._BLOCK / max(interferers, 1.0)))
+    assert max(sizes) <= cap and len(sizes) == -(-trials // cap)
+
+
+def test_estimates_do_not_depend_on_worker_count(monkeypatch):
+    # N=2500 has 25 expected interferers a trial, so 30,000 trials are 3 blocks;
+    # one ring alone has 4.2, so 300,000 trials are 5
+    scn = SCN.with_node_count(2500)
+    typical = typical_at(scn.topology, 1500.0)
+    pools = []
+
+    class RecordedPool(montecarlo.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    def estimates():
+        return ([estimate_coverage(typical, scn, 30_000, seed=17, shared_fading=shared)
+                 for shared in (False, True)]
+                + [estimate_sir_ring(typical, typical.sf, scn, 300_000, seed=17)])
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordedPool)
+    runs = {}
+    for cores in (1, 2, 8):
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity",
+                            lambda pid, cores=cores: set(range(cores)))
+        runs[cores] = estimates()
+    assert pools == [1, 1, 1, 2, 2, 2, 3, 3, 5]
+    monkeypatch.undo()
+    assert runs[1] == runs[2] == runs[8] == estimates()

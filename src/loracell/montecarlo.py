@@ -5,15 +5,15 @@ Poisson interferer counts per SF ring (intensity alpha_j over the ring area),
 uniform positions inside each ring and unit-mean exponential Rayleigh fading.
 The trials of a call are split into equal blocks of about 2^18 expected
 interferers over the rings drawn, and at most 2^18 trials, so memory stays
-bounded and a block's arrays stay near the cache. Block k draws from its own
-generator, SeedSequence(seed).spawn(n_blocks)[k]. Per ring and block of m
-trials one Poisson(mean * m) total is drawn and each interferer gets a
-uniform trial label; by Poisson splitting the per-trial counts are iid
+bounded and each per-interferer array (about 2 MiB) stays cache-sized. Block k
+draws from its own generator, SeedSequence(seed).spawn(n_blocks)[k]. Per ring
+and block of m trials one Poisson(mean * m) total is drawn and each interferer
+gets a uniform trial label; by Poisson splitting the per-trial counts are iid
 Poisson(mean). The block layout depends only on the trial count and the ring
-intensities, so thresholds and the fading mode never alter the positions
-drawn from the seed (common random numbers). Blocks run on worker threads
-(numpy's draws and ufuncs release the GIL) and their summaries are pooled in
-block order, so every estimate is the same for any number of cores.
+intensities, so thresholds and the fading mode never alter the positions drawn
+from the seed (common random numbers). Blocks run on up to one worker thread
+per core (numpy's draws and ufuncs release the GIL) and their summaries are
+pooled in block order, so every estimate is the same for any number of cores.
 
 Fading is averaged out wherever the estimand allows. With mean signal S,
 P(S h > x) = exp(-x / S), so H1 = exp(-gamma sigma^2 / S) is exact (SE 0).
@@ -58,12 +58,16 @@ def _blocks(trials: int, interferers_per_trial: float) -> list[int]:
 
 
 def _map_blocks(block, trials: int, rings: slice, scenario: Scenario, seed: int) -> list:
-    """`block(stream, m)` over the call's trial blocks on worker threads, block k
-    drawing from `SeedSequence(seed).spawn(n_blocks)[k]`; results in block order."""
+    """`block(stream, m)` over the call's trial blocks, on up to one worker thread
+    per core, block k drawing from `SeedSequence(seed).spawn(n_blocks)[k]`;
+    results in block order."""
     topo = scenario.topology
     sizes = _blocks(trials, float((topo.intensities * topo.ring_areas_m2)[rings].sum()))
     streams = np.random.SeedSequence(seed).spawn(len(sizes))
-    with ThreadPoolExecutor(min(len(sizes), len(os.sched_getaffinity(0)))) as pool:
+    workers = min(len(sizes), len(os.sched_getaffinity(0)))
+    if workers == 1:        # a thread would only add its start-up and hand-off
+        return list(map(block, streams, sizes))
+    with ThreadPoolExecutor(workers) as pool:
         return list(pool.map(block, streams, sizes))
 
 
@@ -72,7 +76,7 @@ def _summary(values: np.ndarray) -> tuple[int, float, float]:
 
 
 def _estimate(parts: list[tuple[int, float, float]], cap: float = 1.0) -> MCEstimate:
-    """Mean (at most `cap`) and sample standard error from per-chunk summaries."""
+    """Mean (at most `cap`) and sample standard error from per-block summaries."""
     size, mean, var = np.array(parts).T
     n = int(size.sum())
     pooled = float((size * mean).sum() / n)

@@ -60,7 +60,7 @@ def test_standard_error_formula():
     for est in (q1, c1):
         assert est.trials == 40_000
         assert 0.0 < est.standard_error <= np.sqrt(est.mean * (1 - est.mean) / est.trials)
-    # chunk summaries pool to the sample SE of all values (variance over n)
+    # block summaries pool to the sample SE of all values (variance over n)
     values = np.array([0.25, 0.5, 1.0, 0.0, 0.75, 0.1, 0.9])
     pooled = _estimate([_summary(values[:3]), _summary(values[3:5]), _summary(values[5:])])
     assert pooled.trials == 7
@@ -443,6 +443,6 @@ def test_estimates_do_not_depend_on_worker_count(monkeypatch):
         monkeypatch.setattr(montecarlo.os, "sched_getaffinity",
                             lambda pid, cores=cores: set(range(cores)))
         runs[cores] = estimates()
-    assert pools == [1, 1, 1, 2, 2, 2, 3, 3, 5]
+    assert pools == [2, 2, 2, 3, 3, 5]         # one core runs the blocks in the caller
     monkeypatch.undo()
     assert runs[1] == runs[2] == runs[8] == estimates()

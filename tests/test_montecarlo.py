@@ -421,8 +421,10 @@ def test_block_sizes_cover_trials_within_bounds(trials, interferers):
 
 
 def test_estimates_do_not_depend_on_worker_count(monkeypatch):
-    # N=2500 has 25 expected interferers a trial, so 30,000 trials are 3 blocks;
-    # one ring alone has 4.2, so 300,000 trials are 5
+    # a 2^15 budget splits N=2500 (25 expected interferers a trial) into blocks
+    # of 1,310 trials, so 30,000 trials are 23 blocks; one ring alone (4.2 a
+    # trial) takes blocks of 7,864, so 300,000 trials are 39
+    monkeypatch.setattr(montecarlo, "_BLOCK", 1 << 15)
     scn = SCN.with_node_count(2500)
     typical = typical_at(scn.topology, 1500.0)
     pools = []
@@ -443,6 +445,18 @@ def test_estimates_do_not_depend_on_worker_count(monkeypatch):
         monkeypatch.setattr(montecarlo.os, "sched_getaffinity",
                             lambda pid, cores=cores: set(range(cores)))
         runs[cores] = estimates()
-    assert pools == [2, 2, 2, 3, 3, 5]         # one core runs the blocks in the caller
-    monkeypatch.undo()
+    # one core runs the blocks in the caller; a worker takes at least 4 blocks
+    assert pools == [2, 2, 2, 5, 5, 8]
     assert runs[1] == runs[2] == runs[8] == estimates()
+
+
+def test_few_blocks_run_in_the_caller(monkeypatch):
+    def no_pool(workers):
+        raise AssertionError(f"a pool of {workers} workers was started")
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(8)))
+    scn = SCN.with_node_count(2500)             # 10,485 trials a block
+    typical = typical_at(scn.topology, 1500.0)
+    _, q1, _ = estimate_coverage(typical, scn, 7 * 10_485, seed=3)   # 7 blocks
+    assert q1.trials == 7 * 10_485

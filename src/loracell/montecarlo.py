@@ -11,10 +11,9 @@ and block of m trials one Poisson(mean * m) total is drawn and each interferer
 gets a uniform trial label; by Poisson splitting the per-trial counts are iid
 Poisson(mean). The block layout depends only on the trial count and the ring
 intensities, so thresholds and the fading mode never alter the positions drawn
-from the seed (common random numbers). A call of at least 8 blocks runs them
-on worker threads, up to one per core and per 4 blocks (numpy's draws and
-ufuncs release the GIL); summaries are pooled in block order, so every
-estimate is the same for any number of cores.
+from the seed (common random numbers). A block depends only on its own
+stream and size, and summaries are pooled in block order, so blocks may run
+in any order or at once without changing an estimate.
 
 Fading is averaged out wherever the estimand allows. With mean signal S,
 P(S h > x) = exp(-x / S), so H1 = exp(-gamma sigma^2 / S) is exact (SE 0).
@@ -30,8 +29,6 @@ standard errors of the per-trial values (variance over n); C1 <= min(H1, Q1).
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,9 +37,6 @@ from .coverage import TypicalNode, connection_probability, path_gain, sf_indices
 from .scenario import ConfigurationError, RadioConfig, Scenario
 
 _BLOCK = 1 << 18       # expected interferers, and the trial cap, of one block
-# A pool pays only when each worker pulls several blocks: a worker that starts
-# late or loses its core then holds up one block, not a share of the call.
-_BLOCKS_PER_WORKER = 4
 
 
 @dataclass(frozen=True)
@@ -62,17 +56,11 @@ def _blocks(trials: int, interferers_per_trial: float) -> list[int]:
 
 
 def _map_blocks(block, trials: int, rings: slice, scenario: Scenario, seed: int) -> list:
-    """`block(stream, m)` over the call's trial blocks, on up to one worker thread
-    per core and per `_BLOCKS_PER_WORKER` blocks, block k drawing from
-    `SeedSequence(seed).spawn(n_blocks)[k]`; results in block order."""
+    """`block(stream, m)` over the call's trial blocks in block order, block k
+    drawing from `SeedSequence(seed).spawn(n_blocks)[k]`."""
     topo = scenario.topology
     sizes = _blocks(trials, float((topo.intensities * topo.ring_areas_m2)[rings].sum()))
-    streams = np.random.SeedSequence(seed).spawn(len(sizes))
-    workers = min(len(sizes) // _BLOCKS_PER_WORKER, len(os.sched_getaffinity(0)))
-    if workers <= 1:        # a thread would only add its start-up and hand-off
-        return list(map(block, streams, sizes))
-    with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(block, streams, sizes))
+    return list(map(block, np.random.SeedSequence(seed).spawn(len(sizes)), sizes))
 
 
 def _summary(values: np.ndarray) -> tuple[int, float, float]:

@@ -1,3 +1,4 @@
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -385,12 +386,7 @@ def test_chunked_estimate_pools_every_trial(monkeypatch):
 
 
 @pytest.mark.parametrize("trials", [0, -5])
-def test_estimators_reject_non_positive_trials(trials, monkeypatch):
-    def no_pool(workers):
-        raise AssertionError(f"a pool of {workers} workers was started")
-
-    # the trial count is checked before any block stream or worker pool
-    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", no_pool)
+def test_estimators_reject_non_positive_trials(trials):
     typical = TypicalNode(1500.0, 8)
     with pytest.raises(ConfigurationError, match="trials must be at least 1"):
         estimate_coverage(typical, SCN, trials=trials, seed=1)
@@ -420,43 +416,25 @@ def test_block_sizes_cover_trials_within_bounds(trials, interferers):
     assert max(sizes) <= cap and len(sizes) == -(-trials // cap)
 
 
-def test_estimates_do_not_depend_on_worker_count(monkeypatch):
-    # a 2^15 budget splits N=2500 (25 expected interferers a trial) into blocks
-    # of 1,310 trials, so 30,000 trials are 23 blocks; one ring alone (4.2 a
-    # trial) takes blocks of 7,864, so 300,000 trials are 39
-    monkeypatch.setattr(montecarlo, "_BLOCK", 1 << 15)
+def test_blocks_pool_to_the_same_estimate_in_any_order_or_at_once(monkeypatch):
+    # a block depends only on its own stream and size, so a driver that runs
+    # the blocks backwards or on threads pools them to the same bits
+    monkeypatch.setattr(montecarlo, "_BLOCK", 1 << 15)   # N=2500: 23 blocks; one ring: 39
     scn = SCN.with_node_count(2500)
     typical = typical_at(scn.topology, 1500.0)
-    pools = []
-
-    class RecordedPool(montecarlo.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers)
 
     def estimates():
         return ([estimate_coverage(typical, scn, 30_000, seed=17, shared_fading=shared)
                  for shared in (False, True)]
                 + [estimate_sir_ring(typical, typical.sf, scn, 300_000, seed=17)])
 
-    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordedPool)
-    runs = {}
-    for cores in (1, 2, 8):
-        monkeypatch.setattr(montecarlo.os, "sched_getaffinity",
-                            lambda pid, cores=cores: set(range(cores)))
-        runs[cores] = estimates()
-    # one core runs the blocks in the caller; a worker takes at least 4 blocks
-    assert pools == [2, 2, 2, 5, 5, 8]
-    assert runs[1] == runs[2] == runs[8] == estimates()
+    def backwards(block, streams, sizes):
+        return [block(stream, m) for stream, m in zip(streams[::-1], sizes[::-1])][::-1]
 
-
-def test_few_blocks_run_in_the_caller(monkeypatch):
-    def no_pool(workers):
-        raise AssertionError(f"a pool of {workers} workers was started")
-
-    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", no_pool)
-    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(8)))
-    scn = SCN.with_node_count(2500)             # 10,485 trials a block
-    typical = typical_at(scn.topology, 1500.0)
-    _, q1, _ = estimate_coverage(typical, scn, 7 * 10_485, seed=3)   # 7 blocks
-    assert q1.trials == 7 * 10_485
+    in_order = estimates()
+    assert estimates() == in_order
+    monkeypatch.setattr(montecarlo, "map", backwards, raising=False)
+    assert estimates() == in_order
+    with ThreadPoolExecutor(4) as pool:
+        monkeypatch.setattr(montecarlo, "map", pool.map, raising=False)
+        assert estimates() == in_order

@@ -5,15 +5,15 @@ Poisson interferer counts per SF ring (intensity alpha_j over the ring area),
 uniform positions inside each ring and unit-mean exponential Rayleigh fading.
 The trials of a call are split into equal blocks of about 2^18 expected
 interferers over the rings drawn, and at most 2^18 trials, so memory stays
-bounded and each per-interferer array (about 2 MiB) stays cache-sized. Block k
-draws from its own generator, SeedSequence(seed).spawn(n_blocks)[k]. Per ring
-and block of m trials one Poisson(mean * m) total is drawn and each interferer
-gets a uniform trial label; by Poisson splitting the per-trial counts are iid
-Poisson(mean). The block layout depends only on the trial count and the ring
-intensities, so thresholds and the fading mode never alter the positions drawn
-from the seed (common random numbers). A block depends only on its own
-stream and size, and summaries are pooled in block order, so blocks may run
-in any order or at once without changing an estimate.
+bounded and a block's arrays stay cache-sized (about 2 MiB each at most).
+Block k draws from its own generator, SeedSequence(seed).spawn(n_blocks)[k].
+Per ring and block of m trials one Poisson(mean * m) total is drawn and each
+interferer gets a uniform trial label; by Poisson splitting the per-trial
+counts are iid Poisson(mean). The block layout depends only on the trial count
+and the ring intensities, so thresholds and the fading mode never alter the
+positions drawn from the seed (common random numbers). A block depends only on
+its own stream and size, and summaries are pooled in block order, so blocks
+may run in any order or at once without changing an estimate.
 
 Fading is averaged out wherever the estimand allows. With mean signal S,
 P(S h > x) = exp(-x / S), so H1 = exp(-gamma sigma^2 / S) is exact (SE 0).

@@ -5,9 +5,18 @@ fail when a change moves an output by one ulp. A deliberate output change
 regenerates the affected pins, and CHANGES.md says which ones and why. The
 pins were made with the library versions in `PINNED_WITH`; a mismatch on
 another numpy or scipy reads as a stack difference to report, not as a fault.
+
+Run as a script, `PYTHONPATH=src python tests/test_output_pins.py`, it
+prints every pin's current value in this module's literal layout, ready to
+paste over the literals it replaces.
 """
 
+import contextlib
 import hashlib
+import io
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,9 +24,11 @@ import scipy
 
 from loracell import (
     MCEstimate,
+    PacketEvent,
     default_scenario,
     estimate_coverage,
     estimate_sir_ring,
+    resolve_reception,
     typical_at,
 )
 from loracell.cli import EXIT_OK, main
@@ -106,25 +117,194 @@ MC_CSV_SHA256 = {
 }
 
 
+# `loracell <argv>` into an empty directory -> SHA-256 of each file it writes.
+# A manifest is hashed without its timestamp and with its output path reduced
+# to the file name, so the pin covers every other field.
+CLI_RUNS = {
+    "reproduce_fig2": ["reproduce", "fig2"],
+    "reproduce_fig3": ["reproduce", "fig3", "--replications", "1", "--seed", "3"],
+    "reproduce_fig4": ["reproduce", "fig4", "--replications", "1", "--seed", "3"],
+    "coverage_counts": ["coverage", "--scenario", "coverage_eu868.ini", "--grid-step", "100",
+                        "--node-counts", "250,2500"],
+    "coverage_validate": ["coverage", "--scenario", "coverage_eu868.ini", "--grid-step", "500",
+                          "--validate", "--trials", str(TRIALS)],
+    "simulate_n2_iic": ["simulate", "--scenario", "sim_n2.ini", "--model", "IIC",
+                        "--loads", "0.3,1.0", "--replications", "2"],
+}
+CLI_SHA256 = {
+    "reproduce_fig2": {
+        "fig2_coverage.csv": "984a68ffdf89432b34edc3471eaa67a7c1546690af6158c164bd9b59bf67ed1d",
+        "fig2_coverage.csv.manifest.json": "5c2645a02d21b0494e2515d0a0a30f0fd31291d9c7b967ca1e9a13f4dfcf871e",
+        "fig2_coverage.dat": "316899844a1a139d9a9ddd9d4e5b78b3b8e7ea241febe8883ecb35147b6868a4",
+    },
+    "reproduce_fig3": {
+        "fig3_throughput.csv": "ef629edcde290d933d5894c4bcc3c3b3fc5a836d90b3cf12a4e4054993409725",
+        "fig3_throughput.csv.manifest.json": "f3583ec058689daaceb66d5da90fa1f77457a877606fe8507a276d421d6af1fa",
+        "fig3_throughput.dat": "94c94cff5c012ec915323f372eba9ab0631f20edd59ded9bf68736e93bfd5e63",
+    },
+    "reproduce_fig4": {
+        "fig4_pdr.csv": "8bde6c0d298688c56320f321e8f655755d5abf24432055fc3a1d666c4663a584",
+        "fig4_pdr.csv.manifest.json": "cecb11f773412381342bd5d7babf002db4e9b0bfad8a59ac8b4527c8a88470c8",
+        "fig4_pdr.dat": "55b5743f85e2bf45576613effa95a1f8181f3c8bd363649d3d0e2fabe622d5b7",
+    },
+    "coverage_counts": {
+        "out_N250.csv": "71b34fb5388158329dad72713cab7241d9a14c814ca93e7cbefd3277a97fe208",
+        "out_N250.csv.manifest.json": "e94ba9cec04f8a04ecded3b87f72854a081504a27d4e7e4b6417be502c385a5c",
+        "out_N2500.csv": "8e419c510414813856a8f98b873b69544c808c6d865f354c2b6db0038d8b1b51",
+        "out_N2500.csv.manifest.json": "9b462f6cf31aee166126eac8fd06bdb7dfc4cf7761afcb030509c85a227a2f68",
+    },
+    "coverage_validate": {
+        "out.csv": "2a7ab8e593a4b15701d5a6f2fdbf4bbec337d9046c8751b5a4892ad3ad15092a",
+        "out.csv.manifest.json": "977609ba05d80e6bf436f4708bcd2d8a563053749265b805dcd2afb2132f77fa",
+    },
+    "simulate_n2_iic": {
+        "out.csv": "3f3d42ad8b072e6b6972a97fb686d1a6eb0fcd5c19ec006ed07b3957636bb56d",
+        "out.csv.manifest.json": "38baf6f26c53518395e98510237407273e9b88927dcda1f9a4ce3251a3e2986e",
+    },
+}
+# model -> SHA-256 of the `resolve_reception` flags over `reception_packets()`
+RECEPTION_SHA256 = {
+    "BP": "a032f8c8e1d62ba9d9707ba6384acdcbbc68c6660631c759fd4a33f35b2fb0b1",
+    "IC": "ce4fcac7313b4b1503035327dd4516a9c6de5a7adba3d89d261efbabeac2e42c",
+    "IIC": "dca5ee63f2b2212d07460835db836d26be1416e89eb8ba100b9faf8edb1210fc",
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def mc_coverage(count: int, distance: float, shared_fading: bool):
+    scn = COV.with_node_count(count)
+    return estimate_coverage(typical_at(scn.topology, distance), scn, TRIALS, SEED,
+                             shared_fading=shared_fading)
+
+
+def mc_sir_ring() -> MCEstimate:
+    scn = COV.with_node_count(2500)
+    typical = typical_at(scn.topology, 1500.0)
+    return estimate_sir_ring(typical, typical.sf, scn, TRIALS, SEED)
+
+
+def mc_csv_sha256(shared_fading: bool, outdir: Path) -> str:
+    out = outdir / "mc.csv"
+    argv = ["mc", "--scenario", "coverage_eu868.ini", "--out", str(out),
+            "--distances", "300,1500,2900", "--trials", str(TRIALS)]
+    assert main(argv + ["--shared-fading"] * shared_fading) == EXIT_OK
+    return sha256(out.read_bytes())
+
+
+def cli_sha256(run: str, outdir: Path) -> dict[str, str]:
+    argv = CLI_RUNS[run]
+    out = ["--outdir", str(outdir)] if argv[0] == "reproduce" else ["--out", str(outdir / "out.csv")]
+    assert main(argv + out) == EXIT_OK
+    pins = {}
+    for path in sorted(outdir.iterdir()):
+        data = path.read_bytes()
+        if path.name.endswith(".manifest.json"):
+            manifest = json.loads(data)
+            del manifest["timestamp"]
+            manifest["output_path"] = Path(manifest["output_path"]).name
+            data = json.dumps(manifest, indent=2).encode("utf-8")
+        pins[path.name] = sha256(data)
+    return pins
+
+
+def reception_packets() -> list[PacketEvent]:
+    """Unsorted packets of every SF on four oddly labelled channels. Starts and
+    airtimes are multiples of 1/8 s, so sums are exact: many starts tie, and
+    the second half each start exactly where a packet of the first half ends."""
+    rng = np.random.default_rng(SEED)
+    n = 300
+    starts = rng.integers(0, 480, n) / 8.0
+    durs = rng.integers(1, 9, n) / 8.0
+    starts[n // 2:] = starts[:n // 2] + durs[:n // 2]
+    sfs = rng.integers(7, 13, n)
+    dbm = np.round(rng.uniform(-135.0, -80.0, n))
+    channels = rng.choice([-3, 0, 7, 868_100_000], n)
+    return [PacketEvent(node=k, sf=int(sfs[k]), start_s=float(starts[k]),
+                        duration_s=float(durs[k]), rx_power_dbm=float(dbm[k]),
+                        channel=int(channels[k])) for k in range(n)]
+
+
+def reception_flags(model: str) -> list[bool]:
+    n2 = default_scenario("sim_n2")
+    return resolve_reception(reception_packets(), model, n2.thresholds, n2.radio)
+
+
 @pytest.mark.parametrize("count, distance, shared_fading", sorted(MC_COVERAGE))
 def test_monte_carlo_coverage_pinned(count, distance, shared_fading):
-    scn = COV.with_node_count(count)
-    got = estimate_coverage(typical_at(scn.topology, distance), scn, TRIALS, SEED,
-                            shared_fading=shared_fading)
+    got = mc_coverage(count, distance, shared_fading)
     assert repr(got) == repr(MC_COVERAGE[count, distance, shared_fading]), STACK
 
 
 def test_monte_carlo_sir_ring_pinned():
-    scn = COV.with_node_count(2500)
-    typical = typical_at(scn.topology, 1500.0)
-    got = estimate_sir_ring(typical, typical.sf, scn, TRIALS, SEED)
-    assert repr(got) == repr(MC_SIR_RING), STACK
+    assert repr(mc_sir_ring()) == repr(MC_SIR_RING), STACK
 
 
 @pytest.mark.parametrize("shared_fading", [False, True])
 def test_mc_csv_pinned(shared_fading, tmp_path, capsys):
-    out = tmp_path / "mc.csv"
-    argv = ["mc", "--scenario", "coverage_eu868.ini", "--out", str(out),
-            "--distances", "300,1500,2900", "--trials", str(TRIALS)]
-    assert main(argv + ["--shared-fading"] * shared_fading) == EXIT_OK
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == MC_CSV_SHA256[shared_fading], STACK
+    assert mc_csv_sha256(shared_fading, tmp_path) == MC_CSV_SHA256[shared_fading], STACK
+
+
+@pytest.mark.parametrize("run", sorted(CLI_RUNS))
+def test_cli_outputs_pinned(run, tmp_path, capsys):
+    assert cli_sha256(run, tmp_path) == CLI_SHA256[run], STACK
+
+
+@pytest.mark.parametrize("model", sorted(RECEPTION_SHA256))
+def test_resolve_reception_pinned(model):
+    flags = reception_flags(model)
+    # the set must exercise both outcomes, or the pin shows little
+    assert 0 < sum(flags) < len(flags)
+    assert sha256(bytes(flags)) == RECEPTION_SHA256[model], STACK
+
+
+def _q(value) -> str:
+    return json.dumps(value) if isinstance(value, str) else repr(value)
+
+
+def _literal(name: str, pins: dict) -> str:
+    """`name = {...}` with one key per line, as the literals above are laid out."""
+    lines = [f"{name} = {{"]
+    for key, pin in pins.items():
+        if isinstance(pin, dict):
+            lines.append(f"    {_q(key)}: {{")
+            lines += [f"        {_q(k)}: {_q(v)}," for k, v in pin.items()]
+            lines.append("    },")
+        else:
+            lines.append(f"    {_q(key)}: {_q(pin)},")
+    return "\n".join(lines + ["}"])
+
+
+def _est(estimate: MCEstimate) -> str:
+    return f"est({estimate.mean!r}, {estimate.standard_error!r})"
+
+
+def regenerate() -> None:
+    """Print every pin's current value in this module's literal layout."""
+    print(f"PINNED_WITH = {json.dumps({'numpy': np.__version__, 'scipy': scipy.__version__})}")
+    print("MC_COVERAGE = {")
+    for key in MC_COVERAGE:
+        print(f"    {key!r}: (")
+        print("".join(f"        {_est(e)},\n" for e in mc_coverage(*key)) + "    ),")
+    print("}")
+    print(f"MC_SIR_RING = {_est(mc_sir_ring())}")
+    # the CLI's report lines would interleave with the literals
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        mc = {}
+        for shared_fading in (False, True):
+            (Path(tmp) / str(shared_fading)).mkdir()
+            mc[shared_fading] = mc_csv_sha256(shared_fading, Path(tmp) / str(shared_fading))
+        cli = {}
+        for run in CLI_RUNS:
+            (Path(tmp) / run).mkdir()
+            cli[run] = cli_sha256(run, Path(tmp) / run)
+    print(_literal("MC_CSV_SHA256", mc))
+    print(_literal("CLI_SHA256", cli))
+    print(_literal("RECEPTION_SHA256",
+                   {model: sha256(bytes(reception_flags(model))) for model in ("BP", "IC", "IIC")}))
+
+
+if __name__ == "__main__":
+    regenerate()

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 import time
 from dataclasses import replace
@@ -41,7 +40,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
-_CASE_FILES = {"N1": "sim_n1", "N2": "sim_n2"}
 _FIGURES = ("fig2", "fig3", "fig4")
 
 
@@ -65,19 +63,23 @@ def _scenario_digest(scenario: Scenario) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _write_manifest(out_path: Path, command: str, scenario_path: str,
-                    scenarios: dict[str, Scenario], seed: int | None) -> None:
+def _emit(out: Path, header: list[str], rows: list[list], command: str, scenario_path: str,
+          scenarios: dict[str, Scenario], seed: int | None) -> None:
+    """Write the CSV and its manifest, which records the digest of every
+    scenario the rows came from, and report the row count."""
+    _write_table(out, header, rows)
     manifest = {
         "command": command,
         "scenario_path": str(scenario_path),
-        "output_path": str(out_path),
+        "output_path": str(out),
         "seed": seed,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "tool_version": __version__,
         "config_digests": {label: _scenario_digest(scn) for label, scn in scenarios.items()},
     }
-    path = out_path.with_suffix(out_path.suffix + ".manifest.json")
+    path = out.with_suffix(out.suffix + ".manifest.json")
     path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    print(f"{command}: wrote {len(rows)} rows to {out}")
 
 
 def _override(scenario: Scenario, **values) -> Scenario:
@@ -86,8 +88,19 @@ def _override(scenario: Scenario, **values) -> Scenario:
     return validate(replace(scenario, **{k: v for k, v in values.items() if v is not None}))
 
 
-def _load(args) -> tuple[Scenario, str]:
-    return _override(load_scenario(args.scenario), rng_seed=args.seed), str(args.scenario)
+def _load(args, **values) -> tuple[Scenario, str]:
+    """The --scenario file with --seed and the given overrides applied, and its path."""
+    scenario = _override(load_scenario(args.scenario), rng_seed=args.seed, **values)
+    return scenario, str(args.scenario)
+
+
+def _grid(radius: float, step: float) -> np.ndarray:
+    """The multiples of `step` in (0, radius]."""
+    if not 0 < step <= radius:
+        raise ConfigurationError(f"--grid-step must be finite and positive and at most the "
+                                 f"cell radius {radius} m, got {step}")
+    distances = np.arange(step, radius + step / 2, step)
+    return distances[distances <= radius]
 
 
 def _coverage_rows(scenario: Scenario, distances) -> tuple[list[str], list[list]]:
@@ -99,11 +112,7 @@ def _coverage_rows(scenario: Scenario, distances) -> tuple[list[str], list[list]
 
 def cmd_coverage(args) -> int:
     scenario, spath = _load(args)
-    step = args.grid_step
-    if not 0 < step < math.inf:
-        raise ConfigurationError(f"--grid-step must be finite and positive, got {step}")
-    radius = scenario.topology.cell_radius_m
-    distances = np.arange(step, radius + step / 2, step)
+    distances = _grid(scenario.topology.cell_radius_m, args.grid_step)
     counts = args.node_counts or [scenario.node_count]
     if min(counts) < 1:
         raise ConfigurationError(f"--node-counts: counts must be at least 1, got {min(counts)}")
@@ -120,9 +129,7 @@ def cmd_coverage(args) -> int:
         out = Path(args.out)
         if multi:
             out = out.with_name(f"{out.stem}_N{count}{out.suffix}")
-        _write_table(out, header, rows)
-        _write_manifest(out, "coverage", spath, {Path(spath).stem: scn}, scn.rng_seed)
-        print(f"coverage: wrote {len(rows)} rows to {out}")
+        _emit(out, header, rows, "coverage", spath, {Path(spath).stem: scn}, scn.rng_seed)
     return EXIT_OK
 
 
@@ -137,35 +144,22 @@ def cmd_mc(args) -> int:
                                        shared_fading=args.shared_fading)
         rows.append([d, typical.sf, args.trials, h1.mean, h1.standard_error,
                      q1.mean, q1.standard_error, c1.mean, c1.standard_error])
-    out = Path(args.out)
-    _write_table(out, header, rows)
-    _write_manifest(out, "mc", spath, {Path(spath).stem: scenario}, scenario.rng_seed)
-    print(f"mc: wrote {len(rows)} rows to {out}")
+    _emit(Path(args.out), header, rows, "mc", spath, {Path(spath).stem: scenario},
+          scenario.rng_seed)
     return EXIT_OK
 
 
-def _simulate_scenario(args) -> tuple[Scenario, str]:
-    if not (args.scenario or args.case):
-        raise ConfigurationError("simulate: provide --scenario or --case")
-    spath = str(args.scenario or f"{_CASE_FILES[args.case]}.ini")
-    scenario = _override(load_scenario(spath), collision_model=args.model, rng_seed=args.seed,
-                         replications=args.replications, offered_loads=_loads(args.loads))
-    return scenario, spath
-
-
 def _loads(text: str | None) -> tuple[float, ...] | None:
-    """The --loads comma list as floats; None when the flag was not given."""
+    """The --loads comma list as floats; None when the flag was not given.
+    Their range is a scenario check, so `validate` applies it."""
     if text is None:
         return None
     if not text.strip():
         raise ConfigurationError("--loads: must not be empty")
     try:
-        loads = tuple(float(v) for v in text.split(","))
+        return tuple(float(v) for v in text.split(","))
     except ValueError as exc:
         raise ConfigurationError(f"--loads: {exc}") from None
-    if not all(0 < g <= 1 for g in loads):
-        raise ConfigurationError(f"--loads: loads must be finite and in (0, 1], got {text}")
-    return loads
 
 
 def _sim_rows(outcomes) -> tuple[list[str], list[list]]:
@@ -178,7 +172,8 @@ def _sim_rows(outcomes) -> tuple[list[str], list[list]]:
 
 
 def cmd_simulate(args) -> int:
-    scenario, spath = _simulate_scenario(args)
+    scenario, spath = _load(args, collision_model=args.model, replications=args.replications,
+                            offered_loads=_loads(args.loads))
     single_sf = len(set(scenario.sf_set)) == 1
     if scenario.collision_model == "IIC" and single_sf and not args.force:
         raise ConfigurationError(
@@ -186,80 +181,63 @@ def cmd_simulate(args) -> int:
             "interference cannot occur, IC gives identical results); "
             "pass --force to run it anyway"
         )
-    outcomes = sweep(scenario, jobs=args.jobs)
-    header, rows = _sim_rows(outcomes)
-    out = Path(args.out)
-    _write_table(out, header, rows)
-    _write_manifest(out, "simulate", spath, {Path(spath).stem: scenario},
-                    scenario.rng_seed)
-    print(f"simulate: wrote {len(rows)} rows to {out}")
+    header, rows = _sim_rows(sweep(scenario, jobs=args.jobs))
+    _emit(Path(args.out), header, rows, "simulate", spath, {Path(spath).stem: scenario},
+          scenario.rng_seed)
     return EXIT_OK
 
 
 def cmd_reproduce(args) -> int:
-    if args.figure not in _FIGURES:
-        raise ConfigurationError(
-            f"reproduce: unknown figure {args.figure!r}; valid ids: {', '.join(_FIGURES)}"
-        )
-    outdir = Path(args.outdir)
-
     if args.figure == "fig2":
         scenario = _override(default_scenario("coverage_eu868"), rng_seed=args.seed)
-        distances = np.arange(10.0, scenario.topology.cell_radius_m + 5.0, 10.0)
+        distances = _grid(scenario.topology.cell_radius_m, 10.0)
         counts = (250, 500, 2500)
         header = ["distance_m", "sf"] + [f"c1_N{count}" for count in counts]
         curves = [coverage_sweep(scenario.with_node_count(count), distances)
                   for count in counts]
         rows = [[d, scenario.topology.sf_at(float(d)), *(br.c1 for br in brs)]
                 for d, *brs in zip(distances, *curves)]
-        csv_path = outdir / "fig2_coverage.csv"
-        _write_table(csv_path, header, rows)
-        _write_table(outdir / "fig2_coverage.dat", header, rows, sep=" ")
-        _write_manifest(csv_path, "reproduce fig2", "coverage_eu868.ini",
-                        {"coverage_eu868": scenario}, scenario.rng_seed)
-        print(f"reproduce fig2: wrote {csv_path}")
-        return EXIT_OK
-
-    # fig3 (throughput) and fig4 (PDR) share the same sweeps
-    runs = [
-        ("n1_bp", "N1", "BP"),
-        ("n1_ic", "N1", "IC"),
-        ("n2_bp", "N2", "BP"),
-        ("n2_ic", "N2", "IC"),
-        ("n2_iic", "N2", "IIC"),
-    ]
-    scenarios = {}
-    results = {}
-    for name, case, model in runs:
-        scenario = _override(default_scenario(_CASE_FILES[case]), collision_model=model,
-                             rng_seed=args.seed, replications=args.replications)
-        scenarios[name] = scenario
-        results[name] = sweep(scenario, jobs=args.jobs)
-
-    loads = [o.offered_load for o in results["n1_bp"]]
-    if args.figure == "fig3":
-        header = (["offered_g", "aloha_theory"]
-                  + [f"s_{name}" for name, _, _ in runs]
-                  + ["s_n1_ic_x5"])
-        rows = []
-        for k, g in enumerate(loads):
-            theory = pure_aloha_throughput(results["n1_bp"][k].measured_g)
-            svals = [results[name][k].throughput for name, _, _ in runs]
-            proj = multichannel_projection(results["n1_ic"][k], 5).throughput
-            rows.append([g, theory, *svals, proj])
-        stem = "fig3_throughput"
+        stem, spath, seed = "fig2_coverage", "coverage_eu868.ini", scenario.rng_seed
+        scenarios = {"coverage_eu868": scenario}
     else:
-        header = ["offered_g"] + [f"pdr_{name}" for name, _, _ in runs]
-        rows = [[g, *[results[name][k].pdr for name, _, _ in runs]]
-                for k, g in enumerate(loads)]
-        stem = "fig4_pdr"
-    csv_path = outdir / f"{stem}.csv"
-    _write_table(csv_path, header, rows)
+        # fig3 (throughput) and fig4 (PDR) share the same sweeps
+        runs = {
+            "n1_bp": ("sim_n1", "BP"),
+            "n1_ic": ("sim_n1", "IC"),
+            "n2_bp": ("sim_n2", "BP"),
+            "n2_ic": ("sim_n2", "IC"),
+            "n2_iic": ("sim_n2", "IIC"),
+        }
+        scenarios = {}
+        results = {}
+        for name, (case, model) in runs.items():
+            scenario = _override(default_scenario(case), collision_model=model,
+                                 rng_seed=args.seed, replications=args.replications)
+            scenarios[name] = scenario
+            results[name] = sweep(scenario, jobs=args.jobs)
+        loads = [o.offered_load for o in results["n1_bp"]]
+        if args.figure == "fig3":
+            header = (["offered_g", "aloha_theory"]
+                      + [f"s_{name}" for name in runs]
+                      + ["s_n1_ic_x5"])
+            rows = []
+            for k, g in enumerate(loads):
+                theory = pure_aloha_throughput(results["n1_bp"][k].measured_g)
+                svals = [results[name][k].throughput for name in runs]
+                proj = multichannel_projection(results["n1_ic"][k], 5).throughput
+                rows.append([g, theory, *svals, proj])
+            stem = "fig3_throughput"
+        else:
+            header = ["offered_g"] + [f"pdr_{name}" for name in runs]
+            rows = [[g, *[results[name][k].pdr for name in runs]]
+                    for k, g in enumerate(loads)]
+            stem = "fig4_pdr"
+        # without --seed each case keeps its own packaged seed, so none is shared
+        spath, seed = "sim_n1.ini+sim_n2.ini", args.seed
+    outdir = Path(args.outdir)
     _write_table(outdir / f"{stem}.dat", header, rows, sep=" ")
-    # without --seed each case keeps its own packaged seed, so none is shared
-    _write_manifest(csv_path, f"reproduce {args.figure}", "sim_n1.ini+sim_n2.ini",
-                    scenarios, args.seed)
-    print(f"reproduce {args.figure}: wrote {csv_path}")
+    _emit(outdir / f"{stem}.csv", header, rows, f"reproduce {args.figure}", spath, scenarios,
+          seed)
     return EXIT_OK
 
 
@@ -278,8 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"loracell {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scenario_required=True):
-        p.add_argument("--scenario", required=scenario_required,
+    def common(p):
+        p.add_argument("--scenario", required=True,
                        help="scenario file (path, $LORACELL_CONFIG_DIR, or packaged name)")
         p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
         p.add_argument("--out", required=True, help="output CSV path")
@@ -305,9 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_mc)
 
     p = sub.add_parser("simulate", help="event-driven throughput/PDR sweep")
-    common(p, scenario_required=False)
-    p.add_argument("--case", choices=sorted(_CASE_FILES), default=None,
-                   help="packaged case preset (alternative to --scenario)")
+    common(p)
     p.add_argument("--model", choices=COLLISION_MODELS, default=None,
                    help="override the scenario collision model")
     p.add_argument("--loads", default=None, help="comma list of offered loads")
@@ -318,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("reproduce", help="run a bundled reference-figure recipe")
-    p.add_argument("figure", help=f"one of: {', '.join(_FIGURES)}")
+    p.add_argument("figure", choices=_FIGURES)
     p.add_argument("--outdir", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--replications", type=int, default=None)

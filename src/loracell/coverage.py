@@ -77,12 +77,16 @@ def noise_power_mw(radio: RadioConfig) -> float:
     return 10.0 ** (noise_power_dbm(radio) / 10.0)
 
 
+def _received_mw(distance_m, radio: RadioConfig):
+    """Mean received power in mW, for a distance or an array."""
+    return radio.tx_power_mw * radio.antenna_gain_linear * path_gain(distance_m, radio)
+
+
 def _connection(distances_m: np.ndarray, sf_idx: np.ndarray, radio: RadioConfig,
                 thresholds: ThresholdSet) -> np.ndarray:
     """H1 at each distance; sf_idx indexes SF_RANGE."""
     gamma = thresholds.snr_floor_linear[sf_idx]
-    rx = radio.tx_power_mw * radio.antenna_gain_linear * path_gain(distances_m, radio)
-    return np.exp(-gamma * noise_power_mw(radio) / rx)
+    return np.exp(-gamma * noise_power_mw(radio) / _received_mw(distances_m, radio))
 
 
 def _capture(distances_m: np.ndarray, sf_idx: np.ndarray, topology: RingTopology,

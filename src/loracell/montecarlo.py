@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coverage import TypicalNode, connection_probability, path_gain, sf_indices
-from .scenario import ConfigurationError, RadioConfig, Scenario
+from .coverage import TypicalNode, _received_mw, connection_probability, sf_indices
+from .scenario import ConfigurationError, Scenario
 
 _BLOCK = 1 << 18       # expected interferers, and the trial cap, of one block
 
@@ -74,10 +74,6 @@ def _estimate(parts: list[tuple[int, float, float]], cap: float = 1.0) -> MCEsti
     pooled = float((size * mean).sum() / n)
     variance = (size * (var + (mean - pooled) ** 2)).sum() / n
     return MCEstimate(min(pooled, cap), float(np.sqrt(variance / n)), n)
-
-
-def _received_mw(distance_m: float, radio: RadioConfig) -> float:
-    return radio.tx_power_mw * radio.antenna_gain_linear * path_gain(distance_m, radio)
 
 
 def _sum_by_trial(terms: np.ndarray, trial_idx: np.ndarray, trials: int) -> np.ndarray:

@@ -92,6 +92,24 @@ def test_coverage_bad_grid_step_exits_config_error(step, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_coverage_grid_stops_at_cell_radius(tmp_path):
+    out = tmp_path / "cov.csv"
+    code = main(["coverage", "--scenario", "coverage_eu868.ini", "--grid-step", "800",
+                 "--out", str(out)])
+    assert code == EXIT_OK
+    _, rows = read_csv(out)
+    assert [float(r[0]) for r in rows] == [800.0, 1600.0, 2400.0]
+
+
+def test_coverage_grid_step_above_cell_radius_exits_config_error(tmp_path, capsys):
+    out = tmp_path / "cov.csv"
+    code = main(["coverage", "--scenario", "coverage_eu868.ini", "--grid-step", "3500",
+                 "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "--grid-step" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("counts", ["-5", "0", "250,0"])
 def test_coverage_bad_node_counts_exits_config_error(counts, tmp_path, capsys):
     out = tmp_path / "cov.csv"
@@ -127,7 +145,7 @@ def test_zero_trials_exits_config_error(argv, tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["coverage", "--scenario", "coverage_eu868.ini", "--grid-step", "1500"],
     ["mc", "--scenario", "coverage_eu868.ini", "--distances", "500", "--trials", "1000"],
-    ["simulate", "--case", "N2", "--loads", "0.5", "--replications", "1"],
+    ["simulate", "--scenario", "sim_n2.ini", "--loads", "0.5", "--replications", "1"],
     ["reproduce", "fig3", "--replications", "1"],
 ], ids=lambda argv: argv[0])
 def test_negative_seed_exits_config_error(argv, tmp_path, capsys):
@@ -137,7 +155,7 @@ def test_negative_seed_exits_config_error(argv, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 def test_simulate_rejects_redundant_iic_n1(capsys):
-    code = main(["simulate", "--case", "N1", "--model", "IIC",
+    code = main(["simulate", "--scenario", "sim_n1.ini", "--model", "IIC",
                  "--out", "/tmp/never.csv"])
     assert code == EXIT_CONFIG
     assert "redundant" in capsys.readouterr().err
@@ -145,7 +163,7 @@ def test_simulate_rejects_redundant_iic_n1(capsys):
 
 def test_simulate_n1_with_force_runs(tmp_path):
     out = tmp_path / "iic.csv"
-    code = main(["simulate", "--case", "N1", "--model", "IIC", "--force",
+    code = main(["simulate", "--scenario", "sim_n1.ini", "--model", "IIC", "--force",
                  "--loads", "0.2", "--replications", "1", "--out", str(out)])
     assert code == EXIT_OK
 
@@ -153,7 +171,7 @@ def test_simulate_n1_with_force_runs(tmp_path):
 def test_simulate_theory_column_and_rerun_identical(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
-    args = ["simulate", "--case", "N1", "--model", "BP", "--loads", "0.2,0.4",
+    args = ["simulate", "--scenario", "sim_n1.ini", "--model", "BP", "--loads", "0.2,0.4",
             "--replications", "2", "--seed", "99"]
     assert main(args + ["--out", str(out1)]) == EXIT_OK
     assert main(args + ["--out", str(out2)]) == EXIT_OK
@@ -168,20 +186,9 @@ def test_simulate_theory_column_and_rerun_identical(tmp_path):
     assert m1["config_digests"] == m2["config_digests"]
 
 
-def test_simulate_case_is_its_packaged_scenario_file(tmp_path):
-    args = ["simulate", "--model", "BP", "--loads", "0.3", "--replications", "1"]
-    assert main(args + ["--case", "N1", "--out", str(tmp_path / "case.csv")]) == EXIT_OK
-    assert main(args + ["--scenario", "sim_n1.ini",
-                        "--out", str(tmp_path / "file.csv")]) == EXIT_OK
-    assert (tmp_path / "case.csv").read_bytes() == (tmp_path / "file.csv").read_bytes()
-    m_case, m_file = (json.loads((tmp_path / f"{stem}.csv.manifest.json").read_text())
-                      for stem in ("case", "file"))
-    assert m_case["config_digests"] == m_file["config_digests"]
-
-
 @pytest.mark.parametrize("flag,value", [("--replications", "0"), ("--jobs", "-3")])
 def test_simulate_bad_count_exits_config_error(flag, value, tmp_path, capsys):
-    code = main(["simulate", "--case", "N2", "--loads", "0.2", flag, value,
+    code = main(["simulate", "--scenario", "sim_n2.ini", "--loads", "0.2", flag, value,
                  "--out", str(tmp_path / "x.csv")])
     assert code == EXIT_CONFIG
     assert flag.lstrip("-") in capsys.readouterr().err
@@ -190,26 +197,26 @@ def test_simulate_bad_count_exits_config_error(flag, value, tmp_path, capsys):
 
 @pytest.mark.parametrize("load", ["nan", "inf"])
 def test_simulate_non_finite_load_exits_config_error(load, tmp_path, capsys):
-    code = main(["simulate", "--case", "N2", f"--loads={load}", "--replications", "1",
+    code = main(["simulate", "--scenario", "sim_n2.ini", f"--loads={load}", "--replications", "1",
                  "--out", str(tmp_path / "x.csv")])
     assert code == EXIT_CONFIG
-    assert "finite" in capsys.readouterr().err
+    assert "offered_loads" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize("load", ["1.5", "0", "-0.2"])
 def test_simulate_load_outside_unit_interval_exits_config_error(load, tmp_path, capsys):
-    code = main(["simulate", "--case", "N2", f"--loads=0.2,{load}", "--replications", "1",
+    code = main(["simulate", "--scenario", "sim_n2.ini", f"--loads=0.2,{load}", "--replications", "1",
                  "--out", str(tmp_path / "x.csv")])
     assert code == EXIT_CONFIG
-    assert "--loads" in capsys.readouterr().err
+    assert "offered_loads" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize("loads,message", [("0.1,x", "'x'"), ("", "must not be empty"),
                                            ("0.2,,0.4", "''")])
 def test_simulate_bad_loads_exits_config_error(loads, message, tmp_path, capsys):
-    code = main(["simulate", "--case", "N1", f"--loads={loads}", "--replications", "1",
+    code = main(["simulate", "--scenario", "sim_n1.ini", f"--loads={loads}", "--replications", "1",
                  "--out", str(tmp_path / "x.csv")])
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
@@ -218,14 +225,16 @@ def test_simulate_bad_loads_exits_config_error(loads, message, tmp_path, capsys)
 
 
 def test_simulate_requires_case_or_scenario(capsys):
-    code = main(["simulate", "--model", "BP", "--out", "/tmp/never.csv"])
-    assert code == EXIT_CONFIG
-    assert "provide --scenario or --case" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--model", "BP", "--out", "/tmp/never.csv"])
+    assert exc.value.code == 2
+    assert "--scenario" in capsys.readouterr().err
 
 
 def test_reproduce_unknown_figure_lists_valid_ids(tmp_path, capsys):
-    code = main(["reproduce", "fig9", "--outdir", str(tmp_path)])
-    assert code == EXIT_CONFIG
+    with pytest.raises(SystemExit) as exc:
+        main(["reproduce", "fig9", "--outdir", str(tmp_path)])
+    assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "fig2" in err and "fig3" in err and "fig4" in err
 

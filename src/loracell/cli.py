@@ -6,7 +6,7 @@ the reference figures), validate-config. Every run writes a CSV plus a
 .manifest.json recording the digest of every resolved configuration it ran;
 re-running with the same digests reproduces the CSV byte for byte.
 
-Exit codes: 0 success, 2 configuration error, 3 runtime failure.
+Exit codes: 0 success, 2 configuration or usage error, 3 runtime failure.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ def _load(args, **values) -> tuple[Scenario, str]:
 
 
 def _grid(radius: float, step: float) -> np.ndarray:
-    """The multiples of `step` in (0, radius]."""
+    """The multiples of `step` in (0, radius]; a step outside (0, radius] is an error."""
     if not 0 < step <= radius:
         raise ConfigurationError(f"--grid-step must be finite and positive and at most the "
                                  f"cell radius {radius} m, got {step}")

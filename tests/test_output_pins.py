@@ -28,9 +28,11 @@ from loracell import (
     default_scenario,
     estimate_coverage,
     estimate_sir_ring,
+    lora_airtime,
     resolve_reception,
     typical_at,
 )
+from loracell.airtime import VALID_BANDWIDTHS_HZ
 from loracell.cli import EXIT_OK, main
 
 PINNED_WITH = {"numpy": "2.4.6", "scipy": "1.17.1"}
@@ -168,10 +170,19 @@ RECEPTION_SHA256 = {
     "IC": "ce4fcac7313b4b1503035327dd4516a9c6de5a7adba3d89d261efbabeac2e42c",
     "IIC": "dca5ee63f2b2212d07460835db836d26be1416e89eb8ba100b9faf8edb1210fc",
 }
+# SHA-256 of the repr of the `lora_airtime` durations over SF 7..12 x payload
+# 1..255 B x every bandwidth x code rate 1..4: 18,360 cases
+AIRTIME_GRID_SHA256 = "77d228072641a0108a92f26ef10877a3d2fac385f4efd80a6cc59925e0dc8b9c"
 
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def airtime_grid_sha256() -> str:
+    return sha256(repr([lora_airtime(sf, payload, bandwidth, cr) for sf in range(7, 13)
+                        for payload in range(1, 256) for bandwidth in VALID_BANDWIDTHS_HZ
+                        for cr in range(1, 5)]).encode())
 
 
 def mc_coverage(count: int, distance: float, shared_fading: bool):
@@ -260,6 +271,10 @@ def test_resolve_reception_pinned(model):
     assert sha256(bytes(flags)) == RECEPTION_SHA256[model], STACK
 
 
+def test_airtime_grid_pinned():
+    assert airtime_grid_sha256() == AIRTIME_GRID_SHA256
+
+
 def _q(value) -> str:
     return json.dumps(value) if isinstance(value, str) else repr(value)
 
@@ -304,6 +319,7 @@ def regenerate() -> None:
     print(_literal("CLI_SHA256", cli))
     print(_literal("RECEPTION_SHA256",
                    {model: sha256(bytes(reception_flags(model))) for model in ("BP", "IC", "IIC")}))
+    print(f"AIRTIME_GRID_SHA256 = {json.dumps(airtime_grid_sha256())}")
 
 
 if __name__ == "__main__":

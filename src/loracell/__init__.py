@@ -5,13 +5,7 @@ cross-validates them, LoRa time-on-air and ALOHA baselines, and an
 event-driven cell simulator with three collision models and capture effect.
 """
 
-from .airtime import (
-    AirtimeParams,
-    lora_airtime,
-    per_node_rate,
-    pure_aloha_throughput,
-    time_on_air,
-)
+from .airtime import lora_airtime, per_node_rate, pure_aloha_throughput
 from .coverage import (
     CoverageBreakdown,
     TypicalNode,

@@ -399,10 +399,9 @@ def run_replication(scenario: Scenario, offered_load: float, seed) -> Replicatio
     loss = hata_rural_loss(placement.distances_m, radio)
     rx_dbm = (radio.tx_power_dbm + radio.gateway_gain_dbi + radio.device_gain_dbi
               - loss)
-    toa_by_sf = {sf: lora_airtime(sf, scenario.payload_bytes,
-                                  radio.bandwidth_hz, radio.coding_rate_index)
-                 for sf in scenario.sf_set}
-    node_toa = np.array([toa_by_sf[sf] for sf in placement.sfs])
+    node_sf = placement.sfs - SF_RANGE[0]
+    node_toa = np.array([lora_airtime(sf, scenario.payload_bytes, radio.bandwidth_hz,
+                                      radio.coding_rate_index) for sf in SF_RANGE])[node_sf]
     rate = per_node_rate(offered_load, scenario.node_count, float(node_toa.mean()))
 
     times, nodes, by_node = _arrivals(rng, scenario.node_count, rate, duration)
@@ -415,7 +414,6 @@ def run_replication(scenario: Scenario, offered_load: float, seed) -> Replicatio
     node_airtime = node_tx * node_toa
     chans = rng.integers(0, scenario.channels, size=starts.size)   # one channel: no draw
 
-    node_sf = placement.sfs - SF_RANGE[0]
     received = _resolve(starts, nodes, chans, node_toa, node_sf, rx_dbm,
                         scenario.collision_model, scenario.thresholds, radio)
 

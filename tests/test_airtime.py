@@ -3,14 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from loracell import (
-    AirtimeParams,
-    ConfigurationError,
-    lora_airtime,
-    per_node_rate,
-    pure_aloha_throughput,
-    time_on_air,
-)
+from loracell import ConfigurationError, lora_airtime, per_node_rate, pure_aloha_throughput
 from loracell.airtime import MAC_OVERHEAD_BYTES
 
 SF_TOAS_PL14 = {7: 0.046336, 8: 0.082432, 9: 0.164864,
@@ -18,7 +11,7 @@ SF_TOAS_PL14 = {7: 0.046336, 8: 0.082432, 9: 0.164864,
 
 
 def test_sf7_reference_duration():
-    toa = time_on_air(AirtimeParams(sf=7, phy_payload_bytes=14))
+    toa = lora_airtime(7, app_payload_bytes=1)       # 14-byte PHY payload
     assert toa == pytest.approx(0.046336, abs=1e-9)
     assert abs(toa * 1000 - 46.3) < 0.1
 
@@ -26,7 +19,7 @@ def test_sf7_reference_duration():
 def test_sf12_duration_with_low_data_rate_opt():
     # hand count: 12.25 preamble symbols + 8 + ceil(108/40)*5 payload symbols
     # at 32.768 ms per symbol
-    toa = time_on_air(AirtimeParams(sf=12, phy_payload_bytes=14))
+    toa = lora_airtime(12, app_payload_bytes=1)
     assert toa == pytest.approx((12.25 + 8 + 15) * 2**12 / 125e3, abs=1e-12)
     assert toa == pytest.approx(1.155072, abs=1e-9)
 
@@ -49,26 +42,19 @@ def test_one_byte_payload_plus_overhead_is_14():
 def test_toa_monotone_in_sf_and_payload():
     durations = [lora_airtime(sf) for sf in range(7, 13)]
     assert all(b > a for a, b in zip(durations, durations[1:]))
-    by_payload = [time_on_air(AirtimeParams(sf=9, phy_payload_bytes=p))
-                  for p in (5, 15, 35, 75, 150)]
+    by_payload = [lora_airtime(9, app_payload_bytes=p) for p in (1, 10, 30, 70, 150)]
     assert all(b > a for a, b in zip(by_payload, by_payload[1:]))
 
 
-def test_explicit_header_flag_changes_duration():
-    with_h = time_on_air(AirtimeParams(sf=8, phy_payload_bytes=20, explicit_header=True))
-    without = time_on_air(AirtimeParams(sf=8, phy_payload_bytes=20, explicit_header=False))
-    assert without < with_h
-
-
 def test_invalid_configurations_raise():
-    with pytest.raises(ConfigurationError):
-        time_on_air(AirtimeParams(sf=6, phy_payload_bytes=14))
-    with pytest.raises(ConfigurationError):
-        time_on_air(AirtimeParams(sf=7, phy_payload_bytes=14, bandwidth_hz=200e3))
-    with pytest.raises(ConfigurationError):
-        time_on_air(AirtimeParams(sf=7, phy_payload_bytes=0))
-    with pytest.raises(ConfigurationError):
-        time_on_air(AirtimeParams(sf=7, phy_payload_bytes=14, coding_rate_index=5))
+    with pytest.raises(ConfigurationError, match="airtime.sf"):
+        lora_airtime(6)
+    with pytest.raises(ConfigurationError, match="airtime.bandwidth_hz"):
+        lora_airtime(7, bandwidth_hz=200e3)
+    with pytest.raises(ConfigurationError, match="airtime.app_payload_bytes"):
+        lora_airtime(7, app_payload_bytes=0)
+    with pytest.raises(ConfigurationError, match="airtime.coding_rate_index"):
+        lora_airtime(7, coding_rate_index=5)
 
 
 def test_pure_aloha_closed_form():

@@ -21,9 +21,9 @@ from scipy import special
 # Against the oracle over |x| in [1e-6, 1e9], scipy's worst relative error
 # grows as b approaches 1 (the worst x lies near -2): 6.0e-11 at
 # b = 1 - 1e-5, 1.9e-10 at 1 - 3e-6 and 4.3e-10 at 1 - 1e-6. Rejecting
-# b in (1 - 1e-5, 1) keeps every accepted b within 1e-10; the model never
-# needs it (eta would be < 2.00002).
-_B_GAP = 1e-5
+# b in (1 - 1e-5, 1) keeps every accepted b within 1e-10. RadioConfig.errors
+# rejects the path-loss exponents that would need it: eta < 2 / (1 - B_GAP).
+B_GAP = 1e-5
 
 
 class UnsupportedDomainError(ValueError):
@@ -39,7 +39,7 @@ def _check_parameters(a: float, b: float, c: float) -> None:
         raise UnsupportedDomainError(f"a must be 1 (got {a})")
     if not 0.0 < b <= 1.0:
         raise UnsupportedDomainError(f"b must lie in (0, 1] (got {b})")
-    if 1.0 - _B_GAP < b < 1.0:
+    if 1.0 - B_GAP < b < 1.0:
         raise UnsupportedDomainError(
             f"b = {b} is too close to 1 for accurate evaluation; "
             "use b = 1 exactly for the logarithmic case"

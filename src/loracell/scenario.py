@@ -18,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .hypergeom import B_GAP
+
 SPEED_OF_LIGHT = 299792458.0          # m/s
 SF_RANGE = (7, 8, 9, 10, 11, 12)
 NUM_SF = len(SF_RANGE)
@@ -99,6 +101,12 @@ class RadioConfig:
             errs.append("radio.bandwidth_hz: must be positive")
         if self.path_loss_exponent <= 2:
             errs.append("radio.path_loss_exponent: path_loss_exponent must exceed 2")
+        elif 2.0 / self.path_loss_exponent > 1.0 - B_GAP:
+            errs.append(
+                f"radio.path_loss_exponent: must be at least 2 / (1 - {B_GAP}) = "
+                f"{2.0 / (1.0 - B_GAP)!r}, where 2F1 with b = 2 / path_loss_exponent "
+                f"is accurate (got {self.path_loss_exponent})"
+            )
         if self.tx_power_dbm > self.tx_power_limit_dbm:
             errs.append(
                 f"radio.tx_power_dbm: {self.tx_power_dbm} dBm exceeds the regulatory "

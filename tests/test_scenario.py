@@ -19,7 +19,7 @@ from loracell import (
     sample_placement,
     validate,
 )
-from loracell.cli import EXIT_CONFIG, main
+from loracell.cli import EXIT_CONFIG, EXIT_OK, main
 from loracell.scenario import SF_RANGE
 
 
@@ -261,6 +261,19 @@ def test_validate_config_value_fault_exits_config_error(tmp_path, capsys, kwargs
     cfg = scenario_file(tmp_path, **kwargs)
     assert main(["validate-config", "--scenario", str(cfg)]) == EXIT_CONFIG
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eta,code", [("2.00001", EXIT_CONFIG), ("2.0001", EXIT_OK)])
+def test_validate_config_and_coverage_agree_on_path_loss_exponent(tmp_path, capsys, eta,
+                                                                   code):
+    # 2F1 rejects b = 2/eta in (1 - 1e-5, 1): such an eta is a configuration
+    # error of both verbs, not a runtime failure of coverage alone
+    cfg = scenario_file(tmp_path, key="path_loss_exponent", raw=eta)
+    assert main(["validate-config", "--scenario", str(cfg)]) == code
+    assert main(["coverage", "--scenario", str(cfg), "--grid-step", "1000",
+                 "--out", str(tmp_path / "out.csv")]) == code
+    err = capsys.readouterr().err
+    assert err.count("radio.path_loss_exponent: must be at least") == 2 * (code == EXIT_CONFIG)
 
 
 def test_readme_scenario_block_is_the_packaged_coverage_scenario(tmp_path):

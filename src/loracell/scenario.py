@@ -336,24 +336,22 @@ def sample_placement(scenario: Scenario, seed: int | None = None,
                      rng: np.random.Generator | None = None) -> NodePlacement:
     """Draw node positions and SF assignments.
 
-    distance_rings mode: positions are uniform over the disk (radius R*sqrt(u))
-    and each node's SF is the ring it falls in. uniform_random mode: SFs are
-    assigned with exact per-SF quotas (node_count / len(sf_set) each) and the
-    radius follows scenario.radial_distribution. Deterministic for fixed seed.
+    The radius follows scenario.radial_distribution in both SF modes: R*sqrt(u)
+    (uniform over the disk) for area_uniform, R*u for radius_uniform.
+    distance_rings mode: each node's SF is the ring it falls in. uniform_random
+    mode: SFs are assigned with exact per-SF quotas (node_count / len(sf_set)
+    each). Deterministic for fixed seed.
     """
     if rng is None:
         rng = np.random.default_rng(scenario.rng_seed if seed is None else seed)
     n = scenario.node_count
     R = scenario.topology.cell_radius_m
+    u = rng.random(n)
+    d = R * u if scenario.radial_distribution == "radius_uniform" else R * np.sqrt(u)
     if scenario.sf_assignment == "distance_rings":
-        d = R * np.sqrt(rng.random(n))
         bounds = np.asarray(scenario.topology.boundaries_m)[1:]
         sfs = np.asarray(SF_RANGE)[np.searchsorted(bounds, d, side="left")]
     else:
-        if scenario.radial_distribution == "radius_uniform":
-            d = R * rng.random(n)
-        else:
-            d = R * np.sqrt(rng.random(n))
         quota = n // len(scenario.sf_set)
         sfs = rng.permutation(np.repeat(np.asarray(scenario.sf_set), quota))
     return NodePlacement(distances_m=d, sfs=sfs)

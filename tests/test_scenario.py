@@ -121,6 +121,18 @@ def test_radius_uniform_mode_is_not_area_uniform():
     assert 0.4 < frac_inner < 0.6
 
 
+def test_radius_uniform_applies_under_distance_rings():
+    scn = replace(default_scenario("coverage_eu868"), radial_distribution="radius_uniform")
+    placement = sample_placement(scn, seed=5)
+    d = placement.distances_m
+    frac_inner = np.mean(d < scn.topology.cell_radius_m / 2)
+    assert 0.4 < frac_inner < 0.6
+    # each node's SF is still the ring it falls in
+    b = np.asarray(scn.topology.boundaries_m)
+    ring = placement.sfs - SF_RANGE[0]
+    assert np.all((b[ring] < d) & (d <= b[ring + 1]))
+
+
 def test_validate_rejects_small_path_loss_exponent():
     scn = default_scenario("coverage_eu868")
     bad = replace(scn, radio=RadioConfig(path_loss_exponent=1.5))

@@ -92,19 +92,17 @@ def _connection(distances_m: np.ndarray, sf_idx: np.ndarray, radio: RadioConfig,
 def _capture(distances_m: np.ndarray, sf_idx: np.ndarray, topology: RingTopology,
              thresholds: ThresholdSet, radio: RadioConfig) -> tuple[np.ndarray, np.ndarray]:
     """Q1 at each distance and the (ring, distance) array of P_SIR factors."""
-    p_sir = np.ones((len(SF_RANGE), len(distances_m)))
-    alpha = topology.intensities
-    rings = np.flatnonzero(alpha)           # a ring with alpha == 0 gives exactly 1
-    if rings.size:
-        eta = radio.path_loss_exponent
-        b = 2.0 / eta
-        # scale[r, k] = d_k^eta * delta(sf_k, ring r)
-        scale = distances_m ** eta * thresholds.sir_linear.T[rings][:, sf_idx]
-        # edge[0] holds the outer and edge[1] the inner edge of each ring; an
-        # inner edge l_0 = 0 gives x = -0, 2F1 = 1 and a zero l^2 weight
-        edge = np.asarray(topology.boundaries_m)[np.array([rings + 1, rings])][..., None]
-        weighted = edge * edge * hyp2f1(1.0, b, 1.0 + b, -(edge ** eta) / scale)
-        p_sir[rings] = np.exp(-math.pi * alpha[rings][:, None] * (weighted[0] - weighted[1]))
+    eta = radio.path_loss_exponent
+    b = 2.0 / eta
+    # scale[r, k] = d_k^eta * delta(sf_k, ring r)
+    scale = distances_m ** eta * thresholds.sir_linear.T[:, sf_idx]
+    # edge[0] holds the outer and edge[1] the inner edge of each ring; an
+    # inner edge l_0 = 0 gives x = -0, 2F1 = 1 and a zero l^2 weight
+    bounds = np.asarray(topology.boundaries_m)
+    edge = np.stack([bounds[1:], bounds[:-1]])[..., None]
+    weighted = edge * edge * hyp2f1(1.0, b, 1.0 + b, -(edge ** eta) / scale)
+    # a ring with alpha == 0 gives exp(-0.0) == 1.0 exactly
+    p_sir = np.exp(-math.pi * topology.intensities[:, None] * (weighted[0] - weighted[1]))
     return p_sir.prod(axis=0), p_sir
 
 

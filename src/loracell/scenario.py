@@ -95,11 +95,11 @@ class RadioConfig:
 
     def errors(self) -> list[str]:
         errs = []
-        if self.carrier_hz <= 0:
+        if not self.carrier_hz > 0:
             errs.append("radio.carrier_hz: must be positive")
-        if self.bandwidth_hz <= 0:
+        if not self.bandwidth_hz > 0:
             errs.append("radio.bandwidth_hz: must be positive")
-        if self.path_loss_exponent <= 2:
+        if not self.path_loss_exponent > 2:
             errs.append("radio.path_loss_exponent: path_loss_exponent must exceed 2")
         elif 2.0 / self.path_loss_exponent > 1.0 - B_GAP:
             errs.append(
@@ -107,13 +107,13 @@ class RadioConfig:
                 f"{2.0 / (1.0 - B_GAP)!r}, where 2F1 with b = 2 / path_loss_exponent "
                 f"is accurate (got {self.path_loss_exponent})"
             )
-        if self.tx_power_dbm > self.tx_power_limit_dbm:
+        if not self.tx_power_dbm <= self.tx_power_limit_dbm:
             errs.append(
                 f"radio.tx_power_dbm: {self.tx_power_dbm} dBm exceeds the regulatory "
                 f"limit of {self.tx_power_limit_dbm} dBm"
             )
-        if self.gateway_height_m <= 0 or self.device_height_m <= 0:
-            errs.append("radio: antenna heights must be positive")
+        if not (self.gateway_height_m > 0 and self.device_height_m > 0):
+            errs.append("radio.gateway_height_m, radio.device_height_m: must be positive")
         try:
             self.coding_rate_index
         except ConfigurationError as exc:
@@ -190,13 +190,13 @@ class RingTopology:
             return errs
         if b[0] != 0.0:
             errs.append("topology.boundaries_m: l_0 must be 0")
-        if np.any(np.diff(b) <= 0):
+        if not np.all(np.diff(b) > 0):
             errs.append("topology.boundaries_m: boundaries must be strictly increasing")
         if not math.isclose(b[-1], self.cell_radius_m, rel_tol=1e-12):
             errs.append("topology.boundaries_m: l_6 must equal cell_radius_m")
         if len(self.mean_nodes) != NUM_SF:
             errs.append("topology.mean_nodes: expected one value per SF ring")
-        elif any(n < 0 for n in self.mean_nodes):
+        elif not all(n >= 0 for n in self.mean_nodes):
             errs.append("topology.mean_nodes: counts must be non-negative")
         if not 0 < self.transmit_probability <= 1:
             errs.append("topology.transmit_probability: must be in (0, 1]")
@@ -235,7 +235,7 @@ class ThresholdSet:
         errs = []
         if len(self.snr_floor_db) != NUM_SF:
             errs.append("thresholds.snr_floor_db: expected one floor per SF 7..12")
-        elif np.any(np.diff(self.snr_floor_db) >= 0):
+        elif not np.all(np.diff(self.snr_floor_db) < 0):
             errs.append("thresholds.snr_floor_db: floors must strictly decrease with SF")
         if len(self.sir_db) != NUM_SF:
             errs.append("thresholds.sir_db: expected 6 rows")
@@ -281,7 +281,7 @@ class Scenario:
             errs.append("offered_loads: must not be empty")
         elif any(not 0 < g <= 1 for g in self.offered_loads):
             errs.append("offered_loads: every point must lie in (0, 1]")
-        if self.node_count < 1:
+        if not self.node_count >= 1:
             errs.append("node_count: must be at least 1")
         if self.sf_assignment not in ("distance_rings", "uniform_random"):
             errs.append(f"sf_assignment: unknown mode {self.sf_assignment!r}")
@@ -301,17 +301,17 @@ class Scenario:
             errs.append(f"radial_distribution: unknown mode {self.radial_distribution!r}")
         if not 0 < self.duty_cycle_limit <= 1:
             errs.append("duty_cycle_limit: must be in (0, 1]")
-        if self.payload_bytes < 1:
+        if not self.payload_bytes >= 1:
             errs.append("payload_bytes: must be at least 1")
         if self.collision_model not in COLLISION_MODELS:
             errs.append(f"collision_model: unknown model {self.collision_model!r}")
-        if self.rng_seed < 0:
+        if not self.rng_seed >= 0:
             errs.append("rng_seed: must be non-negative")
-        if self.replications < 1:
+        if not self.replications >= 1:
             errs.append("replications: must be at least 1")
-        if self.sim_duration_s <= 0:
+        if not self.sim_duration_s > 0:
             errs.append("sim_duration_s: must be positive")
-        if self.channels < 1:
+        if not self.channels >= 1:
             errs.append("channels: must be at least 1")
         return errs
 

@@ -1,3 +1,4 @@
+import math
 import re
 from dataclasses import replace
 from importlib import resources
@@ -138,6 +139,26 @@ def test_validate_rejects_small_path_loss_exponent():
     bad = replace(scn, radio=RadioConfig(path_loss_exponent=1.5))
     with pytest.raises(ConfigurationError, match="path_loss_exponent must exceed 2"):
         validate(bad)
+
+
+def _with_nan(scn, field):
+    if field == "topology.mean_nodes":
+        mean = (math.nan,) + scn.topology.mean_nodes[1:]
+        return replace(scn, topology=replace(scn.topology, mean_nodes=mean))
+    if field.startswith("radio."):
+        return replace(scn, radio=replace(scn.radio, **{field[6:]: math.nan}))
+    return replace(scn, **{field: math.nan})
+
+
+@pytest.mark.parametrize("field", [
+    "radio.path_loss_exponent", "radio.carrier_hz", "radio.bandwidth_hz",
+    "radio.tx_power_dbm", "radio.gateway_height_m", "sim_duration_s",
+    "topology.mean_nodes",
+])
+def test_validate_rejects_nan(field):
+    # a NaN fails every comparison, so each bound is written to fail on it
+    with pytest.raises(ConfigurationError, match=re.escape(field)):
+        validate(_with_nan(default_scenario("coverage_eu868"), field))
 
 
 def test_validate_rejects_missing_sir_entry():

@@ -45,9 +45,14 @@ permits a fully vectorized implementation. The resolver takes packets in
 start order and sorts none: `run_replication` draws them in that order, and
 `resolve_reception` takes one stable argsort of the starts and scatters the
 flags back. BP and IIC resolve each channel alone; IC resolves each
-(channel, SF) partition alone. Overlap windows are counted with one stable
-merge of the sorted ends and starts per partition; IIC reads each SF's
-window from running per-SF counts over that merge.
+(channel, SF) partition alone. An IC partition has one airtime, so its ends
+come in start order and packet i+k overlaps packet i iff start[i+k] < end[i]:
+its overlap windows are counted one lag k at a time, for at most
+n.bit_length() lags. Deeper partitions and out-of-order ends take one stable
+merge of the sorted ends and starts; IIC reads each SF's window from running
+per-SF counts over that merge. IC picks each episode's winner among lone
+packets and those whose SINR clears delta_ii only: all others lie below
+delta_ii, so the episode's max-SINR packet is among them if any packet is.
 Each packet carries only its start, channel and sending node; airtime, SF
 and receive power are read from per-node tables. A replication is
 bit-reproducible from its seed; replications use independently derived
@@ -133,10 +138,19 @@ class PacketEvent:
 def _overlap_ranks(starts, ends):
     """Per packet i, sorted by start: hi counts the packets with start_j <
     end_i, lo those with end_j <= start_i, which are order_e[:lo] in the
-    stable end order order_e (None when the ends are in order). One stable
-    argsort merges the sorted ends and starts, an end before an equal start."""
+    stable end order order_e (None when the ends are in order), counted
+    lag by lag or by one stable merge as the module docstring says."""
     n = starts.size
-    order_e = None if (ends[1:] >= ends[:-1]).all() else np.argsort(ends, kind="stable")
+    in_order = (ends[1:] >= ends[:-1]).all()
+    if in_order and (starts < ends).all():
+        fwd, back = np.zeros(n, np.int8), np.zeros(n, np.int8)
+        for k in range(1, n.bit_length() + 1):
+            overlaps = starts[k:] < ends[:-k]
+            if not overlaps.any():
+                return np.arange(1, n + 1) + fwd, np.arange(n) - back, None
+            fwd[:-k] += overlaps
+            back[k:] += overlaps
+    order_e = None if in_order else np.argsort(ends, kind="stable")
     ends_sorted = ends if order_e is None else ends[order_e]
     is_end = np.argsort(np.concatenate((ends_sorted, starts)), kind="stable") < n
     rank = np.arange(n)
@@ -159,9 +173,10 @@ def _overlap_aggregate(starts, ends, pw):
 def _episode_heads(starts, ends):
     """True where a packet opens a new overlap episode; packets sorted by
     start."""
+    reach = ends if (ends[1:] >= ends[:-1]).all() else np.maximum.accumulate(ends)
     heads = np.empty(starts.size, dtype=bool)
     heads[0] = True
-    heads[1:] = starts[1:] >= np.maximum.accumulate(ends)[:-1]
+    heads[1:] = starts[1:] >= reach[:-1]
     return heads
 
 
@@ -196,17 +211,18 @@ def _resolve_partition(starts, owner, node_toa, node_sf, node_pw, node_ok, model
     n = len(starts)
     received = np.zeros(n, dtype=bool)
     pw = node_pw[owner]
-    if model == "IC":
-        tot, cnt = _overlap_aggregate(starts, ends, pw)
-        inter = tot - pw
-        cnt = cnt - 1
-        inter[cnt == 0] = 0.0          # clear cancellation residue
-        sinr = pw / (noise_mw + inter)
-        winners = _winners_per_group(_component_ids(starts, ends), sinr)
+    if model == "IC":                  # candidates only: see the module docstring
+        sinr, cnt = _overlap_aggregate(starts, ends, pw)
+        sinr -= pw
+        cnt -= 1
+        sinr[cnt == 0] = 0.0           # clear cancellation residue
+        sinr += noise_mw
+        np.divide(pw, sinr, out=sinr)
         sf = node_sf[owner[0]]         # the partition's one SF
-        received[winners] = node_ok[owner[winners]] & (
-            (cnt[winners] == 0) | (sinr[winners] >= sir_lin[sf, sf])
-        )
+        cand = np.flatnonzero((cnt == 0) | (sinr >= sir_lin[sf, sf]))
+        if cand.size:
+            w = cand[_winners_per_group(_component_ids(starts, ends)[cand], sinr[cand])]
+            received[w] = node_ok[owner[w]]
         return received
 
     if model == "IIC":
@@ -258,7 +274,8 @@ def _resolve(starts, owner, chans, node_toa, node_sf, node_dbm, model, threshold
     node_ok = node_dbm >= sensitivity_dbm(radio, thresholds)[node_sf]
     node_pw = 10.0 ** (node_dbm / 10.0)
     noise = noise_power_mw(radio)
-    part = chans * NUM_SF + node_sf[owner] if model == "IC" else chans
+    # with one SF on every node, the IC (channel, SF) partitions are the channels
+    part = chans * NUM_SF + node_sf[owner] if model == "IC" and np.ptp(node_sf) else chans
     members = ([slice(None)] if starts.size and part.min() == part.max()
                else [np.flatnonzero(part == k) for k in np.flatnonzero(np.bincount(part))])
     received = np.zeros(starts.size, dtype=bool)
@@ -371,6 +388,17 @@ def _accept(times, nodes, node_toa, duty_limit):
     return keep, dropped_busy, dropped_duty
 
 
+def _traffic(rng, scenario, node_toa, rate):
+    """Kept start times in start order, their nodes, and the busy and duty
+    drop counts. The arrival arrays are freed on return, before reception."""
+    times, nodes, by_node = _arrivals(rng, scenario.node_count, rate,
+                                      scenario.sim_duration_s)
+    keep = np.empty(times.size, dtype=bool)
+    keep[by_node], dropped_busy, dropped_duty = _accept(
+        times[by_node], nodes[by_node], node_toa, scenario.duty_cycle_limit)
+    return times[keep], nodes[keep], dropped_busy, dropped_duty
+
+
 @dataclass(frozen=True)
 class ReplicationResult:
     """Tallies of one seeded replication."""
@@ -404,12 +432,7 @@ def run_replication(scenario: Scenario, offered_load: float, seed) -> Replicatio
                                       radio.coding_rate_index) for sf in SF_RANGE])[node_sf]
     rate = per_node_rate(offered_load, scenario.node_count, float(node_toa.mean()))
 
-    times, nodes, by_node = _arrivals(rng, scenario.node_count, rate, duration)
-    keep = np.empty(times.size, dtype=bool)
-    keep[by_node], dropped_busy, dropped_duty = _accept(
-        times[by_node], nodes[by_node], node_toa, scenario.duty_cycle_limit)
-    starts = times[keep]
-    nodes = nodes[keep]
+    starts, nodes, dropped_busy, dropped_duty = _traffic(rng, scenario, node_toa, rate)
     node_tx = np.bincount(nodes, minlength=scenario.node_count)
     node_airtime = node_tx * node_toa
     chans = rng.integers(0, scenario.channels, size=starts.size)   # one channel: no draw

@@ -5,15 +5,31 @@ argsort of the ends, resolves each channel through per-packet arrays, and
 applies BP as "the only packet overlapping itself". The library's results
 must equal it flag for flag."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loracell import PacketEvent, default_scenario, resolve_reception
+from loracell import (
+    PacketEvent,
+    default_scenario,
+    per_node_rate,
+    resolve_reception,
+    sample_placement,
+)
 from loracell.coverage import noise_power_mw
 from loracell.scenario import NUM_SF, SF_RANGE
-from loracell.simulator import _overlap_aggregate, _overlap_ranks, _resolve, sensitivity_dbm
+from loracell.simulator import (
+    _accept,
+    _arrivals,
+    _overlap_aggregate,
+    _overlap_ranks,
+    _resolve,
+    hata_rural_loss,
+    sensitivity_dbm,
+)
 
 N2 = default_scenario("sim_n2")
 SF_TOA = (0.046336, 0.082432, 0.164864, 0.288768, 0.659456, 1.155072)
@@ -304,6 +320,91 @@ def test_overlap_ranks_small_inputs():
                                      np.array([3.0, 1.0, 1.0, 1.5]))
     assert hi.tolist() == [4, 3, 3, 4] and lo.tolist() == [0, 0, 0, 2]
     assert order_e.tolist() == [1, 2, 3, 0]
+
+
+def one_airtime_chain(n, depth, touch=False):
+    """n start-ordered packets of one airtime in which each overlaps the next
+    `depth` (touching the one after them when touch is set), so the ends are
+    in start order; integer times keep every comparison exact."""
+    starts = np.arange(n, dtype=float)
+    return starts, starts + depth + (0.0 if touch else 0.5)
+
+
+def touching_chain(n, tail_ties):
+    """Back-to-back SF7 packets, each start the previous end bit for bit,
+    every seventh start tied with the one before, then tail_ties more packets
+    tied at the last start."""
+    starts = [0.0]
+    for k in range(1, n):
+        starts.append(starts[-1] if k % 7 == 0 else starts[-1] + SF_TOA[0])
+    starts = np.array(starts + starts[-1:] * tail_ties)
+    return starts, starts + SF_TOA[0]
+
+
+@pytest.mark.parametrize("starts,ends,lag_path", [
+    (np.zeros(64), np.full(64, SF_TOA[0]), False),      # depth 63, cap 7
+    (*one_airtime_chain(64, 6), True),                  # one lag under the cap
+    (*one_airtime_chain(64, 7), False),                 # depth at the cap
+    (*one_airtime_chain(2000, 10), True),               # cap 11
+    (*one_airtime_chain(2000, 11, touch=True), True),   # end == next start
+    (*one_airtime_chain(2000, 11), False),
+    (*touching_chain(300, 0), True),
+    (*touching_chain(300, 20), False),
+], ids=["tied-64", "depth-6-cap-7", "depth-7-cap-7", "depth-10-cap-11",
+        "touching-depth-10-cap-11", "depth-11-cap-11", "float-touching",
+        "float-touching-tied-tail"])
+def test_overlap_ranks_lag_count_and_merge_agree(monkeypatch, starts, ends, lag_path):
+    # ends in start order take the lag count below the cap and the stable
+    # merge from it on; both give the counts of the definitions above
+    argsort_calls = []
+    argsort = np.argsort
+
+    def counting_argsort(*args, **kwargs):
+        argsort_calls.append(kwargs)
+        return argsort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counting_argsort)
+    hi, lo, order_e = _overlap_ranks(starts, ends)
+    monkeypatch.undo()
+    assert (not argsort_calls) == lag_path and order_e is None
+    assert hi.tolist() == [int((starts < e).sum()) for e in ends]
+    assert lo.tolist() == [int((ends <= s).sum()) for s in starts]
+
+
+def test_ic_without_candidate_receives_nothing():
+    # two overlapping equal-power packets: each one's SINR is below 0 dB, so
+    # no packet of the IC partition can be received
+    a = PacketEvent(node=0, sf=7, start_s=0.0, duration_s=SF_TOA[0], rx_power_dbm=-80.0)
+    b = PacketEvent(node=1, sf=7, start_s=0.01, duration_s=SF_TOA[0], rx_power_dbm=-80.0)
+    got = resolve_reception([a, b], "IC", N2.thresholds, N2.radio)
+    assert got == [False, False] == ref_resolve(*as_arrays([a, b]), "IC").tolist()
+
+
+def test_ic_full_n1_calendar_matches_reference():
+    # one N1 replication's calendar at G=1: about 155k SF7 packets in one IC
+    # partition, so reception takes the lag count and the candidate winners
+    scn = replace(default_scenario("sim_n1"), collision_model="IC")
+    radio = scn.radio
+    rng = np.random.default_rng(2017)
+    placement = sample_placement(scn, rng=rng)
+    node_dbm = (radio.tx_power_dbm + radio.gateway_gain_dbi + radio.device_gain_dbi
+                - hata_rural_loss(placement.distances_m, radio))
+    node_sf = placement.sfs - SF_RANGE[0]
+    node_toa = np.array(SF_TOA)[node_sf]
+    rate = per_node_rate(1.0, scn.node_count, SF_TOA[0])
+    times, nodes, by_node = _arrivals(rng, scn.node_count, rate, scn.sim_duration_s)
+    keep = np.empty(times.size, dtype=bool)
+    keep[by_node] = _accept(times[by_node], nodes[by_node], node_toa,
+                            scn.duty_cycle_limit)[0]
+    starts, owner = times[keep], nodes[keep]
+    chans = np.zeros(starts.size, dtype=int)
+    assert starts.size > 150_000
+    got = _resolve(starts, owner, chans, node_toa, node_sf, node_dbm, "IC",
+                   scn.thresholds, radio)
+    want = ref_resolve(starts, node_toa[owner], node_sf[owner], node_dbm[owner], chans,
+                       "IC", scn)
+    assert np.array_equal(got, want)
+    assert 0 < got.sum() < starts.size
 
 
 @pytest.mark.parametrize("model", ["IC", "IIC"])

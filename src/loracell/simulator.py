@@ -317,14 +317,14 @@ def resolve_reception(packets: Sequence[PacketEvent], model: str,
 # Traffic generation
 
 def _arrivals(rng, node_count, rate, duration):
-    """Start-ordered arrival times, their nodes, and the node-major order (a
-    stable radix argsort of the labels in their smallest dtype) of node_count
-    Poisson(rate) processes over (0, duration), superposed."""
+    """Start-ordered arrival times, their nodes as labels in their smallest
+    dtype, and the node-major order (a stable radix argsort of the labels) of
+    node_count Poisson(rate) processes over (0, duration), superposed."""
     times = rng.random(rng.poisson(rate * duration * node_count))
     times.sort()
     times *= duration
-    nodes = rng.integers(0, node_count, size=times.size)
-    return times, nodes, np.argsort(nodes.astype(np.min_scalar_type(node_count)), kind="stable")
+    nodes = rng.integers(0, node_count, size=times.size).astype(np.min_scalar_type(node_count))
+    return times, nodes, np.argsort(nodes, kind="stable")
 
 
 def _accept_sequential(times, toa, budget):

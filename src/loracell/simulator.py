@@ -46,12 +46,12 @@ start order and sorts none: `run_replication` draws them in that order, and
 `resolve_reception` takes one stable argsort of the starts and scatters the
 flags back. BP and IIC resolve each channel alone; IC resolves each
 (channel, SF) partition alone. An IC partition has one airtime, so its ends
-come in start order and packet i+k overlaps packet i iff start[i+k] < end[i]:
-its overlap windows are counted one lag k at a time, for at most
-n.bit_length() lags. Deeper partitions and out-of-order ends take one stable
-merge of the sorted ends and starts; IIC reads each SF's window from running
-per-SF counts over that merge. IC picks each episode's winner among lone
-packets and those whose SINR clears delta_ii only: all others lie below
+come in start order, each after its start, and packet i+k overlaps packet i
+iff start[i+k] < end[i]: overlap windows are counted one lag k at a time,
+for at most n.bit_length() lags. Deeper partitions and other ends take one
+stable merge of the sorted ends and starts; IIC reads each SF's window from
+running per-SF counts over that merge. IC picks each episode's winner among
+lone packets and those whose SINR clears delta_ii only: all others lie below
 delta_ii, so the episode's max-SINR packet is among them if any packet is.
 Each packet carries only its start, channel and sending node; airtime, SF
 and receive power are read from per-node tables. A replication is

@@ -324,8 +324,8 @@ def test_overlap_ranks_small_inputs():
 
 def one_airtime_chain(n, depth, touch=False):
     """n start-ordered packets of one airtime in which each overlaps the next
-    `depth` (touching the one after them when touch is set), so the ends are
-    in start order; integer times keep every comparison exact."""
+    `depth` packets, or with touch the next depth - 1 and ends exactly where
+    the depth-th starts; integer times keep every comparison exact."""
     starts = np.arange(n, dtype=float)
     return starts, starts + depth + (0.0 if touch else 0.5)
 
@@ -365,7 +365,6 @@ def test_overlap_ranks_lag_count_and_merge_agree(monkeypatch, starts, ends, lag_
 
     monkeypatch.setattr(np, "argsort", counting_argsort)
     hi, lo, order_e = _overlap_ranks(starts, ends)
-    monkeypatch.undo()
     assert (not argsort_calls) == lag_path and order_e is None
     assert hi.tolist() == [int((starts < e).sum()) for e in ends]
     assert lo.tolist() == [int((ends <= s).sum()) for s in starts]

@@ -114,6 +114,9 @@ class RadioConfig:
             )
         if not (self.gateway_height_m > 0 and self.device_height_m > 0):
             errs.append("radio.gateway_height_m, radio.device_height_m: must be positive")
+        for name in ("noise_figure_db", "gateway_gain_dbi", "device_gain_dbi"):
+            if not math.isfinite(getattr(self, name)):
+                errs.append(f"radio.{name}: must be finite")
         try:
             self.coding_rate_index
         except ConfigurationError as exc:
@@ -245,10 +248,10 @@ class ThresholdSet:
                 errs.append(f"thresholds.sir_db: row sf{SF_RANGE[i]} must have 6 entries")
                 continue
             for j, v in enumerate(row):
-                if v is None:
-                    errs.append(
-                        f"thresholds.sir_db: missing entry (sf{SF_RANGE[i]}, sf{SF_RANGE[j]})"
-                    )
+                if v is None or not math.isfinite(v):
+                    problem = "missing" if v is None else f"non-finite {v}"
+                    errs.append(f"thresholds.sir_db: {problem} entry "
+                                f"(sf{SF_RANGE[i]}, sf{SF_RANGE[j]})")
         return errs
 
 

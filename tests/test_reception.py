@@ -5,6 +5,7 @@ argsort of the ends, resolves each channel through per-packet arrays, and
 applies BP as "the only packet overlapping itself". The library's results
 must equal it flag for flag."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -377,6 +378,47 @@ def test_ic_without_candidate_receives_nothing():
     b = PacketEvent(node=1, sf=7, start_s=0.01, duration_s=SF_TOA[0], rx_power_dbm=-80.0)
     got = resolve_reception([a, b], "IC", N2.thresholds, N2.radio)
     assert got == [False, False] == ref_resolve(*as_arrays([a, b]), "IC").tolist()
+
+
+def _with_sir_sf7(db):
+    rows = [list(r) for r in N2.thresholds.sir_db]
+    rows[0][0] = db
+    return replace(N2.thresholds, sir_db=tuple(tuple(r) for r in rows))
+
+
+def _exact_sf7_db(linear):
+    """A dB value whose linear SF7 threshold equals `linear` bit for bit,
+    searched a few steps around 10 log10(linear); None if there is none."""
+    db = 10.0 * math.log10(linear)
+    for _ in range(8):
+        got = _with_sir_sf7(db).sir_linear[0, 0]
+        if got == linear:
+            return db
+        db = float(np.nextafter(db, math.inf if got < linear else -math.inf))
+    return None
+
+
+def test_ic_capture_tie_is_received():
+    # the IC capture rule is SINR >= delta_ii: set the SF7 threshold to a dB
+    # value whose linear form equals the stronger packet's SINR bit for bit
+    toa, noise = SF_TOA[0], noise_power_mw(N2.radio)
+    starts = np.array([0.0, 0.01])
+    for weak_dbm in np.arange(-86.0, -87.0, -0.01):
+        pw = 10.0 ** (np.array([-80.0, weak_dbm]) / 10.0)
+        total, _ = _overlap_aggregate(starts, starts + toa, pw)
+        sinr = pw[0] / (total[0] - pw[0] + noise)     # the resolver's order
+        db = _exact_sf7_db(sinr)
+        if db is not None:
+            break
+    else:
+        pytest.fail("no dB threshold maps exactly onto the SINR")
+    a = PacketEvent(node=0, sf=7, start_s=0.0, duration_s=toa, rx_power_dbm=-80.0)
+    b = PacketEvent(node=1, sf=7, start_s=0.01, duration_s=toa, rx_power_dbm=float(weak_dbm))
+    assert resolve_reception([a, b], "IC", _with_sir_sf7(db), N2.radio) == [True, False]
+    # one step above the SINR, the stronger packet is no longer captured
+    above = float(np.nextafter(db, math.inf))
+    assert _with_sir_sf7(above).sir_linear[0, 0] > sinr
+    assert resolve_reception([a, b], "IC", _with_sir_sf7(above), N2.radio) == [False, False]
 
 
 def test_ic_full_n1_calendar_matches_reference():

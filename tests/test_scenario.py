@@ -141,24 +141,42 @@ def test_validate_rejects_small_path_loss_exponent():
         validate(bad)
 
 
-def _with_nan(scn, field):
+def _with_value(scn, field, value):
     if field == "topology.mean_nodes":
-        mean = (math.nan,) + scn.topology.mean_nodes[1:]
+        mean = (value,) + scn.topology.mean_nodes[1:]
         return replace(scn, topology=replace(scn.topology, mean_nodes=mean))
+    if field == "thresholds.sir_db":
+        rows = [list(r) for r in scn.thresholds.sir_db]
+        rows[2][4] = value
+        sir_db = tuple(tuple(r) for r in rows)
+        return replace(scn, thresholds=replace(scn.thresholds, sir_db=sir_db))
     if field.startswith("radio."):
-        return replace(scn, radio=replace(scn.radio, **{field[6:]: math.nan}))
-    return replace(scn, **{field: math.nan})
+        return replace(scn, radio=replace(scn.radio, **{field[6:]: value}))
+    return replace(scn, **{field: value})
 
 
 @pytest.mark.parametrize("field", [
     "radio.path_loss_exponent", "radio.carrier_hz", "radio.bandwidth_hz",
     "radio.tx_power_dbm", "radio.gateway_height_m", "sim_duration_s",
-    "topology.mean_nodes",
+    "topology.mean_nodes", "radio.noise_figure_db", "radio.gateway_gain_dbi",
+    "radio.device_gain_dbi", "thresholds.sir_db",
 ])
 def test_validate_rejects_nan(field):
     # a NaN fails every comparison, so each bound is written to fail on it
     with pytest.raises(ConfigurationError, match=re.escape(field)):
-        validate(_with_nan(default_scenario("coverage_eu868"), field))
+        validate(_with_value(default_scenario("coverage_eu868"), field, math.nan))
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+@pytest.mark.parametrize("field", [
+    "radio.noise_figure_db", "radio.gateway_gain_dbi", "radio.device_gain_dbi",
+    "thresholds.sir_db",
+])
+def test_validate_rejects_infinite_link_values(field, value):
+    with pytest.raises(ConfigurationError, match=re.escape(field)) as err:
+        validate(_with_value(default_scenario("coverage_eu868"), field, value))
+    if field == "thresholds.sir_db":
+        assert "(sf9, sf11)" in str(err.value)
 
 
 def test_validate_rejects_missing_sir_entry():

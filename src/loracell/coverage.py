@@ -18,10 +18,16 @@ The model is evaluated over whole distance arrays: one private kernel takes
 distances and per-point SF indices and evaluates 2F1 for every ring edge of
 every point in one array call. The single-point functions call it with one
 element, so a point and the same distance in a sweep give identical values.
+The bracketed 2F1 terms form a (ring, distance) table that depends on eta,
+the SIR thresholds, the ring edges, the distances and the point SFs, but not
+on alpha_j. A one-entry memo keeps the last table, so sweeps of one grid over
+node counts (`reproduce fig2`, `coverage --node-counts`, the coverage demo)
+evaluate 2F1 once; only exp(-pi alpha_j * table) is recomputed.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -89,20 +95,32 @@ def _connection(distances_m: np.ndarray, sf_idx: np.ndarray, radio: RadioConfig,
     return np.exp(-gamma * noise_power_mw(radio) / _received_mw(distances_m, radio))
 
 
+@functools.lru_cache(maxsize=1)
+def _ring_terms(eta: float, boundaries: tuple[float, ...], thresholds: ThresholdSet,
+                distances: bytes, sf_idx: bytes) -> np.ndarray:
+    """The read-only (ring, distance) table l_j^2 2F1(x_j) - l_j-1^2 2F1(x_j-1).
+    Its key holds the point SFs: a typical node may carry another ring's SF."""
+    d = np.frombuffer(distances)
+    b = 2.0 / eta
+    # scale[r, k] = d_k^eta * delta(sf_k, ring r)
+    scale = d ** eta * thresholds.sir_linear.T[:, np.frombuffer(sf_idx, dtype=np.intp)]
+    # edge[0] holds the outer and edge[1] the inner edge of each ring; an
+    # inner edge l_0 = 0 gives x = -0, 2F1 = 1 and a zero l^2 weight
+    bounds = np.asarray(boundaries)
+    edge = np.stack([bounds[1:], bounds[:-1]])[..., None]
+    weighted = edge * edge * hyp2f1(1.0, b, 1.0 + b, -(edge ** eta) / scale)
+    table = weighted[0] - weighted[1]
+    table.flags.writeable = False
+    return table
+
+
 def _capture(distances_m: np.ndarray, sf_idx: np.ndarray, topology: RingTopology,
              thresholds: ThresholdSet, radio: RadioConfig) -> tuple[np.ndarray, np.ndarray]:
     """Q1 at each distance and the (ring, distance) array of P_SIR factors."""
-    eta = radio.path_loss_exponent
-    b = 2.0 / eta
-    # scale[r, k] = d_k^eta * delta(sf_k, ring r)
-    scale = distances_m ** eta * thresholds.sir_linear.T[:, sf_idx]
-    # edge[0] holds the outer and edge[1] the inner edge of each ring; an
-    # inner edge l_0 = 0 gives x = -0, 2F1 = 1 and a zero l^2 weight
-    bounds = np.asarray(topology.boundaries_m)
-    edge = np.stack([bounds[1:], bounds[:-1]])[..., None]
-    weighted = edge * edge * hyp2f1(1.0, b, 1.0 + b, -(edge ** eta) / scale)
+    table = _ring_terms(radio.path_loss_exponent, tuple(topology.boundaries_m), thresholds,
+                        distances_m.tobytes(), sf_idx.astype(np.intp, copy=False).tobytes())
     # a ring with alpha == 0 gives exp(-0.0) == 1.0 exactly
-    p_sir = np.exp(-math.pi * topology.intensities[:, None] * (weighted[0] - weighted[1]))
+    p_sir = np.exp(-math.pi * topology.intensities[:, None] * table)
     return p_sir.prod(axis=0), p_sir
 
 
@@ -112,10 +130,8 @@ def _coverage(distances_m: np.ndarray, sf_idx: np.ndarray,
     h1 = _connection(distances_m, sf_idx, scenario.radio, scenario.thresholds)
     q1, p_sir = _capture(distances_m, sf_idx, scenario.topology, scenario.thresholds,
                          scenario.radio)
-    c1 = h1 * q1
-    return [CoverageBreakdown(h1=h, p_sir=p, q1=q, c1=c)
-            for h, p, q, c in zip(h1.tolist(), zip(*p_sir.tolist()), q1.tolist(),
-                                  c1.tolist())]
+    return list(map(CoverageBreakdown, h1.tolist(), zip(*p_sir.tolist()), q1.tolist(),
+                    (h1 * q1).tolist()))
 
 
 def sf_indices(typical: TypicalNode, *ring_sfs: int,
@@ -176,4 +192,6 @@ def coverage_probability(typical: TypicalNode, scenario: Scenario) -> CoverageBr
 def coverage_sweep(scenario: Scenario, distances_m) -> list[CoverageBreakdown]:
     """Coverage breakdown at each distance (SF from the containing ring)."""
     d = np.asarray(distances_m, dtype=float)
+    if d.ndim != 1:
+        raise ConfigurationError(f"distances_m must be one-dimensional, got shape {d.shape}")
     return _coverage(d, scenario.topology.ring_index(d), scenario)

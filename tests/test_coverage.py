@@ -24,7 +24,7 @@ from loracell import (
     path_gain,
     typical_at,
 )
-from loracell.coverage import noise_power_mw
+from loracell.coverage import _ring_terms, noise_power_mw
 from loracell.scenario import SF_RANGE
 
 # High-precision evaluation (40 digits) of (lambda/(4 pi 1000))^2.75 at 868.1 MHz.
@@ -344,3 +344,94 @@ def test_connection_probability_is_link_budget_only():
     inside = connection_probability(TypicalNode(3000.0, 12), SCN.radio, SCN.thresholds)
     beyond = connection_probability(TypicalNode(5000.0, 12), SCN.radio, SCN.thresholds)
     assert 0.0 < beyond < inside
+
+
+# ---------------------------------------------------------------------------
+# The one-table memo of the 2F1 ring terms
+
+def _bits(rows):
+    """The exact bytes of every float of a list of breakdowns."""
+    return np.array([[br.h1, br.q1, br.c1, *br.p_sir] for br in rows]).tobytes()
+
+
+def _fresh(fn, *args):
+    _ring_terms.cache_clear()
+    return fn(*args)
+
+
+GRID = np.arange(10.0, 3005.0, 10.0)
+
+
+def test_ring_terms_memo_holds_one_table():
+    assert _ring_terms.cache_info().maxsize == 1
+
+
+def test_node_count_sweeps_share_the_table_bit_for_bit():
+    scenarios = [SCN.with_node_count(n) for n in (250, 500, 2500)]
+    _ring_terms.cache_clear()
+    cached = [coverage_sweep(scn, GRID) for scn in scenarios]
+    assert _ring_terms.cache_info().hits == 2
+    for scn, rows in zip(scenarios, cached):
+        assert _bits(rows) == _bits(_fresh(coverage_sweep, scn, GRID))
+
+
+def test_memo_keys_on_the_typical_node_sf():
+    # at 100 m the ring is SF7's, but a typical node may carry another SF
+    node = TypicalNode(100.0, 9)
+    uncached = _fresh(capture_probability, node, SCN.topology, SCN.thresholds, SCN.radio)
+    coverage_sweep(SCN, [100.0])
+    assert capture_probability(node, SCN.topology, SCN.thresholds, SCN.radio) == uncached
+    assert uncached[0] != capture_probability(TypicalNode(100.0, 7), SCN.topology,
+                                              SCN.thresholds, SCN.radio)[0]
+
+
+def _sir_changed(scn):
+    rows = [list(r) for r in scn.thresholds.sir_db]
+    rows[1][3] += 1.0
+    return replace(scn, thresholds=replace(scn.thresholds,
+                                           sir_db=tuple(tuple(r) for r in rows)))
+
+
+def _boundary_moved(scn):
+    bounds = list(scn.topology.boundaries_m)
+    bounds[3] *= 1.01
+    return replace(scn, topology=replace(scn.topology, boundaries_m=tuple(bounds)))
+
+
+@pytest.mark.parametrize("change", [
+    lambda scn, d: (replace(scn, radio=replace(scn.radio, path_loss_exponent=3.1)), d),
+    lambda scn, d: (_sir_changed(scn), d),
+    lambda scn, d: (_boundary_moved(scn), d),
+    lambda scn, d: (scn, np.where(d == 2000.0, 2000.5, d)),
+], ids=["eta", "sir_db", "boundary", "distance"])
+def test_changed_inputs_after_a_cached_call_give_fresh_values(change):
+    coverage_sweep(SCN, GRID)
+    scn, grid = change(SCN, GRID)
+    got = coverage_sweep(scn, grid)
+    assert _bits(got) != _bits(coverage_sweep(SCN, GRID))
+    assert _bits(got) == _bits(_fresh(coverage_sweep, scn, grid))
+
+
+def test_cached_table_is_read_only():
+    coverage_sweep(SCN, GRID)
+    hits = _ring_terms.cache_info().hits
+    sf_idx = SCN.topology.ring_index(GRID).astype(np.intp)
+    table = _ring_terms(SCN.radio.path_loss_exponent, SCN.topology.boundaries_m,
+                        SCN.thresholds, GRID.tobytes(), sf_idx.tobytes())
+    assert _ring_terms.cache_info().hits == hits + 1
+    assert table.shape == (len(SF_RANGE), GRID.size) and not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("distances", [1000.0, [[1000.0, 2000.0]]], ids=["0-d", "2-d"])
+def test_sweep_rejects_distances_that_are_not_one_dimensional(distances):
+    # the memo keys on the raw bytes of the distances, so their shape must be fixed
+    with pytest.raises(ConfigurationError, match="one-dimensional"):
+        coverage_sweep(SCN, distances)
+
+
+def test_empty_sweep_after_a_cached_call():
+    rows = coverage_sweep(SCN, GRID)
+    assert coverage_sweep(SCN, []) == []
+    assert _bits(coverage_sweep(SCN, GRID)) == _bits(rows)

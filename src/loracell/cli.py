@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .airtime import pure_aloha_throughput
-from .coverage import coverage_sweep, typical_at
+from .coverage import TypicalNode, coverage_sweep, typical_at
 from .montecarlo import estimate_coverage
 from .scenario import (
     COLLISION_MODELS,
@@ -105,8 +105,9 @@ def _grid(radius: float, step: float) -> np.ndarray:
 
 def _coverage_rows(scenario: Scenario, distances) -> tuple[list[str], list[list]]:
     header = ["distance_m", "sf", "h1", "q1", "c1"] + [f"p_sir_sf{sf}" for sf in SF_RANGE]
-    rows = [[d, scenario.topology.sf_at(float(d)), br.h1, br.q1, br.c1, *br.p_sir]
-            for d, br in zip(distances, coverage_sweep(scenario, distances))]
+    sfs = np.asarray(SF_RANGE)[scenario.topology.ring_index(distances)]
+    rows = [[d, sf, br.h1, br.q1, br.c1, *br.p_sir]
+            for d, sf, br in zip(distances, sfs, coverage_sweep(scenario, distances))]
     return header, rows
 
 
@@ -123,7 +124,7 @@ def cmd_coverage(args) -> int:
         if args.validate:
             header += ["mc_c1", "mc_se"]
             for row in rows:
-                typical = typical_at(scn.topology, float(row[0]))
+                typical = TypicalNode(distance_m=float(row[0]), sf=int(row[1]))
                 _, _, c1 = estimate_coverage(typical, scn, args.trials, scn.rng_seed)
                 row += [c1.mean, c1.standard_error]
         out = Path(args.out)
@@ -195,8 +196,8 @@ def cmd_reproduce(args) -> int:
         header = ["distance_m", "sf"] + [f"c1_N{count}" for count in counts]
         curves = [coverage_sweep(scenario.with_node_count(count), distances)
                   for count in counts]
-        rows = [[d, scenario.topology.sf_at(float(d)), *(br.c1 for br in brs)]
-                for d, *brs in zip(distances, *curves)]
+        sfs = np.asarray(SF_RANGE)[scenario.topology.ring_index(distances)]
+        rows = [[d, sf, *(br.c1 for br in brs)] for d, sf, *brs in zip(distances, sfs, *curves)]
         stem, spath, seed = "fig2_coverage", "coverage_eu868.ini", scenario.rng_seed
         scenarios = {"coverage_eu868": scenario}
     else:

@@ -212,7 +212,7 @@ class ThresholdSet:
 
     sir_db[i][j] is the threshold for decoding an SF 7+i packet against
     interference from SF 7+j. Validation rejects a matrix with a row of the
-    wrong length or a None entry.
+    wrong length, a None entry or a non-finite entry.
     """
 
     snr_floor_db: tuple[float, ...]                    # SF7..SF12
@@ -286,6 +286,10 @@ class Scenario:
             errs.append("offered_loads: every point must lie in (0, 1]")
         if not self.node_count >= 1:
             errs.append("node_count: must be at least 1")
+        elif not math.isclose(sum(self.topology.mean_nodes), self.node_count, rel_tol=1e-9):
+            errs.append(f"node_count: {self.node_count} differs from the sum of "
+                        f"topology.mean_nodes, {sum(self.topology.mean_nodes)!r}; "
+                        "set both with Scenario.with_node_count")
         if self.sf_assignment not in ("distance_rings", "uniform_random"):
             errs.append(f"sf_assignment: unknown mode {self.sf_assignment!r}")
         if not self.sf_set or any(sf not in SF_RANGE for sf in self.sf_set):

@@ -10,11 +10,11 @@ Traffic is the nodes' Poisson processes superposed (one Poisson total, sorted
 uniform times, an iid node label each), and the acceptance rule runs over all
 nodes at once in node-major order; its keep mask is scattered back, so
 packets stay in start order. An arrival is close when t[i] < t[i-1] + ToA
-within its node. A lone close arrival is a busy drop, and a chain of close
-arrivals keeps each arrival that starts after the last kept airtime ends. A
-node that could exceed the duty budget (its densest trailing hour holds more
-airtime than the budget) runs the exact sequential loop over all its
-arrivals. The result equals that loop run on every node.
+within its node. One rule picks the nodes that run the exact sequential
+loop: those whose arrivals hold more airtime than the hourly duty budget,
+and those with two consecutive close arrivals. Every other node keeps its
+arrivals that are not close, which is what the loop would keep. The result
+equals that loop run on every node.
 
 Propagation is the Okumura-Hata open-area (rural) median model, reception
 is threshold-based: a packet is detectable iff its receive power clears the
@@ -354,35 +354,25 @@ def _accept_sequential(times, toa, budget):
 
 
 def _accept(times, nodes, node_toa, duty_limit):
-    """Keep mask over node-major sorted arrivals, plus busy and duty drops.
-
-    Equivalent to `_accept_sequential` per node. An arrival is close when
-    t[i] < t[i-1] + toa within its node; every other arrival is kept. A lone
-    close arrival is a busy drop; chains of two or more close arrivals, and
-    nodes whose trailing-hour count can exceed the duty budget, take the
-    sequential rule.
-    """
+    """Keep mask over node-major sorted arrivals, plus busy and duty drops,
+    equal to `_accept_sequential` per node. It runs on each node with more
+    airtime than the duty budget or two consecutive close arrivals (t[i] <
+    t[i-1] + toa). Any other node keeps its arrivals that are not close: a
+    close one follows a kept arrival, so it is a busy drop, and all the
+    node's airtime fits one hour's budget, so none is a duty drop."""
     close = np.zeros(times.size, dtype=bool)
     close[1:] = ((nodes[1:] == nodes[:-1])
                  & (times[1:] < times[:-1] + node_toa[nodes[1:]]))
     keep = ~close
-    edges = np.diff(close.view(np.int8), prepend=0, append=0)
-    for a, b in zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)):
-        if b - a > 1:       # run head a-1 is kept; the rest is sequential
-            keep[a - 1:b] = _accept_sequential(
-                times[a - 1:b], float(node_toa[nodes[a]]), math.inf)[0]
-
     budget = duty_limit * 3600.0
-    dropped_duty = 0
     counts = np.bincount(nodes, minlength=node_toa.size)
+    exact = counts * node_toa > budget
+    exact[nodes[1:][close[1:] & close[:-1]]] = True
     bounds = np.concatenate(([0], np.cumsum(counts)))
-    for k in np.flatnonzero(counts * node_toa > budget):
-        t_k = times[bounds[k]:bounds[k + 1]]
-        win_start = np.searchsorted(t_k, t_k - 3600.0, side="right")
-        if (np.arange(t_k.size) - win_start + 1).max() * node_toa[k] <= budget:
-            continue
+    dropped_duty = 0
+    for k in np.flatnonzero(exact):
         keep[bounds[k]:bounds[k + 1]], duty = _accept_sequential(
-            t_k, float(node_toa[k]), budget)
+            times[bounds[k]:bounds[k + 1]], float(node_toa[k]), budget)
         dropped_duty += duty
     dropped_busy = int(times.size - keep.sum()) - dropped_duty
     return keep, dropped_busy, dropped_duty

@@ -86,3 +86,52 @@ def test_benchmark_and_demo_loracell_names_resolve():
         except (AttributeError, ImportError):
             missing.append(ref)
     assert not missing
+
+
+def _top_level_names(tree: ast.Module) -> tuple[set[str], set[str]]:
+    """Names a module binds at top level by import, and the private names
+    (leading underscore, not dunder) it defines or assigns there."""
+    imported, private = set(), set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            private.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            private.update(t.id for t in targets if isinstance(t, ast.Name))
+    return imported, {n for n in private if n.startswith("_") and not n.startswith("__")}
+
+
+def _references(tree: ast.AST) -> list[str]:
+    """Every name a module reads, as a bare name, an attribute or an import."""
+    refs = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.append(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.extend(a.name for a in node.names)
+    return refs
+
+
+def test_src_has_no_unused_imports_or_private_names():
+    # a dead-code guard: an import the module never reads, or a private
+    # top-level name nothing in src/ refers to, is left over from a removal
+    src = Path(loracell.__file__).parent
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(src.glob("*.py"))}
+    all_refs = {r for tree in trees.values() for r in _references(tree)}
+    dead = []
+    for name, tree in trees.items():
+        if name == "__init__.py":
+            continue
+        imported, private = _top_level_names(tree)
+        module_refs = {n.id for n in ast.walk(tree)
+                       if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        dead += [f"{name}: unused import {n}" for n in sorted(imported - module_refs)]
+        dead += [f"{name}: unreferenced {n}" for n in sorted(private) if n not in all_refs]
+    assert not dead

@@ -239,6 +239,17 @@ def test_uniform_random_requires_divisible_node_count():
     assert any("divisible" in e for e in bad.errors())
 
 
+def test_validate_rejects_node_count_that_disagrees_with_topology():
+    # the coverage model reads topology.mean_nodes, the simulator node_count
+    scn = default_scenario("coverage_eu868")
+    assert sum(scn.topology.mean_nodes) != scn.node_count     # 499.99999999999994
+    with pytest.raises(ConfigurationError,
+                       match=r"node_count: 2500 .*topology\.mean_nodes.*with_node_count"):
+        validate(replace(scn, node_count=2500))
+    for n in (1, 250, 2500, 60000):
+        assert validate(scn.with_node_count(n)).errors() == []
+
+
 def packaged_text(name):
     return (resources.files("loracell.data") / name).read_text(encoding="utf-8")
 

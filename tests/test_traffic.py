@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from loracell import default_scenario, per_node_rate, sample_placement
+from loracell.scenario import SF_RANGE
 from loracell.simulator import (
     _accept,
     _arrivals,
@@ -104,6 +106,37 @@ def test_accept_binding_duty_cycle_and_chains():
     # the chain keeps 0.0, then 1.2 (>= 0.0 + toa), then 5.0
     assert np.array_equal(times[60:65][keep[60:65]], [0.0, 1.2, 5.0])
     assert busy == 2 and keep[-1]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("case, load, duty_limit", [
+    ("sim_n1", 1.0, 0.01), ("sim_n2", 0.6, 0.01), ("sim_n2", 1.0, 0.01),
+    ("sim_n1", 3.0, 0.01), ("sim_n1", 3.0, 1.0)])
+def test_accept_matches_reference_on_whole_calendars(case, load, duty_limit, seed):
+    # whole replication calendars. The 1% duty budget binds the N2 SF12 nodes
+    # and, at load 3.0, the N1 nodes (all SF7), which then hold every chain of
+    # close arrivals; with the budget at 100% those chains stand alone.
+    scn = default_scenario(case)
+    rng = np.random.default_rng(seed)
+    node_toa = np.array(SF_TOA)[sample_placement(scn, rng=rng).sfs - SF_RANGE[0]]
+    rate = per_node_rate(load, scn.node_count, float(node_toa.mean()))
+    times, nodes, by_node = _arrivals(rng, scn.node_count, rate, scn.sim_duration_s)
+    times, nodes = times[by_node], nodes[by_node]
+
+    keep, busy, duty = _accept(times, nodes, node_toa, duty_limit)
+
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(nodes, minlength=scn.node_count))))
+    ref_keep = np.zeros(times.size, dtype=bool)
+    ref_busy = ref_duty = 0
+    for k in range(scn.node_count):
+        t_k = times[bounds[k]:bounds[k + 1]]
+        kept, b, d = reference_node_transmissions(t_k, node_toa[k], duty_limit)
+        ref_keep[bounds[k]:bounds[k + 1]] = np.isin(t_k, kept)
+        ref_busy += b
+        ref_duty += d
+    assert np.array_equal(keep, ref_keep)
+    assert (busy, duty) == (ref_busy, ref_duty)
+    assert (duty == 0) == (duty_limit == 1.0 or (case, load) == ("sim_n1", 1.0))
 
 
 @pytest.mark.parametrize("node_count", [300, 7])

@@ -117,6 +117,8 @@ def cmd_coverage(args) -> int:
     counts = args.node_counts or [scenario.node_count]
     if min(counts) < 1:
         raise ConfigurationError(f"--node-counts: counts must be at least 1, got {min(counts)}")
+    if len(set(counts)) < len(counts):
+        raise ConfigurationError(f"--node-counts: each count may appear once, got {counts}")
     multi = len(counts) > 1
     for count in counts:
         scn = scenario.with_node_count(count)

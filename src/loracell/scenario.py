@@ -126,29 +126,23 @@ class RadioConfig:
 
 @dataclass(frozen=True)
 class RingTopology:
-    """Concentric equal-or-custom rings around the gateway, one per SF.
+    """Six equal-area rings around the gateway, one per SF, derived from the
+    cell radius R.
 
-    boundaries_m holds l_0..l_6 with l_0 = 0 and l_6 = cell radius; ring j
-    (SF 7+j) covers distances in (l_j-1, l_j]. mean_nodes are the average
-    node counts per ring; with transmit probability p the active interferers
-    in ring j form a Poisson process of intensity alpha_j = p * rho_j.
+    boundaries_m holds l_0..l_6 with l_0 = 0, l_j = R sqrt(j / 6) and
+    l_6 = R; ring j (SF 7+j) covers distances in (l_j-1, l_j]. node_count is
+    the cell's mean node count, node_count / 6 per ring. With transmit
+    probability p the active interferers in ring j form a Poisson process of
+    intensity alpha_j = p * rho_j.
     """
 
     cell_radius_m: float
-    boundaries_m: tuple[float, ...]           # l_0 .. l_6
-    mean_nodes: tuple[float, ...]             # per ring
+    node_count: float                         # mean nodes in the whole cell
     transmit_probability: float
 
-    @classmethod
-    def equal_area(cls, cell_radius_m: float, mean_node_count: float,
-                   transmit_probability: float) -> "RingTopology":
-        outer = equal_area_rings(cell_radius_m, NUM_SF)
-        return cls(
-            cell_radius_m=cell_radius_m,
-            boundaries_m=(0.0, *outer.tolist()),
-            mean_nodes=tuple([mean_node_count / NUM_SF] * NUM_SF),
-            transmit_probability=transmit_probability,
-        )
+    @cached_property
+    def boundaries_m(self) -> tuple[float, ...]:
+        return (0.0, *equal_area_rings(self.cell_radius_m, NUM_SF).tolist())
 
     @cached_property
     def ring_areas_m2(self) -> np.ndarray:
@@ -158,7 +152,7 @@ class RingTopology:
     @cached_property
     def densities(self) -> np.ndarray:
         """Nodes per m^2 in each ring."""
-        return np.asarray(self.mean_nodes) / self.ring_areas_m2
+        return self.node_count / NUM_SF / self.ring_areas_m2
 
     @cached_property
     def intensities(self) -> np.ndarray:
@@ -180,27 +174,12 @@ class RingTopology:
         """SF of the ring containing a distance (outer boundary inclusive)."""
         return SF_RANGE[int(self.ring_index(distance_m))]
 
-    def scaled_to(self, mean_node_count: float) -> "RingTopology":
-        """Same geometry with the total mean node count rescaled."""
-        factor = mean_node_count / float(sum(self.mean_nodes))
-        return replace(self, mean_nodes=tuple(n * factor for n in self.mean_nodes))
-
     def errors(self) -> list[str]:
         errs = []
-        b = np.asarray(self.boundaries_m)
-        if len(b) != NUM_SF + 1:
-            errs.append(f"topology.boundaries_m: expected {NUM_SF + 1} values, got {len(b)}")
-            return errs
-        if b[0] != 0.0:
-            errs.append("topology.boundaries_m: l_0 must be 0")
-        if not np.all(np.diff(b) > 0):
-            errs.append("topology.boundaries_m: boundaries must be strictly increasing")
-        if not math.isclose(b[-1], self.cell_radius_m, rel_tol=1e-12):
-            errs.append("topology.boundaries_m: l_6 must equal cell_radius_m")
-        if len(self.mean_nodes) != NUM_SF:
-            errs.append("topology.mean_nodes: expected one value per SF ring")
-        elif not all(n >= 0 for n in self.mean_nodes):
-            errs.append("topology.mean_nodes: counts must be non-negative")
+        if not 0 < self.cell_radius_m < math.inf:
+            errs.append("topology.cell_radius_m: must be finite and positive")
+        if not 0 <= self.node_count < math.inf:
+            errs.append("topology.node_count: must be finite and non-negative")
         if not 0 < self.transmit_probability <= 1:
             errs.append("topology.transmit_probability: must be in (0, 1]")
         return errs
@@ -257,13 +236,16 @@ class ThresholdSet:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One full experiment description. Immutable once validated."""
+    """One full experiment description. Immutable once validated.
+
+    The node count lives in the topology, which the coverage functions take
+    on its own; `node_count` reads it, and `with_node_count` sets it.
+    """
 
     radio: RadioConfig
     topology: RingTopology
     thresholds: ThresholdSet
     offered_loads: tuple[float, ...] = tuple(round(0.1 * k, 1) for k in range(1, 11))
-    node_count: int = 500
     sf_assignment: str = "distance_rings"      # or "uniform_random"
     sf_set: tuple[int, ...] = SF_RANGE
     radial_distribution: str = "area_uniform"  # or "radius_uniform"
@@ -275,8 +257,12 @@ class Scenario:
     sim_duration_s: float = 7200.0
     channels: int = 1
 
+    @property
+    def node_count(self) -> int:
+        return self.topology.node_count
+
     def with_node_count(self, n: int) -> "Scenario":
-        return replace(self, node_count=n, topology=self.topology.scaled_to(n))
+        return replace(self, topology=replace(self.topology, node_count=n))
 
     def errors(self) -> list[str]:
         errs = self.radio.errors() + self.topology.errors() + self.thresholds.errors()
@@ -284,12 +270,10 @@ class Scenario:
             errs.append("offered_loads: must not be empty")
         elif any(not 0 < g <= 1 for g in self.offered_loads):
             errs.append("offered_loads: every point must lie in (0, 1]")
-        if not self.node_count >= 1:
-            errs.append("node_count: must be at least 1")
-        elif not math.isclose(sum(self.topology.mean_nodes), self.node_count, rel_tol=1e-9):
-            errs.append(f"node_count: {self.node_count} differs from the sum of "
-                        f"topology.mean_nodes, {sum(self.topology.mean_nodes)!r}; "
-                        "set both with Scenario.with_node_count")
+        whole = isinstance(self.node_count, (int, np.integer)) and self.node_count >= 1
+        if not whole:
+            errs.append(f"node_count: must be a whole number at least 1, "
+                        f"got {self.node_count!r}")
         if self.sf_assignment not in ("distance_rings", "uniform_random"):
             errs.append(f"sf_assignment: unknown mode {self.sf_assignment!r}")
         if not self.sf_set or any(sf not in SF_RANGE for sf in self.sf_set):
@@ -298,7 +282,7 @@ class Scenario:
             errs.append("sf_set: duplicate spreading factors")
         if self.sf_assignment == "distance_rings" and tuple(self.sf_set) != SF_RANGE:
             errs.append("sf_set: distance_rings assignment requires all six SFs")
-        if (self.sf_assignment == "uniform_random" and self.sf_set
+        if (self.sf_assignment == "uniform_random" and self.sf_set and whole
                 and self.node_count % len(self.sf_set) != 0):
             errs.append(
                 f"node_count: {self.node_count} not divisible by {len(self.sf_set)} "
@@ -378,8 +362,8 @@ _SCENARIO_KEYS = {
     "radio": _field_defaults(RadioConfig),
     "topology": {"cell_radius_m": 3000.0, "transmit_probability": 0.01},
     "thresholds": {"file": "thresholds_eu868.ini"},
-    "nodes": _field_defaults(Scenario, "node_count", "sf_assignment", "sf_set",
-                             "radial_distribution"),
+    "nodes": {"node_count": 500,
+              **_field_defaults(Scenario, "sf_assignment", "sf_set", "radial_distribution")},
     "traffic": _field_defaults(Scenario, "offered_loads", "payload_bytes"),
     "simulation": _field_defaults(Scenario, "collision_model", "duty_cycle_limit",
                                   "rng_seed", "replications", "sim_duration_s",
@@ -474,8 +458,7 @@ def load_scenario(path: str | os.PathLike) -> Scenario:
     thr_file = values["thresholds"]["file"]
     scenario = Scenario(
         radio=RadioConfig(**values["radio"]),
-        topology=RingTopology.equal_area(mean_node_count=nodes["node_count"],
-                                         **values["topology"]),
+        topology=RingTopology(node_count=nodes.pop("node_count"), **values["topology"]),
         thresholds=load_thresholds(resolve_config_path(thr_file, relative_to=path.parent)),
         **nodes,
         **values["traffic"],

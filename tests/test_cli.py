@@ -1,9 +1,11 @@
+import hashlib
 import json
 import re
 
 import numpy as np
 import pytest
 
+from loracell import load_scenario
 from loracell.cli import EXIT_CONFIG, EXIT_OK, main
 
 
@@ -48,6 +50,20 @@ def test_coverage_csv_identity_and_manifest(tmp_path):
     assert manifest["command"] == "coverage"
     assert list(manifest["config_digests"]) == ["coverage_eu868"]
     assert len(manifest["config_digests"]["coverage_eu868"]) == 64
+
+
+@pytest.mark.parametrize("extra", [[], ["--node-counts", "500"]], ids=["default", "500"])
+def test_coverage_manifest_digest_is_the_validated_scenario_digest(extra, tmp_path, capsys):
+    assert main(["validate-config", "--scenario", "coverage_eu868.ini"]) == EXIT_OK
+    printed = re.search(r"digest ([0-9a-f]{16})\)", capsys.readouterr().out).group(1)
+    out = tmp_path / "cov.csv"
+    assert main(["coverage", "--scenario", "coverage_eu868.ini", "--grid-step", "1000",
+                 "--out", str(out), *extra]) == EXIT_OK
+    manifest = json.loads((tmp_path / "cov.csv.manifest.json").read_text())
+    digest = manifest["config_digests"]["coverage_eu868"]
+    loaded = repr(load_scenario("coverage_eu868.ini")).encode("utf-8")
+    assert digest == hashlib.sha256(loaded).hexdigest()
+    assert digest[:16] == printed
 
 
 def test_coverage_multiple_node_counts(tmp_path):
@@ -101,7 +117,7 @@ def test_coverage_grid_stops_at_cell_radius(tmp_path):
     assert [float(r[0]) for r in rows] == [800.0, 1600.0, 2400.0]
 
 
-@pytest.mark.parametrize("counts", ["-5", "0", "250,0"])
+@pytest.mark.parametrize("counts", ["-5", "0", "250,0", "500,500"])
 def test_coverage_bad_node_counts_exits_config_error(counts, tmp_path, capsys):
     out = tmp_path / "cov.csv"
     code = main(["coverage", "--scenario", "coverage_eu868.ini", f"--node-counts={counts}",

@@ -84,7 +84,7 @@ def test_connection_probability_limits():
 
 
 def test_capture_ring_no_interferers_is_one():
-    empty = SCN.with_node_count(1).topology.scaled_to(0.0)
+    empty = replace(SCN.topology, node_count=0)
     typical = typical_at(SCN.topology, 1500.0)
     for sf in SF_RANGE:
         assert capture_probability_ring(typical, sf, empty, SCN.thresholds,
@@ -110,14 +110,14 @@ def test_capture_probability_is_product_of_rings():
 
 
 def test_capture_monotone_in_ring_intensity():
+    # a larger node count raises every ring's intensity, so every factor falls
     typical = typical_at(SCN.topology, 1500.0)
-    q_base, _ = capture_probability(typical, SCN.topology, SCN.thresholds, SCN.radio)
-    for j in range(6):
-        bumped_nodes = list(SCN.topology.mean_nodes)
-        bumped_nodes[j] *= 1.5
-        bumped = replace(SCN.topology, mean_nodes=tuple(bumped_nodes))
-        q_bumped, _ = capture_probability(typical, bumped, SCN.thresholds, SCN.radio)
-        assert q_bumped < q_base
+    q_base, rings_base = capture_probability(typical, SCN.topology, SCN.thresholds,
+                                             SCN.radio)
+    bumped = replace(SCN.topology, node_count=SCN.node_count * 1.5)
+    q_bumped, rings_bumped = capture_probability(typical, bumped, SCN.thresholds, SCN.radio)
+    assert q_bumped < q_base
+    assert all(b < a for a, b in zip(rings_base, rings_bumped))
 
 
 def test_coverage_breakdown_identities():
@@ -130,7 +130,7 @@ def test_coverage_breakdown_identities():
 def test_coverage_one_when_no_noise_and_no_interferers():
     thr0 = make_thresholds([-1000, -1001, -1002, -1003, -1004, -1005], 6.0)
     scn = replace(SCN, thresholds=thr0)
-    scn = replace(scn, topology=scn.topology.scaled_to(0.0))
+    scn = scn.with_node_count(0)
     br = coverage_probability(TypicalNode(distance_m=2500.0, sf=11), scn)
     assert br.c1 == 1.0
 
@@ -224,15 +224,12 @@ def reference_breakdown(distance, scenario):
 
 @st.composite
 def kernel_cases(draw):
-    """A scenario over eta in [2.05, 6] or eta = 2, 0..5000 nodes with some
-    rings possibly empty, and distances that include every ring boundary,
-    the cell edge and very small d."""
+    """A scenario over eta in [2.05, 6] or eta = 2, 0..5000 nodes (every
+    ring empty at 0), and distances that include every ring boundary, the
+    cell edge and very small d."""
     eta = draw(st.one_of(st.just(2.0), st.floats(2.05, 6.0)))
     nodes = draw(st.one_of(st.just(0.0), st.floats(0.0, 5000.0)))
-    occupied = draw(st.lists(st.booleans(), min_size=6, max_size=6))
-    topology = SCN.topology.scaled_to(nodes)
-    topology = replace(topology, mean_nodes=tuple(
-        n if keep else 0.0 for n, keep in zip(topology.mean_nodes, occupied)))
+    topology = replace(SCN.topology, node_count=nodes)
     scenario = replace(SCN, topology=topology,
                        radio=replace(SCN.radio, path_loss_exponent=eta))
     radius = topology.cell_radius_m
@@ -393,9 +390,8 @@ def _sir_changed(scn):
 
 
 def _boundary_moved(scn):
-    bounds = list(scn.topology.boundaries_m)
-    bounds[3] *= 1.01
-    return replace(scn, topology=replace(scn.topology, boundaries_m=tuple(bounds)))
+    # the ring edges derive from the cell radius, so moving it moves every edge
+    return replace(scn, topology=replace(scn.topology, cell_radius_m=3030.0))
 
 
 @pytest.mark.parametrize("change", [

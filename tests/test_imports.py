@@ -1,5 +1,6 @@
 """Imports: the package's cold start loads scipy.special and nothing heavier,
-and every loracell name the benchmark and the demos use exists."""
+every loracell name the benchmark and the demos use exists, and the
+benchmark's workloads run a few items and pass their own output checks."""
 
 import ast
 import importlib
@@ -10,6 +11,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 from scipy import stats
 
 import loracell
@@ -86,6 +88,22 @@ def test_benchmark_and_demo_loracell_names_resolve():
         except (AttributeError, ImportError):
             missing.append(ref)
     assert not missing
+
+
+@pytest.mark.parametrize("name", ["fig3_n1", "fig3_n2", "coverage_heatmap", "mc_crossval"])
+def test_benchmark_workload_items_pass_their_checks(name, monkeypatch):
+    # the name check above sees only `loracell.*` references; this one also
+    # catches an attribute the workloads read, such as topology.boundaries_m
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1]))
+    from perfbench.run import DEFAULT_SEED
+    from perfbench.workloads import WORKLOADS, build
+
+    assert name in WORKLOADS
+    workload = build(name)
+    for item in workload.warmup_items(DEFAULT_SEED):
+        workload.run_item(item)
+    for item in workload.items(DEFAULT_SEED, 0)[:3]:
+        assert workload.check_item(item, workload.run_item(item)) == []
 
 
 def _top_level_names(tree: ast.Module) -> tuple[set[str], set[str]]:

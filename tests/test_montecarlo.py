@@ -38,7 +38,7 @@ def uniform_sir_thresholds(floors_db, sir_db):
 
 def test_no_interferers_no_noise_gives_exactly_one():
     thr = uniform_sir_thresholds([-1000, -1001, -1002, -1003, -1004, -1005], 6.0)
-    scn = replace(SCN, thresholds=thr, topology=SCN.topology.scaled_to(0.0))
+    scn = replace(SCN.with_node_count(0), thresholds=thr)
     h1, q1, c1 = estimate_coverage(TypicalNode(2000.0, 10), scn, trials=20_000, seed=1)
     assert c1.mean == 1.0 and q1.mean == 1.0 and h1.mean == 1.0
     assert c1.standard_error == 0.0
@@ -70,7 +70,7 @@ def test_standard_error_formula():
 
 
 def test_sir_ring_empty_configuration_is_one():
-    scn = replace(SCN, topology=SCN.topology.scaled_to(0.0))
+    scn = SCN.with_node_count(0)
     est = estimate_sir_ring(TypicalNode(1500.0, 8), 9, scn, trials=10_000, seed=2)
     assert est.mean == 1.0
 

@@ -136,32 +136,32 @@ CLI_RUNS = {
 CLI_SHA256 = {
     "reproduce_fig2": {
         "fig2_coverage.csv": "984a68ffdf89432b34edc3471eaa67a7c1546690af6158c164bd9b59bf67ed1d",
-        "fig2_coverage.csv.manifest.json": "5c2645a02d21b0494e2515d0a0a30f0fd31291d9c7b967ca1e9a13f4dfcf871e",
+        "fig2_coverage.csv.manifest.json": "451ab960a7ded35a7ca09b6de63def9e82c45c39e9d2ec8fbda911b39cfbb42b",
         "fig2_coverage.dat": "316899844a1a139d9a9ddd9d4e5b78b3b8e7ea241febe8883ecb35147b6868a4",
     },
     "reproduce_fig3": {
         "fig3_throughput.csv": "ef629edcde290d933d5894c4bcc3c3b3fc5a836d90b3cf12a4e4054993409725",
-        "fig3_throughput.csv.manifest.json": "f3583ec058689daaceb66d5da90fa1f77457a877606fe8507a276d421d6af1fa",
+        "fig3_throughput.csv.manifest.json": "d985750c7f91ae648636d57e2ed96f43dd99173bd25d4351346401d8c64db348",
         "fig3_throughput.dat": "94c94cff5c012ec915323f372eba9ab0631f20edd59ded9bf68736e93bfd5e63",
     },
     "reproduce_fig4": {
         "fig4_pdr.csv": "8bde6c0d298688c56320f321e8f655755d5abf24432055fc3a1d666c4663a584",
-        "fig4_pdr.csv.manifest.json": "cecb11f773412381342bd5d7babf002db4e9b0bfad8a59ac8b4527c8a88470c8",
+        "fig4_pdr.csv.manifest.json": "ba89b81f996d58f7c4b9e8ab067430e60a30fdad152642d13d3fe12b97a5ba34",
         "fig4_pdr.dat": "55b5743f85e2bf45576613effa95a1f8181f3c8bd363649d3d0e2fabe622d5b7",
     },
     "coverage_counts": {
         "out_N250.csv": "71b34fb5388158329dad72713cab7241d9a14c814ca93e7cbefd3277a97fe208",
-        "out_N250.csv.manifest.json": "e94ba9cec04f8a04ecded3b87f72854a081504a27d4e7e4b6417be502c385a5c",
+        "out_N250.csv.manifest.json": "d01901dd52afa924baa0c24ba9b73a1bc61211082db176dbda2d4d0a77997bf3",
         "out_N2500.csv": "8e419c510414813856a8f98b873b69544c808c6d865f354c2b6db0038d8b1b51",
-        "out_N2500.csv.manifest.json": "9b462f6cf31aee166126eac8fd06bdb7dfc4cf7761afcb030509c85a227a2f68",
+        "out_N2500.csv.manifest.json": "b6861e5a31abc919e50a586f6e28dd92904b6fdb5e8372bc6295af354ee48261",
     },
     "coverage_validate": {
         "out.csv": "2a7ab8e593a4b15701d5a6f2fdbf4bbec337d9046c8751b5a4892ad3ad15092a",
-        "out.csv.manifest.json": "977609ba05d80e6bf436f4708bcd2d8a563053749265b805dcd2afb2132f77fa",
+        "out.csv.manifest.json": "4e7ef843b5ac445fbd5d4c25eb7b2a5847032671b239dfafa41631bc3c8b444f",
     },
     "simulate_n2_iic": {
         "out.csv": "3f3d42ad8b072e6b6972a97fb686d1a6eb0fcd5c19ec006ed07b3957636bb56d",
-        "out.csv.manifest.json": "38baf6f26c53518395e98510237407273e9b88927dcda1f9a4ce3251a3e2986e",
+        "out.csv.manifest.json": "be62c4b00ef79f434ab6b9e3d776a15fddb82fe61c4b038619ed15f8c598833a",
     },
 }
 # model -> SHA-256 of the `resolve_reception` flags over `reception_packets()`

@@ -1,6 +1,6 @@
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -35,7 +35,7 @@ def test_equal_area_rings_single_ring_is_disk():
 
 
 def test_equal_area_ring_areas_equal():
-    topo = RingTopology.equal_area(3000.0, 500, 0.01)
+    topo = RingTopology(3000.0, 500, 0.01)
     areas = topo.ring_areas_m2
     np.testing.assert_allclose(areas, np.pi * 3000.0**2 / 6, rtol=1e-6)
     assert np.ptp(areas) / areas.mean() < 1e-9
@@ -50,12 +50,12 @@ def test_equal_area_rings_rejects_bad_input():
 
 
 def test_topology_intensities_follow_alpha_p_rho():
-    topo = RingTopology.equal_area(3000.0, 500, 0.01)
+    topo = RingTopology(3000.0, 500, 0.01)
     np.testing.assert_allclose(topo.intensities, 0.01 * topo.densities, rtol=0, atol=0)
 
 
 def test_topology_sf_at_boundaries():
-    topo = RingTopology.equal_area(3000.0, 500, 0.01)
+    topo = RingTopology(3000.0, 500, 0.01)
     assert topo.sf_at(1.0) == 7
     l1 = topo.boundaries_m[1]
     assert topo.sf_at(l1) == 7            # outer boundary belongs to its ring
@@ -66,8 +66,8 @@ def test_topology_sf_at_boundaries():
 
 
 def test_scaled_topology_keeps_geometry():
-    topo = RingTopology.equal_area(3000.0, 500, 0.01)
-    scaled = topo.scaled_to(2500)
+    topo = RingTopology(3000.0, 500, 0.01)
+    scaled = replace(topo, node_count=2500)
     assert scaled.boundaries_m == topo.boundaries_m
     np.testing.assert_allclose(scaled.intensities, 5.0 * topo.intensities)
 
@@ -142,9 +142,8 @@ def test_validate_rejects_small_path_loss_exponent():
 
 
 def _with_value(scn, field, value):
-    if field == "topology.mean_nodes":
-        mean = (value,) + scn.topology.mean_nodes[1:]
-        return replace(scn, topology=replace(scn.topology, mean_nodes=mean))
+    if field.startswith("topology."):
+        return replace(scn, topology=replace(scn.topology, **{field[9:]: value}))
     if field == "thresholds.sir_db":
         rows = [list(r) for r in scn.thresholds.sir_db]
         rows[2][4] = value
@@ -158,8 +157,8 @@ def _with_value(scn, field, value):
 @pytest.mark.parametrize("field", [
     "radio.path_loss_exponent", "radio.carrier_hz", "radio.bandwidth_hz",
     "radio.tx_power_dbm", "radio.gateway_height_m", "sim_duration_s",
-    "topology.mean_nodes", "radio.noise_figure_db", "radio.gateway_gain_dbi",
-    "radio.device_gain_dbi", "thresholds.sir_db",
+    "topology.node_count", "topology.cell_radius_m", "radio.noise_figure_db",
+    "radio.gateway_gain_dbi", "radio.device_gain_dbi", "thresholds.sir_db",
 ])
 def test_validate_rejects_nan(field):
     # a NaN fails every comparison, so each bound is written to fail on it
@@ -170,7 +169,7 @@ def test_validate_rejects_nan(field):
 @pytest.mark.parametrize("value", [math.inf, -math.inf])
 @pytest.mark.parametrize("field", [
     "radio.noise_figure_db", "radio.gateway_gain_dbi", "radio.device_gain_dbi",
-    "thresholds.sir_db",
+    "thresholds.sir_db", "topology.cell_radius_m", "topology.node_count",
 ])
 def test_validate_rejects_infinite_link_values(field, value):
     with pytest.raises(ConfigurationError, match=re.escape(field)) as err:
@@ -235,19 +234,48 @@ def test_tx_power_above_regulatory_limit_rejected():
 
 def test_uniform_random_requires_divisible_node_count():
     scn = default_scenario("sim_n2")
-    bad = replace(scn, node_count=301)
+    bad = scn.with_node_count(301)
     assert any("divisible" in e for e in bad.errors())
 
 
-def test_validate_rejects_node_count_that_disagrees_with_topology():
-    # the coverage model reads topology.mean_nodes, the simulator node_count
-    scn = default_scenario("coverage_eu868")
-    assert sum(scn.topology.mean_nodes) != scn.node_count     # 499.99999999999994
-    with pytest.raises(ConfigurationError,
-                       match=r"node_count: 2500 .*topology\.mean_nodes.*with_node_count"):
-        validate(replace(scn, node_count=2500))
-    for n in (1, 250, 2500, 60000):
-        assert validate(scn.with_node_count(n)).errors() == []
+@pytest.mark.parametrize("name", ["coverage_eu868", "sim_n1", "sim_n2"])
+def test_with_node_count_round_trip_is_equal(name):
+    # the manifest digest hashes repr(scenario), so a count set back to the
+    # loaded one must give the loaded scenario, not one an ulp away
+    scn = default_scenario(name)
+    assert scn.with_node_count(scn.node_count) == scn
+    assert scn.with_node_count(2500).with_node_count(scn.node_count) == scn
+    assert repr(scn.with_node_count(2500).with_node_count(scn.node_count)) == repr(scn)
+
+
+def test_node_count_is_held_once_by_the_topology():
+    scn = default_scenario("coverage_eu868").with_node_count(2500)
+    assert scn.node_count == scn.topology.node_count == 2500
+    assert [f.name for f in fields(RingTopology)] == [
+        "cell_radius_m", "node_count", "transmit_probability"]
+    assert "node_count" not in [f.name for f in fields(scn)]
+    np.testing.assert_allclose(scn.topology.densities * scn.topology.ring_areas_m2,
+                               2500 / 6, rtol=1e-15)
+
+
+@pytest.mark.parametrize("count", [0, -6, 2.5, 500.0])
+def test_validate_rejects_node_count_that_is_not_a_whole_number(count):
+    scn = default_scenario("coverage_eu868").with_node_count(count)
+    with pytest.raises(ConfigurationError, match=r"node_count: must be a whole number"):
+        validate(scn)
+
+
+def test_radius_edit_alone_validates_and_moves_every_ring_edge(tmp_path):
+    base = default_scenario("coverage_eu868")
+    scn = load_scenario(scenario_file(tmp_path, "cell_radius_m", "4500.0"))
+    assert scn == replace(base, topology=replace(base.topology, cell_radius_m=4500.0))
+    assert scn.topology.boundaries_m[0] == 0.0
+    assert scn.topology.boundaries_m[-1] == 4500.0
+    moved = np.asarray(scn.topology.boundaries_m[1:]) / base.topology.boundaries_m[1:]
+    np.testing.assert_allclose(moved, 1.5, rtol=1e-14)
+    assert scn.topology.sf_at(4000.0) == 11 and scn.topology.sf_at(4500.0) == 12
+    np.testing.assert_allclose(scn.topology.densities, base.topology.densities / 2.25,
+                               rtol=1e-12)
 
 
 def packaged_text(name):

@@ -11,10 +11,11 @@ uniform times, an iid node label each), and the acceptance rule runs over all
 nodes at once in node-major order; its keep mask is scattered back, so
 packets stay in start order. An arrival is close when t[i] < t[i-1] + ToA
 within its node. One rule picks the nodes that run the exact sequential
-loop: those whose arrivals hold more airtime than the hourly duty budget,
-and those with two consecutive close arrivals. Every other node keeps its
-arrivals that are not close, which is what the loop would keep. The result
-equals that loop run on every node.
+loop: those with K+1 arrivals inside one trailing hour, where K airtimes fit
+the hourly duty budget, those whose budget is within float drift of a whole
+number of airtimes, and those with two consecutive close arrivals. Every
+other node keeps its arrivals that are not close, which is what the loop
+would keep. The result equals that loop run on every node.
 
 Propagation is the Okumura-Hata open-area (rural) median model, reception
 is threshold-based: a packet is detectable iff its receive power clears the
@@ -30,8 +31,8 @@ other belong to one episode when a chain of overlapping packets links them.
   IC   intra-SF only: different SFs are transparent to each other, so
        episodes are formed within each SF. In each episode only the packet
        with the highest SINR (same-SF aggregate interference plus noise)
-       can be received, iff it clears the intra-SF capture threshold; all
-       others are lost.
+       can be received, iff it is alone or clears the intra-SF capture
+       threshold; all others are lost.
   IIC  one episode spans every SF on the channel. Per SF, only the episode's
        highest-SINR packet of that SF can be received; its SINR accounts for
        all overlapping packets and it must additionally clear the pairwise
@@ -45,14 +46,18 @@ permits a fully vectorized implementation. The resolver takes packets in
 start order and sorts none: `run_replication` draws them in that order, and
 `resolve_reception` takes one stable argsort of the starts and scatters the
 flags back. BP and IIC resolve each channel alone; IC resolves each
-(channel, SF) partition alone. An IC partition has one airtime, so its ends
-come in start order, each after its start, and packet i+k overlaps packet i
-iff start[i+k] < end[i]: overlap windows are counted one lag k at a time,
-for at most n.bit_length() lags. Deeper partitions and other ends take one
-stable merge of the sorted ends and starts; IIC reads each SF's window from
-running per-SF counts over that merge. IC picks each episode's winner among
-lone packets and those whose SINR clears delta_ii only: all others lie below
-delta_ii, so the episode's max-SINR packet is among them if any packet is.
+(channel, SF) partition alone. With starts sorted, packet i+k overlaps
+packet i iff start[i+k] < end[i], whatever the order of the ends, and the
+packets i that do so at lag k+1 are among those that do at lag k. So the
+overlapping pairs come lag by lag from one shrinking index set, which stops
+at the first empty lag: time O(n + overlapping pairs), memory O(n), and as
+many lag steps as the deepest overlap. A packet's interference is the direct
+sum of its partners' powers, added lag by lag and, at each lag, the later
+partner before the earlier one; a lone packet's is exactly 0.0. IIC keeps
+one such sum per SF present and adds them in SF order. An exact SINR tie
+goes to the later packet. IC picks each episode's winner among lone packets
+and those whose SINR clears delta_ii only: all others lie below delta_ii,
+so the episode's max-SINR packet is among them if any packet is.
 Each packet carries only its start, channel and sending node; airtime, SF
 and receive power are read from per-node tables. A replication is
 bit-reproducible from its seed; replications use independently derived
@@ -135,39 +140,49 @@ class PacketEvent:
 # ---------------------------------------------------------------------------
 # Reception resolution
 
-def _overlap_ranks(starts, ends):
-    """Per packet i, sorted by start: hi counts the packets with start_j <
-    end_i, lo those with end_j <= start_i, which are order_e[:lo] in the
-    stable end order order_e (None when the ends are in order), counted
-    lag by lag or by one stable merge as the module docstring says."""
+def _overlap_lags(starts, ends, first):
+    """Yield (k, i) lag by lag from k = 1: the packets i, sorted by start,
+    that overlap packet i + k, start[i+k] < end[i]. `first` is the lag-1
+    mask starts[1:] < ends[:-1]. Each set is filtered from the one before,
+    and the first empty lag ends the loop (see the module docstring)."""
     n = starts.size
-    in_order = (ends[1:] >= ends[:-1]).all()
-    if in_order and (starts < ends).all():
-        fwd, back = np.zeros(n, np.int8), np.zeros(n, np.int8)
-        for k in range(1, n.bit_length() + 1):
-            overlaps = starts[k:] < ends[:-k]
-            if not overlaps.any():
-                return np.arange(1, n + 1) + fwd, np.arange(n) - back, None
-            fwd[:-k] += overlaps
-            back[k:] += overlaps
-    order_e = None if in_order else np.argsort(ends, kind="stable")
-    ends_sorted = ends if order_e is None else ends[order_e]
-    is_end = np.argsort(np.concatenate((ends_sorted, starts)), kind="stable") < n
-    rank = np.arange(n)
-    hi = np.flatnonzero(is_end) - rank
-    if order_e is not None:                 # from end order back to start order
-        hi[order_e] = hi.copy()
-    return hi, np.flatnonzero(~is_end) - rank, order_e
+    i = np.flatnonzero(first)
+    k = 1
+    while i.size:
+        yield k, i
+        k += 1
+        i = i[:np.searchsorted(i, n - k)]
+        i = i[starts[i + k] < ends[i]]
 
 
-def _overlap_aggregate(starts, ends, pw):
-    """Sum of powers and count of the packets overlapping each packet i,
-    itself included: start_j < end_i and end_j > start_i. Packets are
-    sorted by start."""
-    hi, lo, order_e = _overlap_ranks(starts, ends)
-    pref_s = np.concatenate(([0.0], np.cumsum(pw)))
-    pref_e = pref_s if order_e is None else np.concatenate(([0.0], np.cumsum(pw[order_e])))
-    return pref_s[hi] - pref_e[lo], hi - lo
+def _interference(starts, ends, pw, first):
+    """Summed power of each packet's overlapping partners, packets sorted by
+    start, added in the module docstring's order; lag 1 over whole arrays."""
+    inter = np.zeros(starts.size)
+    np.multiply(pw[1:], first, out=inter[:-1])
+    inter[1:] += pw[:-1] * first
+    lags = _overlap_lags(starts, ends, first)
+    next(lags, None)                   # lag 1 is added above
+    for k, i in lags:
+        inter[i] += pw[i + k]
+        inter[i + k] += pw[i]
+    return inter
+
+
+def _interference_by_row(starts, ends, pw, first, row):
+    """The same sums in the same order, split by the partner's row: [r, p]
+    sums p's partners q with row[q] == r, and `has` flags those with one."""
+    n = starts.size
+    at = row * n
+    inter = np.zeros((row.max() + 1) * n)
+    has = np.zeros(inter.size, dtype=bool)
+    for k, i in _overlap_lags(starts, ends, first):
+        j = i + k
+        later, earlier = at[j] + i, at[i] + j   # i's entry for j, j's for i
+        inter[later] += pw[j]
+        inter[earlier] += pw[i]
+        has[later] = has[earlier] = True
+    return inter.reshape(-1, n), has.reshape(-1, n)
 
 
 def _episode_heads(starts, ends):
@@ -178,11 +193,6 @@ def _episode_heads(starts, ends):
     heads[0] = True
     heads[1:] = starts[1:] >= reach[:-1]
     return heads
-
-
-def _component_ids(starts, ends):
-    """Connected overlap components of interval packets sorted by start."""
-    return np.cumsum(_episode_heads(starts, ends)) - 1
 
 
 def _winners_per_group(group_ids, score):
@@ -204,58 +214,38 @@ def _resolve_partition(starts, owner, node_toa, node_sf, node_pw, node_ok, model
     owner[k]; its airtime, SF index, receive power (mW) and sensitivity flag
     are read from the per-node tables."""
     ends = starts + node_toa[owner]
-    if model == "BP":       # alone in its episode: the next packet opens a new one
-        heads = _episode_heads(starts, ends)
-        return node_ok[owner] & heads & np.append(heads[1:], True)
+    heads = _episode_heads(starts, ends)
+    alone = heads & np.append(heads[1:], True)      # a singleton episode
+    if model == "BP":
+        return node_ok[owner] & alone
 
     n = len(starts)
     received = np.zeros(n, dtype=bool)
     pw = node_pw[owner]
+    first = starts[1:] < ends[:-1]
     if model == "IC":                  # candidates only: see the module docstring
-        sinr, cnt = _overlap_aggregate(starts, ends, pw)
-        sinr -= pw
-        cnt -= 1
-        sinr[cnt == 0] = 0.0           # clear cancellation residue
-        sinr += noise_mw
-        np.divide(pw, sinr, out=sinr)
+        sinr = pw / (_interference(starts, ends, pw, first) + noise_mw)
         sf = node_sf[owner[0]]         # the partition's one SF
-        cand = np.flatnonzero((cnt == 0) | (sinr >= sir_lin[sf, sf]))
+        cand = np.flatnonzero(alone | (sinr >= sir_lin[sf, sf]))
         if cand.size:
-            w = cand[_winners_per_group(_component_ids(starts, ends)[cand], sinr[cand])]
+            w = cand[_winners_per_group(np.cumsum(heads)[cand], sinr[cand])]
             received[w] = node_ok[owner[w]]
         return received
 
     if model == "IIC":
-        # per SF j present and packet: power and count of the overlapping SF-j
-        # packets, itself taken out. Running SF-j counts map hi and lo to SF j,
-        # whose stable end order is its subsequence of the channel's.
+        # one row per SF present, added in SF order for the SINR
         sf_idx = node_sf[owner]
-        hi, lo, order_e = _overlap_ranks(starts, ends)
-        sf_e, pw_e = (sf_idx, pw) if order_e is None else (sf_idx[order_e], pw[order_e])
-        rows, members = [], []
-        total = np.zeros(n)
-        for j in np.flatnonzero(np.bincount(sf_idx, minlength=NUM_SF)):
-            in_s, in_e = sf_idx == j, sf_e == j
-            hi_j = np.concatenate(([0], np.cumsum(in_s)))[hi]
-            lo_j = np.concatenate(([0], np.cumsum(in_e)))[lo]
-            pref_s = np.concatenate(([0.0], np.cumsum(pw[in_s])))
-            pref_e = np.concatenate(([0.0], np.cumsum(pw_e[in_e])))
-            cnt = hi_j - lo_j - in_s
-            inter = pref_s[hi_j] - pref_e[lo_j] - pw * in_s     # x - 0.0 is x
-            inter[cnt == 0] = 0.0
-            total += inter
-            rows.append((j, inter, cnt))
-            members.append(np.flatnonzero(in_s))
-        sinr = pw / (noise_mw + total)
+        present = np.flatnonzero(np.bincount(sf_idx, minlength=NUM_SF))
+        row = np.searchsorted(present, sf_idx)
+        inter, has = _interference_by_row(starts, ends, pw, first, row)
+        sinr = pw / (noise_mw + sum(inter[1:], inter[0]))
         # one winner per SF and episode: groups run SF-major, then by start
-        by_sf = np.concatenate(members)
-        group = (sf_idx * n + _component_ids(starts, ends))[by_sf]
+        by_sf = np.concatenate([np.flatnonzero(sf_idx == j) for j in present])
+        group = (sf_idx * n + np.cumsum(heads))[by_sf]
         w = by_sf[_winners_per_group(group, sinr[by_sf])]
-        ok = node_ok[owner[w]]
-        pw_w, sir_w = pw[w], sir_lin[sf_idx[w]]
-        for j, inter, cnt in rows:      # the pairwise threshold against each SF present
-            ok &= (cnt[w] == 0) | (pw_w >= sir_w[:, j] * (noise_mw + inter[w]))
-        received[w] = ok
+        # the pairwise threshold against each SF present
+        clears = pw[w] >= sir_lin[sf_idx[w]][:, present].T * (noise_mw + inter[:, w])
+        received[w] = node_ok[owner[w]] & (clears | ~has[:, w]).all(axis=0)
         return received
 
     raise ConfigurationError(f"unknown collision model {model!r}")
@@ -355,20 +345,30 @@ def _accept_sequential(times, toa, budget):
 
 def _accept(times, nodes, node_toa, duty_limit):
     """Keep mask over node-major sorted arrivals, plus busy and duty drops,
-    equal to `_accept_sequential` per node. It runs on each node with more
-    airtime than the duty budget or two consecutive close arrivals (t[i] <
-    t[i-1] + toa). Any other node keeps its arrivals that are not close: a
-    close one follows a kept arrival, so it is a busy drop, and all the
-    node's airtime fits one hour's budget, so none is a duty drop."""
+    equal to `_accept_sequential` per node. With K = floor(r), r = (budget +
+    1e-12) / toa, a duty drop needs K kept starts s > t - 3600.0 in the loop's
+    window, so K earlier arrivals in it: t[i] > t[i+K] - 3600.0 for some i.
+    The loop runs on each node with such an i; with r nearer a whole number
+    than 1e-6 plus (arrivals + 1)(r + 1) 2^-52, the most the loop's float
+    airtime can drift, in airtimes; or with two consecutive close arrivals
+    (t[i] < t[i-1] + toa). Any other node has no duty drop, and its close
+    arrivals follow kept ones, so it keeps the rest."""
     close = np.zeros(times.size, dtype=bool)
     close[1:] = ((nodes[1:] == nodes[:-1])
                  & (times[1:] < times[:-1] + node_toa[nodes[1:]]))
     keep = ~close
     budget = duty_limit * 3600.0
     counts = np.bincount(nodes, minlength=node_toa.size)
-    exact = counts * node_toa > budget
-    exact[nodes[1:][close[1:] & close[:-1]]] = True
     bounds = np.concatenate(([0], np.cumsum(counts)))
+    ratio = (budget + 1e-12) / node_toa
+    lag = np.floor(ratio).astype(np.intp)
+    exact = np.abs(ratio - np.rint(ratio)) < 1e-6 + (counts + 1) * (ratio + 1) * 2.0 ** -52
+    over = np.flatnonzero(counts > lag)             # a node with an arrival i + K
+    span = counts[over] - lag[over]
+    i = np.repeat(bounds[over] + span - np.cumsum(span), span) + np.arange(span.sum())
+    full = times[i] > times[i + np.repeat(lag[over], span)] - 3600.0
+    exact[nodes[i[full]]] = True
+    exact[nodes[1:][close[1:] & close[:-1]]] = True
     dropped_duty = 0
     for k in np.flatnonzero(exact):
         keep[bounds[k]:bounds[k + 1]], duty = _accept_sequential(

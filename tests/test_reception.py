@@ -1,9 +1,11 @@
-"""Differential tests of reception against a reference resolver: the
-searchsorted formulation that once was the library's own. The reference
-aggregates each query's overlaps with two binary searches and a stable
-argsort of the ends, resolves each channel through per-packet arrays, and
-applies BP as "the only packet overlapping itself". The library's results
-must equal it flag for flag."""
+"""Differential tests of reception against two references written from the
+rules of the simulator's module docstring. `pairwise_resolve` is an O(n^2)
+pure-Python resolver: overlap tests on every pair, episodes by graph search,
+and interference summed partner by partner. `ref_resolve` is vectorized for
+the scale tests: each packet's later partners come from a binary search of
+its end among the starts, and `np.add.at` adds their powers. Both add in the
+documented order (lag by lag, at each lag the later partner before the
+earlier one), so the library's flags must equal them flag for flag."""
 
 import math
 from dataclasses import replace
@@ -25,8 +27,9 @@ from loracell.scenario import NUM_SF, SF_RANGE
 from loracell.simulator import (
     _accept,
     _arrivals,
-    _overlap_aggregate,
-    _overlap_ranks,
+    _interference,
+    _interference_by_row,
+    _overlap_lags,
     _resolve,
     hata_rural_loss,
     sensitivity_dbm,
@@ -37,16 +40,95 @@ SF_TOA = (0.046336, 0.082432, 0.164864, 0.288768, 0.659456, 1.155072)
 
 
 # ---------------------------------------------------------------------------
-# Reference resolver
+# Pairwise reference: the rules alone, one packet pair at a time
 
-def ref_overlap_aggregate(sub_starts, sub_ends, sub_pw, q_starts, q_ends):
-    order_e = np.argsort(sub_ends, kind="stable")
-    ends_sorted = sub_ends[order_e]
-    pref_s = np.concatenate(([0.0], np.cumsum(sub_pw)))
-    pref_e = np.concatenate(([0.0], np.cumsum(sub_pw[order_e])))
-    hi = np.searchsorted(sub_starts, q_ends, side="left")      # start_j < q_end
-    lo = np.searchsorted(ends_sorted, q_starts, side="right")  # end_j <= q_start
-    return pref_s[hi] - pref_e[lo], hi - lo
+def pairwise_partition(starts, ends, sf, pw, ok, model, sir_lin, noise_mw):
+    """Flags for one partition's packets, given in stable start order."""
+    m = len(starts)
+    partners = [[] for _ in range(m)]           # in the order of addition
+    for k in range(1, m):
+        for p in range(m):
+            for q in (p + k, p - k):
+                if 0 <= q < m and starts[p] < ends[q] and starts[q] < ends[p]:
+                    partners[p].append(q)
+    if model == "BP":                           # alone in its episode
+        return [ok[p] and not partners[p] for p in range(m)]
+    episode = [-1] * m                          # connected components
+    for root in range(m):
+        stack = [root] if episode[root] < 0 else []
+        while stack:
+            p = stack.pop()
+            if episode[p] < 0:
+                episode[p] = root
+                stack.extend(partners[p])
+    by_sf = [{} for _ in range(m)]              # p's summed partner power per SF
+    for p in range(m):
+        for q in partners[p]:
+            by_sf[p][sf[q]] = by_sf[p].get(sf[q], 0.0) + pw[q]
+    sinr = []
+    for p in range(m):
+        total = 0.0
+        for j in sorted(by_sf[p]):
+            total += by_sf[p][j]
+        sinr.append(pw[p] / (noise_mw + total))
+    best = {}                                   # (episode, SF) -> winner
+    for p in range(m):                          # a later packet wins a tie
+        key = (episode[p], sf[p])
+        if key not in best or sinr[p] >= sinr[best[key]]:
+            best[key] = p
+    received = [False] * m
+    for p in best.values():
+        s = sf[p]
+        if model == "IC":
+            clears = not partners[p] or sinr[p] >= sir_lin[s][s]
+        else:
+            clears = all(pw[p] >= sir_lin[s][j] * (noise_mw + inter)
+                         for j, inter in by_sf[p].items())
+        received[p] = ok[p] and clears
+    return received
+
+
+def pairwise_resolve(starts, durs, sf_idx, rx_dbm, chans, model, scenario=N2):
+    """Per-packet inputs; partitions are channels, or under IC (channel, SF)."""
+    radio, thresholds = scenario.radio, scenario.thresholds
+    ok = (rx_dbm >= sensitivity_dbm(radio, thresholds)[sf_idx]).tolist()
+    pw = (10.0 ** (rx_dbm / 10.0)).tolist()
+    sir_lin = thresholds.sir_linear.tolist()
+    keys = [(c, s if model == "IC" else 0) for c, s in zip(chans.tolist(), sf_idx.tolist())]
+    received = np.zeros(len(keys), dtype=bool)
+    for key in set(keys):
+        on = sorted((k for k in range(len(keys)) if keys[k] == key),
+                    key=lambda k: starts[k])    # stable start order
+        received[on] = pairwise_partition(
+            [starts[k] for k in on], [starts[k] + durs[k] for k in on],
+            [sf_idx[k] for k in on], [pw[k] for k in on], [ok[k] for k in on],
+            model, sir_lin, noise_power_mw(radio))
+    return received
+
+
+# ---------------------------------------------------------------------------
+# Vectorized direct-sum reference
+
+def ref_pairs(starts, ends):
+    """Target and source of every partner contribution, packets sorted by
+    start, in the order of addition: at lag k, i takes j = i + k, then j
+    takes i. The packets i < j < hi[i] are i's later partners."""
+    n = len(starts)
+    hi = np.searchsorted(starts, ends, side="left")
+    depth = hi - np.arange(n) - 1
+    i = np.repeat(np.arange(n), depth)
+    k = np.arange(depth.sum()) - np.repeat(np.cumsum(depth) - depth, depth) + 1
+    order = np.argsort(np.concatenate((2 * k, 2 * k + 1)), kind="stable")
+    return np.concatenate((i, i + k))[order], np.concatenate((i + k, i))[order]
+
+
+def ref_sums(tgt, src, pw, n, mask=None):
+    """Direct partner sums and partner counts, np.add.at in order."""
+    if mask is not None:
+        tgt, src = tgt[mask], src[mask]
+    inter = np.zeros(n)
+    np.add.at(inter, tgt, pw[src])
+    return inter, np.bincount(tgt, minlength=n)
 
 
 def ref_component_ids(starts, ends):
@@ -71,54 +153,35 @@ def ref_winners_per_group(group_ids, score):
 def ref_resolve_channel(starts, ends, sf_idx, pw_mw, sens_ok, model, sir_lin, noise_mw):
     n = len(starts)
     received = np.zeros(n, dtype=bool)
-    if model == "BP":
-        _, cnt = ref_overlap_aggregate(starts, ends, pw_mw, starts, ends)
-        return sens_ok & (cnt == 1)
     if model == "IC":
-        for s in range(NUM_SF):
+        for s in np.unique(sf_idx):
             idx = np.flatnonzero(sf_idx == s)
-            if idx.size == 0:
-                continue
             st_, en, pw = starts[idx], ends[idx], pw_mw[idx]
-            tot, cnt = ref_overlap_aggregate(st_, en, pw, st_, en)
-            inter = tot - pw
-            cnt = cnt - 1
-            inter[cnt == 0] = 0.0
+            inter, cnt = ref_sums(*ref_pairs(st_, en), pw, idx.size)
             sinr = pw / (noise_mw + inter)
             winners = ref_winners_per_group(ref_component_ids(st_, en), sinr)
             ok = sens_ok[idx][winners] & (
                 (cnt[winners] == 0) | (sinr[winners] >= sir_lin[s, s]))
             received[idx[winners]] = ok
         return received
+    tgt, src = ref_pairs(starts, ends)
+    if model == "BP":
+        return sens_ok & (np.bincount(tgt, minlength=n) == 0)
+    present = np.unique(sf_idx)
+    rows = [ref_sums(tgt, src, pw_mw, n, sf_idx[src] == j) for j in present]
+    total = np.zeros(n)
+    for inter, _ in rows:
+        total += inter
+    sinr = pw_mw / (noise_mw + total)
     comp_all = ref_component_ids(starts, ends)
-    by_sf = [np.flatnonzero(sf_idx == j) for j in range(NUM_SF)]
-    for s in range(NUM_SF):
-        cand = by_sf[s]
-        if cand.size == 0:
-            continue
-        q_st, q_en = starts[cand], ends[cand]
-        inter_j = np.zeros((NUM_SF, cand.size))
-        cnt_j = np.zeros((NUM_SF, cand.size), dtype=int)
-        for j in range(NUM_SF):
-            sub = by_sf[j]
-            if sub.size == 0:
-                continue
-            tot, cnt = ref_overlap_aggregate(starts[sub], ends[sub], pw_mw[sub], q_st, q_en)
-            if j == s:
-                tot = tot - pw_mw[cand]
-                cnt = cnt - 1
-            tot[cnt == 0] = 0.0
-            inter_j[j] = tot
-            cnt_j[j] = cnt
-        sinr_total = pw_mw[cand] / (noise_mw + inter_j.sum(axis=0))
-        winners = ref_winners_per_group(comp_all[cand], sinr_total)
-        ok = sens_ok[cand][winners]
-        for j in range(NUM_SF):
-            has = cnt_j[j][winners] > 0
-            clears = pw_mw[cand][winners] >= sir_lin[s, j] * (
-                noise_mw + inter_j[j][winners])
-            ok &= ~has | clears
-        received[cand[winners]] = ok
+    for s in present:
+        cand = np.flatnonzero(sf_idx == s)
+        winners = cand[ref_winners_per_group(comp_all[cand], sinr[cand])]
+        ok = sens_ok[winners]
+        for j, (inter, cnt) in zip(present, rows):
+            ok &= (cnt[winners] == 0) | (
+                pw_mw[winners] >= sir_lin[s, j] * (noise_mw + inter[winners]))
+        received[winners] = ok
     return received
 
 
@@ -181,7 +244,7 @@ def as_arrays(packets):
 @given(packet_sets(), st.sampled_from(["BP", "IC", "IIC"]))
 def test_resolve_reception_matches_reference(packets, model):
     got = resolve_reception(packets, model, N2.thresholds, N2.radio)
-    want = ref_resolve(*as_arrays(packets), model) if packets else np.zeros(0, bool)
+    want = pairwise_resolve(*as_arrays(packets), model) if packets else np.zeros(0, bool)
     assert got == want.tolist()
 
 
@@ -214,7 +277,8 @@ def test_node_table_gathers_match_reference(tables, model):
     got = np.empty(starts.size, dtype=bool)
     got[order] = _resolve(starts[order], owner[order], chans[order], node_toa, node_sf,
                           node_dbm, model, N2.thresholds, N2.radio)
-    want = ref_resolve(starts, node_toa[owner], node_sf[owner], node_dbm[owner], chans, model)
+    want = pairwise_resolve(starts, node_toa[owner], node_sf[owner], node_dbm[owner], chans,
+                            model)
     assert np.array_equal(got, want)
 
 
@@ -238,7 +302,7 @@ def test_ic_unequal_durations_ends_out_of_order():
     short = PacketEvent(node=1, sf=7, start_s=0.2, duration_s=0.1, rx_power_dbm=-90.0)
     after = PacketEvent(node=2, sf=7, start_s=0.5, duration_s=0.1, rx_power_dbm=-90.0)
     got = resolve_reception([long_, short, after], "IC", N2.thresholds, N2.radio)
-    assert got == ref_resolve(*as_arrays([long_, short, after]), "IC").tolist()
+    assert got == pairwise_resolve(*as_arrays([long_, short, after]), "IC").tolist()
     assert got == [True, False, False]
 
 
@@ -271,8 +335,8 @@ def test_dense_touching_chains_match_reference(model):
 
 
 # ---------------------------------------------------------------------------
-# Overlap ranks against their definitions: hi[i] = #{j: start_j < end_i},
-# lo[i] = #{j: end_j <= start_i}, and order_e[:lo[i]] are those j.
+# Overlap lags against their definition: lag k yields the packets i with
+# start[i+k] < end[i], which are exactly the pairs that overlap
 
 GRID = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5])    # exact ties of starts and ends
 
@@ -295,32 +359,39 @@ def sorted_intervals(draw, max_packets=40):
     return np.array(starts)[order], np.array(ends)[order]
 
 
+def lag_sets(starts, ends):
+    return [i.tolist() for _, i in _overlap_lags(starts, ends, starts[1:] < ends[:-1])]
+
+
+def check_lags(starts, ends):
+    """The yielded lags run 1, 2, ... with shrinking sets, hold every
+    overlapping pair once, and stop at the deepest overlap."""
+    n = len(starts)
+    lags = list(_overlap_lags(starts, ends, starts[1:] < ends[:-1]))
+    assert [k for k, _ in lags] == list(range(1, len(lags) + 1))
+    for (_, wider), (_, narrower) in zip(lags, lags[1:]):
+        assert set(narrower.tolist()) <= set(wider.tolist())
+    pairs = sorted((int(a), int(a) + k) for k, i in lags for a in i)
+    want = [(a, b) for a in range(n) for b in range(a + 1, n)
+            if starts[a] < ends[b] and starts[b] < ends[a]]
+    assert pairs == want
+    depth = max((sum(1 for a, _ in want if a == p) for p in range(n)), default=0)
+    assert len(lags) == depth
+
+
 @settings(max_examples=500, deadline=None)
 @given(sorted_intervals())
-def test_overlap_ranks_match_definitions(intervals):
-    starts, ends = intervals
-    hi, lo, order_e = _overlap_ranks(starts, ends)
-    assert hi.tolist() == [int((starts < e).sum()) for e in ends]
-    assert lo.tolist() == [int((ends <= s).sum()) for s in starts]
-    if order_e is None:
-        assert np.all(np.diff(ends) >= 0)
-    else:
-        assert order_e.tolist() == np.argsort(ends, kind="stable").tolist()
-        for i, s in enumerate(starts):
-            assert sorted(order_e[:lo[i]]) == np.flatnonzero(ends <= s).tolist()
+def test_overlap_lags_match_definitions(intervals):
+    check_lags(*intervals)
 
 
-def test_overlap_ranks_small_inputs():
-    hi, lo, order_e = _overlap_ranks(np.empty(0), np.empty(0))
-    assert hi.size == lo.size == 0 and order_e is None
-    hi, lo, order_e = _overlap_ranks(np.array([2.0]), np.array([3.0]))
-    assert hi.tolist() == [1] and lo.tolist() == [0] and order_e is None
-    # a long packet over a tied start, a tied end that the stable order keeps
-    # in start order, and a packet that starts where both tied ends touch it
-    hi, lo, order_e = _overlap_ranks(np.array([0.0, 0.0, 0.5, 1.0]),
-                                     np.array([3.0, 1.0, 1.0, 1.5]))
-    assert hi.tolist() == [4, 3, 3, 4] and lo.tolist() == [0, 0, 0, 2]
-    assert order_e.tolist() == [1, 2, 3, 0]
+def test_overlap_lags_small_inputs():
+    assert lag_sets(np.empty(0), np.empty(0)) == []
+    assert lag_sets(np.array([2.0]), np.array([3.0])) == []
+    # a long packet over a tied start, a tied end, and a packet that starts
+    # where both tied ends touch it: the long one overlaps all three
+    assert lag_sets(np.array([0.0, 0.0, 0.5, 1.0]),
+                    np.array([3.0, 1.0, 1.0, 1.5])) == [[0, 1], [0], [0]]
 
 
 def one_airtime_chain(n, depth, touch=False):
@@ -342,33 +413,22 @@ def touching_chain(n, tail_ties):
     return starts, starts + SF_TOA[0]
 
 
-@pytest.mark.parametrize("starts,ends,lag_path", [
-    (np.zeros(64), np.full(64, SF_TOA[0]), False),      # depth 63, cap 7
-    (*one_airtime_chain(64, 6), True),                  # one lag under the cap
-    (*one_airtime_chain(64, 7), False),                 # depth at the cap
-    (*one_airtime_chain(2000, 10), True),               # cap 11
-    (*one_airtime_chain(2000, 11, touch=True), True),   # end == next start
-    (*one_airtime_chain(2000, 11), False),
-    (*touching_chain(300, 0), True),
-    (*touching_chain(300, 20), False),
-], ids=["tied-64", "depth-6-cap-7", "depth-7-cap-7", "depth-10-cap-11",
-        "touching-depth-10-cap-11", "depth-11-cap-11", "float-touching",
-        "float-touching-tied-tail"])
-def test_overlap_ranks_lag_count_and_merge_agree(monkeypatch, starts, ends, lag_path):
-    # ends in start order take the lag count below the cap and the stable
-    # merge from it on; both give the counts of the definitions above
-    argsort_calls = []
-    argsort = np.argsort
-
-    def counting_argsort(*args, **kwargs):
-        argsort_calls.append(kwargs)
-        return argsort(*args, **kwargs)
-
-    monkeypatch.setattr(np, "argsort", counting_argsort)
-    hi, lo, order_e = _overlap_ranks(starts, ends)
-    assert (not argsort_calls) == lag_path and order_e is None
-    assert hi.tolist() == [int((starts < e).sum()) for e in ends]
-    assert lo.tolist() == [int((ends <= s).sum()) for s in starts]
+@pytest.mark.parametrize("starts,ends,depth", [
+    (np.zeros(64), np.full(64, SF_TOA[0]), 63),
+    (*one_airtime_chain(64, 6), 6),
+    (*one_airtime_chain(64, 7), 7),
+    (*one_airtime_chain(2000, 10), 10),
+    (*one_airtime_chain(2000, 11, touch=True), 10),     # end == next start
+    (*one_airtime_chain(2000, 11), 11),
+    (*touching_chain(300, 0), 1),
+    (*touching_chain(300, 20), 20),
+], ids=["tied-64", "depth-6", "depth-7", "depth-10", "touching-depth-10", "depth-11",
+        "float-touching", "float-touching-tied-tail"])
+def test_overlap_lags_stop_at_the_deepest_overlap(starts, ends, depth):
+    lags = lag_sets(starts, ends)
+    assert len(lags) == depth
+    if starts.size <= 400:
+        check_lags(starts, ends)
 
 
 def test_ic_without_candidate_receives_nothing():
@@ -377,7 +437,7 @@ def test_ic_without_candidate_receives_nothing():
     a = PacketEvent(node=0, sf=7, start_s=0.0, duration_s=SF_TOA[0], rx_power_dbm=-80.0)
     b = PacketEvent(node=1, sf=7, start_s=0.01, duration_s=SF_TOA[0], rx_power_dbm=-80.0)
     got = resolve_reception([a, b], "IC", N2.thresholds, N2.radio)
-    assert got == [False, False] == ref_resolve(*as_arrays([a, b]), "IC").tolist()
+    assert got == [False, False] == pairwise_resolve(*as_arrays([a, b]), "IC").tolist()
 
 
 def _with_sir_sf7(db):
@@ -402,11 +462,9 @@ def test_ic_capture_tie_is_received():
     # the IC capture rule is SINR >= delta_ii: set the SF7 threshold to a dB
     # value whose linear form equals the stronger packet's SINR bit for bit
     toa, noise = SF_TOA[0], noise_power_mw(N2.radio)
-    starts = np.array([0.0, 0.01])
     for weak_dbm in np.arange(-86.0, -87.0, -0.01):
         pw = 10.0 ** (np.array([-80.0, weak_dbm]) / 10.0)
-        total, _ = _overlap_aggregate(starts, starts + toa, pw)
-        sinr = pw[0] / (total[0] - pw[0] + noise)     # the resolver's order
+        sinr = pw[0] / (pw[1] + noise)                # one partner: a direct sum
         db = _exact_sf7_db(sinr)
         if db is not None:
             break
@@ -421,12 +479,12 @@ def test_ic_capture_tie_is_received():
     assert resolve_reception([a, b], "IC", _with_sir_sf7(above), N2.radio) == [False, False]
 
 
-def test_ic_full_n1_calendar_matches_reference():
-    # one N1 replication's calendar at G=1: about 155k SF7 packets in one IC
-    # partition, so reception takes the lag count and the candidate winners
+def n1_calendar(seed=2017):
+    """One N1 replication's calendar at G=1, about 155k SF7 packets in start
+    order, with its node tables."""
     scn = replace(default_scenario("sim_n1"), collision_model="IC")
     radio = scn.radio
-    rng = np.random.default_rng(2017)
+    rng = np.random.default_rng(seed)
     placement = sample_placement(scn, rng=rng)
     node_dbm = (radio.tx_power_dbm + radio.gateway_gain_dbi + radio.device_gain_dbi
                 - hata_rural_loss(placement.distances_m, radio))
@@ -437,15 +495,46 @@ def test_ic_full_n1_calendar_matches_reference():
     keep = np.empty(times.size, dtype=bool)
     keep[by_node] = _accept(times[by_node], nodes[by_node], node_toa,
                             scn.duty_cycle_limit)[0]
-    starts, owner = times[keep], nodes[keep]
-    chans = np.zeros(starts.size, dtype=int)
+    starts, owner = times[keep], nodes[keep].astype(np.intp)
     assert starts.size > 150_000
+    return scn, starts, owner, node_toa, node_sf, node_dbm
+
+
+def test_ic_full_n1_calendar_matches_reference():
+    # one IC partition of about 155k packets: the lag loop and the candidate
+    # winners at full scale
+    scn, starts, owner, node_toa, node_sf, node_dbm = n1_calendar()
+    chans = np.zeros(starts.size, dtype=int)
     got = _resolve(starts, owner, chans, node_toa, node_sf, node_dbm, "IC",
-                   scn.thresholds, radio)
+                   scn.thresholds, scn.radio)
     want = ref_resolve(starts, node_toa[owner], node_sf[owner], node_dbm[owner], chans,
                        "IC", scn)
     assert np.array_equal(got, want)
     assert 0 < got.sum() < starts.size
+
+
+def test_interference_is_the_exact_sum_on_a_full_n1_calendar():
+    # every packet's interference, as IC sums it and as IIC's rows add up,
+    # equals math.fsum of its partners' powers within 1e-12 relative, and a
+    # lone packet's is exactly 0.0. N1 has one SF, so the IIC rows are split
+    # by node label into six. (The prefix-sum difference this replaced was
+    # off by up to 3.1e-8 relative here, and left lone packets a residue.)
+    _, starts, owner, node_toa, _, node_dbm = n1_calendar()
+    ends = starts + node_toa[owner]
+    pw = (10.0 ** (node_dbm / 10.0))[owner]
+    first = starts[1:] < ends[:-1]
+    tgt, src = ref_pairs(starts, ends)
+    by_tgt = np.argsort(tgt, kind="stable")
+    powers = pw[src[by_tgt]].tolist()
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(tgt, minlength=starts.size))))
+    exact = np.array([math.fsum(powers[a:b]) for a, b in zip(bounds[:-1], bounds[1:])])
+    lone = bounds[1:] == bounds[:-1]
+    assert 0 < lone.sum() < starts.size
+    rows, has = _interference_by_row(starts, ends, pw, first, owner % NUM_SF)
+    for inter in (_interference(starts, ends, pw, first), sum(rows[1:], rows[0])):
+        assert np.all(inter[lone] == 0.0)
+        assert np.all(np.abs(inter - exact) <= 1e-12 * exact)
+    assert np.array_equal(has.any(axis=0), ~lone)
 
 
 @pytest.mark.parametrize("model", ["IC", "IIC"])
@@ -478,10 +567,47 @@ def test_unequal_durations_at_scale_match_reference(model):
     want = ref_resolve(starts, durs, sf_idx, rx_dbm, chans, model)
     assert got == want.tolist()
     assert 0 < sum(got) < n
-    # the sums are bit-identical too: tied ends of unequal powers add up in
-    # the stable end order
+    # the sums are bit-identical too, one sum and one row per SF: both add in
+    # the documented order
     order = np.argsort(starts, kind="stable")
     st_, en, pw = starts[order], (starts + durs)[order], rng.uniform(1e-12, 1e-8, size=n)
-    for mine, ref in zip(_overlap_aggregate(st_, en, pw),
-                         ref_overlap_aggregate(st_, en, pw, st_, en)):
-        assert np.array_equal(mine, ref)
+    first = st_[1:] < en[:-1]
+    tgt, src = ref_pairs(st_, en)
+    assert np.array_equal(_interference(st_, en, pw, first), ref_sums(tgt, src, pw, n)[0])
+    rows, has = _interference_by_row(st_, en, pw, first, sf_idx[order])
+    for j in range(NUM_SF):
+        inter, cnt = ref_sums(tgt, src, pw, n, sf_idx[order][src] == j)
+        assert np.array_equal(rows[j], inter) and np.array_equal(has[j], cnt > 0)
+
+
+def test_long_packet_over_ten_thousand_short_ones():
+    # a 10^4-s SF12 packet under 10^4 SF7 packets, one every second: the
+    # deepest overlap is 10^4, so the lag loop runs 10^4 steps of one pair
+    n = 10_000
+    starts = np.concatenate(([0.0], 0.5 + np.arange(n)))
+    sf_idx = np.concatenate(([NUM_SF - 1], np.zeros(n, dtype=int)))
+    durs = np.where(sf_idx == 0, SF_TOA[0], 1e4)
+    rx_dbm = np.random.default_rng(2019).choice([-80.0, -95.0, -104.0, -130.0], size=n + 1)
+    ends = starts + durs
+    assert len(lag_sets(starts, ends)) == n
+    chans = np.zeros(n + 1, dtype=int)
+    got = _resolve(starts, np.arange(n + 1), chans, durs, sf_idx, rx_dbm, "IIC",
+                   N2.thresholds, N2.radio)
+    assert np.array_equal(got, ref_resolve(starts, durs, sf_idx, rx_dbm, chans, "IIC"))
+    assert got.any()
+
+
+@pytest.mark.parametrize("model", ["IC", "IIC"])
+def test_two_thousand_mutually_overlapping_packets(model):
+    # every packet overlaps every other: six SFs whose airtimes all exceed
+    # the 40 ms the starts spread over, about 2 * 10^6 pairs
+    rng = np.random.default_rng(2020)
+    n = 2000
+    starts = np.sort(rng.uniform(0.0, 0.04, size=n))
+    sf_idx = rng.integers(0, NUM_SF, size=n)
+    durs = np.array(SF_TOA)[sf_idx]
+    rx_dbm = rng.uniform(-130.0, -70.0, size=n)
+    chans = np.zeros(n, dtype=int)
+    got = _resolve(starts, np.arange(n), chans, durs, sf_idx, rx_dbm, model,
+                   N2.thresholds, N2.radio)
+    assert np.array_equal(got, ref_resolve(starts, durs, sf_idx, rx_dbm, chans, model))

@@ -11,12 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from loracell import default_scenario, per_node_rate, sample_placement
+from loracell import default_scenario, per_node_rate, sample_placement, simulator
 from loracell.scenario import SF_RANGE
 from loracell.simulator import (
     _accept,
+    _accept_sequential,
     _arrivals,
-    _component_ids,
+    _episode_heads,
     _winners_per_group,
 )
 
@@ -75,11 +76,42 @@ def node_arrivals(draw):
     return toa, np.cumsum([start] + gaps)[:len(gaps)]
 
 
+@st.composite
+def duty_edge_nodes(draw, duty_limit):
+    """One node at the edge of the duty screen. K airtimes fit the budget,
+    with (budget + 1e-12) / toa at, just off or well off a whole number.
+    Bursts of K or more arrivals, some closer than one airtime, are
+    separated by about an hour of silence, so the node saturates, recovers
+    and saturates again, and some arrivals come exactly 3600 s after the
+    K-th earlier one."""
+    k = draw(st.integers(1, 6))
+    off = draw(st.sampled_from([0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-7, -1e-7, 2e-6])
+               | st.floats(-0.5, 0.5, allow_nan=False))
+    toa = (duty_limit * 3600.0 + 1e-12) / (k + off)
+    times = []
+    t = draw(st.floats(0.0, 100.0, allow_nan=False))
+    for _ in range(draw(st.integers(1, 4))):
+        for _ in range(draw(st.integers(k, 3 * k + 2))):
+            step = draw(st.sampled_from(["airtime", "echo", "close"]))
+            if step == "echo" and len(times) >= k:
+                t = max(t, times[-k] + 3600.0)
+            elif step == "close":
+                t += draw(st.floats(0.0, 1.0, allow_nan=False)) * toa
+            else:
+                t += draw(st.floats(1.0, 3.0, allow_nan=False)) * toa
+            times.append(t)
+        t += draw(st.sampled_from([3600.0, 3600.0 - toa])
+                  | st.floats(0.0, 4000.0, allow_nan=False))
+    return toa, np.array(times)
+
+
 @settings(max_examples=300, deadline=None)
-@given(nodes=st.lists(node_arrivals(), min_size=1, max_size=8),
+@given(data=st.data(),
        duty_limit=st.one_of(st.sampled_from([1e-4, 1e-3, 0.01, 1.0]),
                             st.floats(1e-5, 1.0, allow_nan=False)))
-def test_accept_matches_sequential_reference(nodes, duty_limit):
+def test_accept_matches_sequential_reference(data, duty_limit):
+    nodes = data.draw(st.lists(node_arrivals() | duty_edge_nodes(duty_limit),
+                               min_size=1, max_size=8))
     node_toa = np.array([toa for toa, _ in nodes])
     counts = np.array([t.size for _, t in nodes])
     times = np.concatenate([t for _, t in nodes])
@@ -92,6 +124,40 @@ def test_accept_matches_sequential_reference(nodes, duty_limit):
     assert np.array_equal(times[keep], ref_kept)
     assert busy == sum(b for _, b, _ in ref)
     assert duty == sum(d for _, _, d in ref)
+
+
+@pytest.mark.parametrize("toa, times", [
+    # (budget + 1e-12) / toa is 3.0, and the loop's running airtime puts
+    # three airtimes over the budget: it drops the third arrival, with two
+    # kept in the window
+    ((1e-3 * 3600.0 + 1e-12) / 3, [0.0, 2.0, 4.0]),
+    # 3.6 airtimes fit, and the fourth arrival comes exactly an hour after
+    # the first: fl(t - 3600) is below the first start, so the loop's window
+    # still holds all three kept starts and the fourth is a duty drop
+    (1.0, [51.18216247002567, 61.0, 71.0, 51.18216247002567 + 3600.0]),
+], ids=["whole-number-of-airtimes", "exactly-an-hour-later"])
+def test_accept_duty_screen_edges(toa, times):
+    times = np.array(times)
+    keep, busy, duty = _accept(times, np.zeros(times.size, dtype=int), np.array([toa]), 1e-3)
+    kept, ref_busy, ref_duty = reference_node_transmissions(times, toa, 1e-3)
+    assert np.array_equal(times[keep], kept)
+    assert (busy, duty) == (ref_busy, ref_duty) == (0, 1)
+
+
+def test_accept_loop_runs_only_where_a_window_can_fill(monkeypatch):
+    # SF12 at 1% duty: 31 airtimes fit the budget. 40 arrivals 180 s apart
+    # hold more airtime than the budget, but no hour holds 32 of them, so
+    # that node skips the sequential loop; a node with 32 arrivals 60 s
+    # apart fills a window and runs it, and drops its 32nd arrival
+    calls = []
+    monkeypatch.setattr(simulator, "_accept_sequential",
+                        lambda *args: calls.append(args) or _accept_sequential(*args))
+    times = np.concatenate((np.arange(40) * 180.0, np.arange(32) * 60.0))
+    node_ids = np.repeat([0, 1], [40, 32])
+    keep, busy, duty = _accept(times, node_ids, np.full(2, SF_TOA[5]), 0.01)
+    assert len(calls) == 1 and calls[0][0].size == 32
+    assert keep[:40].all() and keep[40:71].all() and not keep[71]
+    assert (busy, duty) == (0, 1)
 
 
 def test_accept_binding_duty_cycle_and_chains():
@@ -219,7 +285,7 @@ def test_winners_iic_style_candidate_subset(data):
                               min_size=n, max_size=n))
     durs = data.draw(st.lists(st.sampled_from(SF_TOA), min_size=n, max_size=n))
     starts = np.cumsum(gaps)
-    comp_all = _component_ids(starts, starts + np.array(durs))
+    comp_all = np.cumsum(_episode_heads(starts, starts + np.array(durs))) - 1
     mask = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     cand = np.flatnonzero(mask)
     if cand.size == 0:

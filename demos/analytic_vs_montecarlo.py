@@ -15,7 +15,7 @@ drawn, at the same interferer positions): the events become positively
 correlated and the estimate exceeds the product form H1 * Q1.
 """
 
-from loracell import coverage_probability, default_scenario, estimate_coverage, typical_at
+from loracell import coverage_sweep, default_scenario, estimate_coverage, typical_at
 
 TRIALS = 200_000
 DISTANCES = (400.0, 1100.0, 1500.0, 2100.0, 2900.0)
@@ -28,9 +28,9 @@ def main():
           f"{'dev [SE]':>9} {'C1 MC shared-fading':>20}")
     for count in (500, 2500):
         scn = base.with_node_count(count)
-        for k, d in enumerate(DISTANCES):
+        analytic_c1 = coverage_sweep(scn, DISTANCES).c1
+        for k, (d, analytic) in enumerate(zip(DISTANCES, analytic_c1.tolist())):
             typical = typical_at(scn.topology, d)
-            analytic = coverage_probability(typical, scn).c1
             _, _, c1 = estimate_coverage(typical, scn, TRIALS, seed=300 + k)
             _, _, c1s = estimate_coverage(typical, scn, TRIALS, seed=300 + k,
                                           shared_fading=True)

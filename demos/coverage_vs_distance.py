@@ -21,7 +21,7 @@ def main():
     curves = {}
     for count in NODE_COUNTS:
         scn = base.with_node_count(count)
-        curves[count] = np.array([br.c1 for br in coverage_sweep(scn, distances)])
+        curves[count] = coverage_sweep(scn, distances).c1
         edge = curves[count][-1]
         print(f"N = {count:5d}: C1 at 500 m = {curves[count][49]:.3f}, "
               f"at cell edge = {edge:.3f}")

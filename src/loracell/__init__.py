@@ -8,6 +8,7 @@ event-driven cell simulator with three collision models and capture effect.
 from .airtime import lora_airtime, per_node_rate, pure_aloha_throughput
 from .coverage import (
     CoverageBreakdown,
+    CoverageSweep,
     TypicalNode,
     connection_probability,
     capture_probability,

@@ -105,10 +105,9 @@ def _grid(radius: float, step: float) -> np.ndarray:
 
 def _coverage_rows(scenario: Scenario, distances) -> tuple[list[str], list[list]]:
     header = ["distance_m", "sf", "h1", "q1", "c1"] + [f"p_sir_sf{sf}" for sf in SF_RANGE]
-    sfs = np.asarray(SF_RANGE)[scenario.topology.ring_index(distances)]
-    rows = [[d, sf, br.h1, br.q1, br.c1, *br.p_sir]
-            for d, sf, br in zip(distances, sfs, coverage_sweep(scenario, distances))]
-    return header, rows
+    s = coverage_sweep(scenario, distances)
+    columns = (s.distance_m, s.sf, s.h1, s.q1, s.c1, *s.p_sir)
+    return header, [list(row) for row in zip(*(column.tolist() for column in columns))]
 
 
 def cmd_coverage(args) -> int:
@@ -125,9 +124,9 @@ def cmd_coverage(args) -> int:
         header, rows = _coverage_rows(scn, distances)
         if args.validate:
             header += ["mc_c1", "mc_se"]
-            for row in rows:
-                typical = TypicalNode(distance_m=float(row[0]), sf=int(row[1]))
-                _, _, c1 = estimate_coverage(typical, scn, args.trials, scn.rng_seed)
+            for row in rows:    # each row starts with its distance_m and sf
+                _, _, c1 = estimate_coverage(TypicalNode(*row[:2]), scn, args.trials,
+                                             scn.rng_seed)
                 row += [c1.mean, c1.standard_error]
         out = Path(args.out)
         if multi:
@@ -198,8 +197,8 @@ def cmd_reproduce(args) -> int:
         header = ["distance_m", "sf"] + [f"c1_N{count}" for count in counts]
         curves = [coverage_sweep(scenario.with_node_count(count), distances)
                   for count in counts]
-        sfs = np.asarray(SF_RANGE)[scenario.topology.ring_index(distances)]
-        rows = [[d, sf, *(br.c1 for br in brs)] for d, sf, *brs in zip(distances, sfs, *curves)]
+        rows = list(zip(curves[0].distance_m.tolist(), curves[0].sf.tolist(),
+                        *(curve.c1.tolist() for curve in curves)))
         stem, spath, seed = "fig2_coverage", "coverage_eu868.ini", scenario.rng_seed
         scenarios = {"coverage_eu868": scenario}
     else:

@@ -15,9 +15,10 @@ capture threshold of SF i against SF j. Everything here is linear-scale;
 dB values are converted once by the scenario types.
 
 The model is evaluated over whole distance arrays: one private kernel takes
-distances and per-point SF indices and evaluates 2F1 for every ring edge of
-every point in one array call. The single-point functions call it with one
-element, so a point and the same distance in a sweep give identical values.
+distances and per-point SF indices, evaluates 2F1 for every ring edge of
+every point in one array call and returns a read-only record of columns.
+The single-point functions take row 0 of a one-element call, so a point and
+the same distance in a sweep give identical values.
 The bracketed 2F1 terms form a (ring, distance) table that depends on eta,
 the SIR thresholds, the ring edges, the distances and the point SFs, but not
 on alpha_j. A one-entry memo keeps the last table, so sweeps of one grid over
@@ -58,6 +59,37 @@ class CoverageBreakdown:
     p_sir: tuple[float, ...]        # per interfering SF ring 7..12
     q1: float                       # capture probability
     c1: float                       # coverage = h1 * q1
+
+
+@dataclass(frozen=True, eq=False)
+class CoverageSweep:
+    """The closed form at n points as read-only columns: (n,), and (ring SF 7..12, n)
+    for p_sir. `sweep[k]` builds the `CoverageBreakdown` of point k; two sweeps
+    are equal iff every column matches in shape, dtype and bytes."""
+
+    distance_m: np.ndarray
+    sf: np.ndarray                  # spreading factor of each point
+    h1: np.ndarray
+    q1: np.ndarray
+    c1: np.ndarray
+    p_sir: np.ndarray
+
+    def __post_init__(self) -> None:
+        for column in vars(self).values():
+            column.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.c1)
+
+    def __getitem__(self, k: int) -> CoverageBreakdown:
+        k = range(len(self))[k]     # negative k counts from the end; IndexError past it
+        return CoverageBreakdown(float(self.h1[k]), tuple(self.p_sir[:, k].tolist()),
+                                 float(self.q1[k]), float(self.c1[k]))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CoverageSweep) and all(
+            a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            for a, b in zip(vars(self).values(), vars(other).values()))
 
 
 def typical_at(topology: RingTopology, distance_m: float) -> TypicalNode:
@@ -124,14 +156,12 @@ def _capture(distances_m: np.ndarray, sf_idx: np.ndarray, topology: RingTopology
     return p_sir.prod(axis=0), p_sir
 
 
-def _coverage(distances_m: np.ndarray, sf_idx: np.ndarray,
-              scenario: Scenario) -> list[CoverageBreakdown]:
-    """The closed form over whole arrays: one breakdown per distance."""
+def _coverage(distances_m: np.ndarray, sf_idx: np.ndarray, scenario: Scenario) -> CoverageSweep:
+    """The closed form over whole arrays, as a record that owns `distances_m`."""
     h1 = _connection(distances_m, sf_idx, scenario.radio, scenario.thresholds)
     q1, p_sir = _capture(distances_m, sf_idx, scenario.topology, scenario.thresholds,
                          scenario.radio)
-    return list(map(CoverageBreakdown, h1.tolist(), zip(*p_sir.tolist()), q1.tolist(),
-                    (h1 * q1).tolist()))
+    return CoverageSweep(distances_m, np.asarray(SF_RANGE)[sf_idx], h1, q1, h1 * q1, p_sir)
 
 
 def sf_indices(typical: TypicalNode, *ring_sfs: int,
@@ -189,9 +219,9 @@ def coverage_probability(typical: TypicalNode, scenario: Scenario) -> CoverageBr
     return _coverage(*_one(typical, scenario.topology), scenario)[0]
 
 
-def coverage_sweep(scenario: Scenario, distances_m) -> list[CoverageBreakdown]:
-    """Coverage breakdown at each distance (SF from the containing ring)."""
-    d = np.asarray(distances_m, dtype=float)
+def coverage_sweep(scenario: Scenario, distances_m) -> CoverageSweep:
+    """The closed form at each distance (SF from the containing ring), on a copy."""
+    d = np.array(distances_m, dtype=float)
     if d.ndim != 1:
         raise ConfigurationError(f"distances_m must be one-dimensional, got shape {d.shape}")
     return _coverage(d, scenario.topology.ring_index(d), scenario)

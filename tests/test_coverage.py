@@ -9,6 +9,8 @@ from scipy import special as scipy_special
 
 from loracell import (
     ConfigurationError,
+    CoverageBreakdown,
+    CoverageSweep,
     RadioConfig,
     ThresholdSet,
     TypicalNode,
@@ -24,6 +26,8 @@ from loracell import (
     path_gain,
     typical_at,
 )
+from loracell import coverage as coverage_module
+from loracell.cli import _coverage_rows, main
 from loracell.coverage import _ring_terms, noise_power_mw
 from loracell.scenario import SF_RANGE
 
@@ -268,7 +272,7 @@ def test_sweep_point_wrappers_agree_exactly():
 
 
 def test_sweep_empty_input():
-    assert coverage_sweep(SCN, []) == []
+    assert len(coverage_sweep(SCN, [])) == 0
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, 3000.0 * (1 + 1e-12), math.inf])
@@ -429,5 +433,93 @@ def test_sweep_rejects_distances_that_are_not_one_dimensional(distances):
 
 def test_empty_sweep_after_a_cached_call():
     rows = coverage_sweep(SCN, GRID)
-    assert coverage_sweep(SCN, []) == []
+    assert len(coverage_sweep(SCN, [])) == 0
     assert _bits(coverage_sweep(SCN, GRID)) == _bits(rows)
+
+
+# ---------------------------------------------------------------------------
+# The sweep record: read-only columns that index to rows
+
+COLUMNS = ("distance_m", "sf", "h1", "q1", "c1", "p_sir")
+
+
+def test_sweep_columns_have_fixed_shapes_dtypes_and_are_read_only():
+    distances = GRID.copy()
+    sweep = coverage_sweep(SCN, distances)
+    assert isinstance(sweep, CoverageSweep) and len(sweep) == GRID.size
+    for name in COLUMNS:
+        column = getattr(sweep, name)
+        assert column.shape == ((len(SF_RANGE), GRID.size) if name == "p_sir" else (GRID.size,))
+        assert column.dtype == (np.asarray(SF_RANGE).dtype if name == "sf" else np.float64)
+        assert not column.flags.writeable
+        with pytest.raises(ValueError):
+            column[0] = 0
+    assert sweep.sf.tolist() == [SF_RANGE[i] for i in SCN.topology.ring_index(GRID)]
+    # the record holds a copy: the caller's array keeps its flags and its own memory
+    assert distances.flags.writeable and not np.shares_memory(distances, sweep.distance_m)
+    distances[0] = 1.0
+    assert sweep.distance_m.tobytes() == GRID.tobytes()
+
+
+def test_sweep_indexes_like_a_sequence():
+    sweep = coverage_sweep(SCN, GRID)
+    last = coverage_probability(typical_at(SCN.topology, float(GRID[-1])), SCN)
+    assert sweep[-1] == sweep[len(sweep) - 1] == last
+    assert sweep[-len(sweep)] == sweep[0]
+    for k in (len(sweep), -len(sweep) - 1):
+        with pytest.raises(IndexError):
+            sweep[k]
+
+
+def test_sweep_rows_are_the_single_point_breakdowns_bit_for_bit():
+    rows = list(coverage_sweep(SCN, GRID))
+    points = [coverage_probability(typical_at(SCN.topology, float(d)), SCN) for d in GRID]
+    assert rows == points and _bits(rows) == _bits(points)
+    for br in rows:
+        assert type(br) is CoverageBreakdown and type(br.p_sir) is tuple
+        assert {type(v) for v in (br.h1, br.q1, br.c1, *br.p_sir)} == {float}
+
+
+def _flip_lowest_bit(column):
+    changed = column.copy()
+    changed.view(np.uint8)[0] ^= 1
+    return changed
+
+
+@pytest.mark.parametrize("name, change", [
+    *((name, _flip_lowest_bit) for name in COLUMNS),
+    ("h1", lambda column: column.view(np.int64)),            # same bytes, another dtype
+    ("p_sir", lambda column: column.reshape(-1, len(SF_RANGE))),  # another shape
+], ids=[*(f"bit-{name}" for name in COLUMNS), "dtype-h1", "shape-p_sir"])
+def test_sweep_equality_compares_every_column_bit_for_bit(name, change):
+    a, b = coverage_sweep(SCN, GRID), coverage_sweep(SCN, GRID)
+    assert (a == b) is True and (a != b) is False
+    changed = replace(b, **{name: change(getattr(b, name))})
+    assert (a == changed) is False and (a != changed) is True
+    assert (a == list(a)) is False
+
+
+def test_empty_sweep_has_empty_columns():
+    sweep = coverage_sweep(SCN, [])
+    assert len(sweep) == 0 and list(sweep) == []
+    assert sweep.p_sir.shape == (len(SF_RANGE), 0)
+    assert all(getattr(sweep, name).shape == (0,) for name in COLUMNS[:-1])
+    assert sweep == coverage_sweep(SCN, np.empty(0))
+
+
+def test_sweeps_and_their_consumers_build_no_row_objects(monkeypatch, tmp_path):
+    made = []
+
+    class CountingBreakdown(CoverageBreakdown):
+        def __init__(self, *args):
+            made.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(coverage_module, "CoverageBreakdown", CountingBreakdown)
+    grid = np.linspace(10.0, SCN.topology.cell_radius_m, 300)
+    assert len(coverage_sweep(SCN, grid)) == 300
+    assert len(_coverage_rows(SCN, grid)[1]) == 300
+    assert main(["reproduce", "fig2", "--outdir", str(tmp_path)]) == 0
+    assert made == []
+    coverage_probability(typical_at(SCN.topology, 1500.0), SCN)
+    assert len(made) == 1

@@ -21,9 +21,10 @@ The single-point functions take row 0 of a one-element call, so a point and
 the same distance in a sweep give identical values.
 The bracketed 2F1 terms form a (ring, distance) table that depends on eta,
 the SIR thresholds, the ring edges, the distances and the point SFs, but not
-on alpha_j. A one-entry memo keeps the last table, so sweeps of one grid over
-node counts (`reproduce fig2`, `coverage --node-counts`, the coverage demo)
-evaluate 2F1 once; only exp(-pi alpha_j * table) is recomputed.
+on alpha_j. A one-entry memo keeps the last table of a call with two or more
+points, so sweeps of one grid over node counts (`reproduce fig2`, `coverage
+--node-counts`, the coverage demo) evaluate 2F1 once, also with single-point
+calls in between; only exp(-pi alpha_j * table) is recomputed.
 """
 
 from __future__ import annotations
@@ -149,8 +150,10 @@ def _ring_terms(eta: float, boundaries: tuple[float, ...], thresholds: Threshold
 def _capture(distances_m: np.ndarray, sf_idx: np.ndarray, topology: RingTopology,
              thresholds: ThresholdSet, radio: RadioConfig) -> tuple[np.ndarray, np.ndarray]:
     """Q1 at each distance and the (ring, distance) array of P_SIR factors."""
-    table = _ring_terms(radio.path_loss_exponent, tuple(topology.boundaries_m), thresholds,
-                        distances_m.tobytes(), sf_idx.astype(np.intp, copy=False).tobytes())
+    # a one-point call bypasses the memo, so it keeps a sweep's table
+    ring_terms = _ring_terms if distances_m.size > 1 else _ring_terms.__wrapped__
+    table = ring_terms(radio.path_loss_exponent, tuple(topology.boundaries_m), thresholds,
+                       distances_m.tobytes(), sf_idx.astype(np.intp, copy=False).tobytes())
     # a ring with alpha == 0 gives exp(-0.0) == 1.0 exactly
     p_sir = np.exp(-math.pi * topology.intensities[:, None] * table)
     return p_sir.prod(axis=0), p_sir

@@ -8,14 +8,15 @@ airtime actually transmitted.
 
 Traffic is the nodes' Poisson processes superposed (one Poisson total, sorted
 uniform times, an iid node label each), and the acceptance rule runs over all
-nodes at once in node-major order; its keep mask is scattered back, so
-packets stay in start order. An arrival is close when t[i] < t[i-1] + ToA
-within its node. One rule picks the nodes that run the exact sequential
-loop: those with K+1 arrivals inside one trailing hour, where K airtimes fit
-the hourly duty budget, those whose budget is within float drift of a whole
-number of airtimes, and those with two consecutive close arrivals. Every
-other node keeps its arrivals that are not close, which is what the loop
-would keep. The result equals that loop run on every node.
+nodes at once in node-major order, which one sort of packed (node, position)
+keys gives; its keep mask is scattered back, so packets stay in start order.
+An arrival is close when t[i] < t[i-1] + ToA within its node. One rule
+picks the nodes that run the exact sequential loop: those with K+1 arrivals
+inside one trailing hour, where K airtimes fit the hourly duty budget, those
+whose budget is within float drift of a whole number of airtimes, and those
+with two consecutive close arrivals. Every other node keeps its arrivals
+that are not close, which is what the loop would keep. The result equals
+that loop run on every node.
 
 Propagation is the Okumura-Hata open-area (rural) median model, reception
 is threshold-based: a packet is detectable iff its receive power clears the
@@ -152,7 +153,7 @@ def _overlap_lags(starts, ends, first):
         yield k, i
         k += 1
         i = i[:np.searchsorted(i, n - k)]
-        i = i[starts[i + k] < ends[i]]
+        i = i[np.flatnonzero(starts[i + k] < ends[i])]
 
 
 def _interference(starts, ends, pw, first):
@@ -201,9 +202,11 @@ def _winners_per_group(group_ids, score):
     opens = np.empty(len(group_ids), dtype=bool)
     opens[0] = True
     opens[1:] = group_ids[1:] != group_ids[:-1]
-    best = np.maximum.reduceat(score, np.flatnonzero(opens))
-    at_best = np.flatnonzero(score == best[np.cumsum(opens) - 1])
-    ids = group_ids[at_best]
+    run = np.cumsum(opens)
+    best = np.full(run[-1] + 1, -np.inf)
+    np.maximum.at(best, run, score)
+    at_best = np.flatnonzero(score == best[run])
+    ids = run[at_best]
     return at_best[np.append(ids[1:] != ids[:-1], True)]
 
 
@@ -227,8 +230,8 @@ def _resolve_partition(starts, owner, node_toa, node_sf, node_pw, node_ok, model
         sinr = pw / (_interference(starts, ends, pw, first) + noise_mw)
         sf = node_sf[owner[0]]         # the partition's one SF
         cand = np.flatnonzero(alone | (sinr >= sir_lin[sf, sf]))
-        if cand.size:
-            w = cand[_winners_per_group(np.cumsum(heads)[cand], sinr[cand])]
+        if cand.size:                  # int32 episode ids: no calendar in memory nears 2^31
+            w = cand[_winners_per_group(np.cumsum(heads, dtype=np.int32)[cand], sinr[cand])]
             received[w] = node_ok[owner[w]]
         return received
 
@@ -236,16 +239,18 @@ def _resolve_partition(starts, owner, node_toa, node_sf, node_pw, node_ok, model
         # one row per SF present, added in SF order for the SINR
         sf_idx = node_sf[owner]
         present = np.flatnonzero(np.bincount(sf_idx, minlength=NUM_SF))
-        row = np.searchsorted(present, sf_idx)
+        row = np.searchsorted(present, np.arange(NUM_SF))[sf_idx]    # a six-entry table
         inter, has = _interference_by_row(starts, ends, pw, first, row)
         sinr = pw / (noise_mw + sum(inter[1:], inter[0]))
         # one winner per SF and episode: groups run SF-major, then by start
         by_sf = np.concatenate([np.flatnonzero(sf_idx == j) for j in present])
-        group = (sf_idx * n + np.cumsum(heads))[by_sf]
+        group = (sf_idx * n + np.cumsum(heads, dtype=np.int32))[by_sf]
         w = by_sf[_winners_per_group(group, sinr[by_sf])]
-        # the pairwise threshold against each SF present
-        clears = pw[w] >= sir_lin[sf_idx[w]][:, present].T * (noise_mw + inter[:, w])
-        received[w] = node_ok[owner[w]] & (clears | ~has[:, w]).all(axis=0)
+        # the pairwise threshold against each SF present, on C-ordered (SF, winner)
+        # arrays: `inter[:, w]` is in Fortran order
+        delta = np.take(sir_lin.T[present], sf_idx[w], axis=1)
+        clears = pw[w] >= delta * (noise_mw + np.take(inter, w, axis=1))
+        received[w] = node_ok[owner[w]] & (clears | ~np.take(has, w, axis=1)).all(axis=0)
         return received
 
     raise ConfigurationError(f"unknown collision model {model!r}")
@@ -254,8 +259,9 @@ def _resolve_partition(starts, owner, node_toa, node_sf, node_pw, node_ok, model
 def _resolve(starts, owner, chans, node_toa, node_sf, node_dbm, model, thresholds,
              radio):
     """Received flag per packet. Packet k starts at starts[k] on channel
-    chans[k] (a label in 0..C-1) and is sent by node owner[k]; the node
-    tables give each node's airtime, SF index and receive power (dBm). A
+    chans[k] (a label in 0..C-1, or None for one channel) and is sent by
+    node owner[k]; the node tables give each node's airtime, SF index and
+    receive power (dBm). A
     packet competes only with its partition: its channel, and under IC its
     (channel, SF) pair. Packets must come in start order, ties in their
     stable order; each partition is a subsequence and so in that order too.
@@ -265,10 +271,12 @@ def _resolve(starts, owner, chans, node_toa, node_sf, node_dbm, model, threshold
     node_pw = 10.0 ** (node_dbm / 10.0)
     noise = noise_power_mw(radio)
     # with one SF on every node, the IC (channel, SF) partitions are the channels
-    part = chans * NUM_SF + node_sf[owner] if model == "IC" and np.ptp(node_sf) else chans
-    members = ([slice(None)] if starts.size and part.min() == part.max()
-               else [np.flatnonzero(part == k) for k in np.flatnonzero(np.bincount(part))])
+    part = chans
+    if model == "IC" and np.ptp(node_sf):
+        part = node_sf[owner] if chans is None else chans * NUM_SF + node_sf[owner]
     received = np.zeros(starts.size, dtype=bool)
+    members = ([] if not starts.size else [slice(None)] if part is None or part.min() == part.max()
+               else [np.flatnonzero(part == k) for k in np.flatnonzero(np.bincount(part))])
     for on in members:
         received[on] = _resolve_partition(
             starts[on], owner[on], node_toa, node_sf, node_pw, node_ok,
@@ -308,13 +316,20 @@ def resolve_reception(packets: Sequence[PacketEvent], model: str,
 
 def _arrivals(rng, node_count, rate, duration):
     """Start-ordered arrival times, their nodes as labels in their smallest
-    dtype, and the node-major order (a stable radix argsort of the labels) of
-    node_count Poisson(rate) processes over (0, duration), superposed."""
+    dtype, and the node-major order of node_count Poisson(rate) processes over
+    (0, duration), superposed. The order is one in-place sort of the keys
+    node << b | position, b the bit length of the last position, masked back
+    to the positions: these are unique, so it is the stable argsort."""
     times = rng.random(rng.poisson(rate * duration * node_count))
     times.sort()
     times *= duration
     nodes = rng.integers(0, node_count, size=times.size).astype(np.min_scalar_type(node_count))
-    return times, nodes, np.argsort(nodes, kind="stable")
+    b = max(times.size - 1, 0).bit_length()
+    key = nodes.astype(np.uint32 if node_count << b <= 2 ** 32 else np.uint64)
+    key <<= b
+    key |= np.arange(times.size, dtype=key.dtype)
+    key.sort()
+    return times, nodes, np.bitwise_and(key, (1 << b) - 1, out=np.empty(times.size, np.intp))
 
 
 def _accept_sequential(times, toa, budget):
@@ -374,7 +389,7 @@ def _accept(times, nodes, node_toa, duty_limit):
         keep[bounds[k]:bounds[k + 1]], duty = _accept_sequential(
             times[bounds[k]:bounds[k + 1]], float(node_toa[k]), budget)
         dropped_duty += duty
-    dropped_busy = int(times.size - keep.sum()) - dropped_duty
+    dropped_busy = times.size - int(np.count_nonzero(keep)) - dropped_duty
     return keep, dropped_busy, dropped_duty
 
 
@@ -426,16 +441,17 @@ def run_replication(scenario: Scenario, offered_load: float, seed) -> Replicatio
     starts, nodes, dropped_busy, dropped_duty = _traffic(rng, scenario, node_toa, rate)
     node_tx = np.bincount(nodes, minlength=scenario.node_count)
     node_airtime = node_tx * node_toa
-    chans = rng.integers(0, scenario.channels, size=starts.size)   # one channel: no draw
+    # one channel draws nothing from the stream, so it needs no label array
+    chans = rng.integers(0, scenario.channels, size=starts.size) if scenario.channels > 1 else None
 
     received = _resolve(starts, nodes, chans, node_toa, node_sf, rx_dbm,
                         scenario.collision_model, scenario.thresholds, radio)
 
     tx = int(starts.size)
-    rx = int(received.sum())
+    rx = int(np.count_nonzero(received))
     measured_g = float(node_airtime.sum() / duration)
     pdr = rx / tx if tx else 0.0
-    node_rx = np.bincount(nodes[received], minlength=scenario.node_count)
+    node_rx = np.bincount(nodes, weights=received, minlength=scenario.node_count)
     per_sf_tx = np.bincount(node_sf, weights=node_tx, minlength=NUM_SF)
     per_sf_rx = np.bincount(node_sf, weights=node_rx, minlength=NUM_SF)
     return ReplicationResult(

@@ -376,6 +376,22 @@ def test_node_count_sweeps_share_the_table_bit_for_bit():
         assert _bits(rows) == _bits(_fresh(coverage_sweep, scn, GRID))
 
 
+def test_point_call_keeps_a_sweeps_table(monkeypatch):
+    # sweep -> point -> the same sweep: the sweep's 2F1 table is evaluated once
+    calls, hyp2f1 = [], coverage_module.hyp2f1
+
+    def counting(*args):
+        calls.append(np.size(args[-1]))
+        return hyp2f1(*args)
+
+    monkeypatch.setattr(coverage_module, "hyp2f1", counting)
+    first = _fresh(coverage_sweep, SCN, GRID)
+    point = coverage_probability(typical_at(SCN.topology, 1500.0), SCN)
+    assert coverage_sweep(SCN, GRID) == first
+    assert calls == [2 * len(SF_RANGE) * GRID.size, 2 * len(SF_RANGE)]
+    assert _bits([point]) == _bits([first[149]])
+
+
 def test_memo_keys_on_the_typical_node_sf():
     # at 100 m the ring is SF7's, but a typical node may carry another SF
     node = TypicalNode(100.0, 9)

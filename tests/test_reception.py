@@ -31,6 +31,7 @@ from loracell.simulator import (
     _interference_by_row,
     _overlap_lags,
     _resolve,
+    _traffic,
     hata_rural_loss,
     sensitivity_dbm,
 )
@@ -511,6 +512,29 @@ def test_ic_full_n1_calendar_matches_reference():
                        "IC", scn)
     assert np.array_equal(got, want)
     assert 0 < got.sum() < starts.size
+
+
+@pytest.mark.parametrize("model", ["BP", "IC", "IIC"])
+def test_one_channel_without_labels_matches_all_zero_labels(model):
+    # one channel passes no label array; the flags equal those of an explicit
+    # all-zero one. The N2 calendar has every SF, so IC resolves six partitions
+    scn = replace(N2, collision_model=model)
+    radio = scn.radio
+    rng = np.random.default_rng(2018)
+    placement = sample_placement(scn, rng=rng)
+    node_dbm = (radio.tx_power_dbm + radio.gateway_gain_dbi + radio.device_gain_dbi
+                - hata_rural_loss(placement.distances_m, radio))
+    node_sf = placement.sfs - SF_RANGE[0]
+    node_toa = np.array(SF_TOA)[node_sf]
+    rate = per_node_rate(1.0, scn.node_count, float(node_toa.mean()))
+    starts, owner, _, _ = _traffic(rng, scn, node_toa, rate)
+    assert np.unique(node_sf[owner]).size == NUM_SF
+    tables = (node_toa, node_sf, node_dbm, model, scn.thresholds, radio)
+    got = _resolve(starts, owner, None, *tables)
+    assert np.array_equal(got, _resolve(starts, owner, np.zeros(starts.size, dtype=int),
+                                        *tables))
+    assert 0 < got.sum() < starts.size
+    assert _resolve(starts[:0], owner[:0], None, *tables).size == 0
 
 
 def test_interference_is_the_exact_sum_on_a_full_n1_calendar():

@@ -16,6 +16,7 @@ from loracell import (
     run,
     run_replication,
     sensitivity_dbm,
+    simulator,
     sweep,
 )
 
@@ -352,6 +353,26 @@ def test_channel_draw_leaves_traffic_unchanged():
     assert three == run_replication(replace(N2, channels=3), 0.8, seed=7)
     for field in ("tx_count", "measured_g", "dropped_busy", "dropped_duty"):
         assert getattr(three, field) == getattr(one, field)
+
+@pytest.mark.parametrize("channels", [1, 2])
+def test_channel_labels_are_drawn_for_two_or_more_channels(channels, monkeypatch):
+    # one channel hands the resolver no label array; two draw a label per
+    # packet, and both channels carry packets
+    seen = []
+    resolve = simulator._resolve
+
+    def spy(starts, owner, chans, *rest):
+        seen.append(chans)
+        return resolve(starts, owner, chans, *rest)
+
+    monkeypatch.setattr(simulator, "_resolve", spy)
+    r = run_replication(replace(N2, channels=channels), 0.8, seed=7)
+    (chans,) = seen
+    if channels == 1:
+        assert chans is None
+    else:
+        assert chans.size == r.tx_count and set(chans.tolist()) == {0, 1}
+
 
 def test_multichannel_projection_scales_linearly():
     out = run(N1, 0.3, replications=2, master_seed=77)

@@ -229,12 +229,37 @@ def test_arrivals_are_independent_poisson_per_node(node_count):
 
 @pytest.mark.parametrize("node_count", [1, 200, 300, 70_000])
 def test_arrivals_node_major_order_is_stable_argsort(node_count):
-    # labels are cast to uint8, uint16 or uint32 for the radix sort
+    # the order is one sort of node << b | position keys, which fit 32 bits here
     times, nodes, by_node = _arrivals(np.random.default_rng(3), node_count,
                                       30.0 / node_count, 1000.0)
     assert times.size > 0
     assert np.array_equal(by_node, np.argsort(nodes, kind="stable"))
     assert np.all(np.diff(times[by_node])[np.diff(nodes[by_node]) == 0] >= 0)
+
+
+def test_arrivals_node_major_order_with_64_bit_keys():
+    # 70,000 nodes need 17 bits and 2^16 or more arrivals another 17
+    times, nodes, by_node = _arrivals(np.random.default_rng(5), 70_000, 1.5 / 1000.0,
+                                      1000.0)
+    assert times.size >= 2 ** 16
+    assert 70_000 << (times.size - 1).bit_length() > 2 ** 32
+    assert by_node.dtype == np.intp
+    assert np.array_equal(by_node, np.argsort(nodes, kind="stable"))
+
+
+@pytest.mark.parametrize("node_count", [1, 300])
+def test_arrivals_node_major_order_of_zero_and_one_arrivals(node_count):
+    # with one arrival the position takes no bit; one node keeps start order
+    sizes = set()
+    for seed in range(40):
+        times, nodes, by_node = _arrivals(np.random.default_rng(seed), node_count,
+                                          1.0 / node_count, 1.0)
+        sizes.add(times.size)
+        assert by_node.dtype == np.intp
+        assert np.array_equal(by_node, np.argsort(nodes, kind="stable"))
+        if node_count == 1:
+            assert np.array_equal(by_node, np.arange(times.size))
+    assert {0, 1} <= sizes
 
 
 def test_arrivals_empty():
@@ -273,6 +298,21 @@ def test_winners_ties_and_single_element_groups():
     score = np.array([3.0, 3.0, 1.0, 9.0, 2.0, 2.0, 0.0])
     # ties go to the last index among equal maxima
     assert _winners_per_group(group_ids, score).tolist() == [1, 3, 5, 6]
+
+
+@pytest.mark.parametrize("group_ids, score, want", [
+    ([4, 4, 4, 4], [1.0, 7.0, 2.0, 7.0], [3]),                   # one group
+    ([2, 2, 2], [0.5, 0.5, 0.5], [2]),                          # all tied
+    ([0, 0, 1, 1, 1], [np.inf, 1e308, 1e308, np.inf, np.inf], [0, 4]),
+    ([0, 0, 3, 3], [-np.inf, -np.inf, 0.0, -1e308], [1, 2]),
+    ([0, 1, 2, 9], [5.0, 0.0, 1e300, 2.0], [0, 1, 2, 3]),       # groups of one
+    ([7], [0.0], [0]),
+])
+def test_winners_edges(group_ids, score, want):
+    group_ids, score = np.array(group_ids), np.array(score)
+    assert _winners_per_group(group_ids, score).tolist() == want
+    assert _winners_per_group(group_ids, score).tolist() == (
+        reference_winners(group_ids, score).tolist())
 
 
 @settings(max_examples=200, deadline=None)

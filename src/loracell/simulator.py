@@ -261,12 +261,11 @@ def _resolve(starts, owner, chans, node_toa, node_sf, node_dbm, model, threshold
     """Received flag per packet. Packet k starts at starts[k] on channel
     chans[k] (a label in 0..C-1, or None for one channel) and is sent by
     node owner[k]; the node tables give each node's airtime, SF index and
-    receive power (dBm). A
-    packet competes only with its partition: its channel, and under IC its
-    (channel, SF) pair. Packets must come in start order, ties in their
-    stable order; each partition is a subsequence and so in that order too.
-    `run_replication` draws packets in start order, and `resolve_reception`
-    sorts them once."""
+    receive power (dBm). A packet competes only with its partition: its
+    channel, and under IC its (channel, SF) pair. Packets must come in start
+    order, ties in their stable order; each partition is a subsequence and
+    so in that order too. `run_replication` draws packets in start order,
+    and `resolve_reception` sorts them once."""
     node_ok = node_dbm >= sensitivity_dbm(radio, thresholds)[node_sf]
     node_pw = 10.0 ** (node_dbm / 10.0)
     noise = noise_power_mw(radio)

@@ -7,39 +7,34 @@ acceptance suite runs the full 30-replication version. Writes
 throughput_sweep.csv and, if matplotlib is available, a two-panel PNG.
 """
 
-from dataclasses import replace
-
 import numpy as np
 
-from loracell import default_scenario, pure_aloha_throughput, sweep
+from loracell import default_scenario, pure_aloha_throughput, sweep_models
 
 REPLICATIONS = 8
-RUNS = (
-    ("N1/BP", "sim_n1", "BP"),
-    ("N1/IC", "sim_n1", "IC"),
-    ("N2/BP", "sim_n2", "BP"),
-    ("N2/IC", "sim_n2", "IC"),
-    ("N2/IIC", "sim_n2", "IIC"),
-)
+# the models of a case resolve one calendar per replication
+CASES = (("N1", "sim_n1", ("BP", "IC")), ("N2", "sim_n2", ("BP", "IC", "IIC")))
 
 
 def main():
     results = {}
-    for label, name, model in RUNS:
-        scn = replace(default_scenario(name), collision_model=model)
-        results[label] = sweep(scn, replications=REPLICATIONS)
-        best = max(results[label], key=lambda o: o.throughput)
-        print(f"{label:7s} max S = {best.throughput:.3f} E at G = "
-              f"{best.offered_load:.1f}, PDR there {best.pdr:.3f}")
+    for case, name, models in CASES:
+        shared = sweep_models(default_scenario(name), models, replications=REPLICATIONS)
+        for model, outcomes in shared.items():
+            label = f"{case}/{model}"
+            results[label] = outcomes
+            best = max(outcomes, key=lambda o: o.throughput)
+            print(f"{label:7s} max S = {best.throughput:.3f} E at G = "
+                  f"{best.offered_load:.1f}, PDR there {best.pdr:.3f}")
 
     loads = np.array([o.offered_load for o in results["N1/BP"]])
     theory = np.array([pure_aloha_throughput(float(g)) for g in loads])
     cols = [loads, theory]
     header = ["offered_g", "aloha"]
-    for label, _, _ in RUNS:
+    for label in results:
         cols.append(np.array([o.throughput for o in results[label]]))
         header.append("s_" + label.replace("/", "_").lower())
-    for label, _, _ in RUNS:
+    for label in results:
         cols.append(np.array([o.pdr for o in results[label]]))
         header.append("pdr_" + label.replace("/", "_").lower())
     np.savetxt("throughput_sweep.csv", np.column_stack(cols), delimiter=",",
@@ -55,7 +50,7 @@ def main():
         return
     fig, (ax_s, ax_p) = plt.subplots(1, 2, figsize=(10, 4))
     ax_s.plot(loads, theory, "k--", label="G e$^{-2G}$")
-    for label, _, _ in RUNS:
+    for label in results:
         ax_s.plot(loads, [o.throughput for o in results[label]], marker="o",
                   ms=3, label=label)
         ax_p.plot(loads, [o.pdr for o in results[label]], marker="o", ms=3,

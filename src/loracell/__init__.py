@@ -46,6 +46,7 @@ from .simulator import (
     run_replication,
     sensitivity_dbm,
     sweep,
+    sweep_models,
 )
 
 __version__ = "0.1.0"

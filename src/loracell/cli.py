@@ -34,7 +34,7 @@ from .scenario import (
     load_scenario,
     validate,
 )
-from .simulator import multichannel_projection, sweep
+from .simulator import multichannel_projection, sweep, sweep_models
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -176,13 +176,6 @@ def _sim_rows(outcomes) -> tuple[list[str], list[list]]:
 def cmd_simulate(args) -> int:
     scenario, spath = _load(args, collision_model=args.model, replications=args.replications,
                             offered_loads=_loads(args.loads))
-    single_sf = len(set(scenario.sf_set)) == 1
-    if scenario.collision_model == "IIC" and single_sf and not args.force:
-        raise ConfigurationError(
-            "simulate: IIC with a single spreading factor is redundant (inter-SF "
-            "interference cannot occur, IC gives identical results); "
-            "pass --force to run it anyway"
-        )
     header, rows = _sim_rows(sweep(scenario, jobs=args.jobs))
     _emit(Path(args.out), header, rows, "simulate", spath, {Path(spath).stem: scenario},
           scenario.rng_seed)
@@ -202,36 +195,29 @@ def cmd_reproduce(args) -> int:
         stem, spath, seed = "fig2_coverage", "coverage_eu868.ini", scenario.rng_seed
         scenarios = {"coverage_eu868": scenario}
     else:
-        # fig3 (throughput) and fig4 (PDR) share the same sweeps
-        runs = {
-            "n1_bp": ("sim_n1", "BP"),
-            "n1_ic": ("sim_n1", "IC"),
-            "n2_bp": ("sim_n2", "BP"),
-            "n2_ic": ("sim_n2", "IC"),
-            "n2_iic": ("sim_n2", "IIC"),
-        }
-        scenarios = {}
-        results = {}
-        for name, (case, model) in runs.items():
-            scenario = _override(default_scenario(case), collision_model=model,
-                                 rng_seed=args.seed, replications=args.replications)
-            scenarios[name] = scenario
-            results[name] = sweep(scenario, jobs=args.jobs)
+        # fig3 (throughput) and fig4 (PDR) share one sweep per case; the manifest pins each model
+        scenarios, results = {}, {}
+        for case, models in (("n1", ("BP", "IC")), ("n2", ("BP", "IC", "IIC"))):
+            base = _override(default_scenario(f"sim_{case}"), rng_seed=args.seed,
+                             replications=args.replications)
+            for model, outcomes in sweep_models(base, models, jobs=args.jobs).items():
+                scenarios[f"{case}_{model.lower()}"] = replace(base, collision_model=model)
+                results[f"{case}_{model.lower()}"] = outcomes
         loads = [o.offered_load for o in results["n1_bp"]]
         if args.figure == "fig3":
             header = (["offered_g", "aloha_theory"]
-                      + [f"s_{name}" for name in runs]
+                      + [f"s_{name}" for name in results]
                       + ["s_n1_ic_x5"])
             rows = []
             for k, g in enumerate(loads):
                 theory = pure_aloha_throughput(results["n1_bp"][k].measured_g)
-                svals = [results[name][k].throughput for name in runs]
+                svals = [results[name][k].throughput for name in results]
                 proj = multichannel_projection(results["n1_ic"][k], 5).throughput
                 rows.append([g, theory, *svals, proj])
             stem = "fig3_throughput"
         else:
-            header = ["offered_g"] + [f"pdr_{name}" for name in runs]
-            rows = [[g, *[results[name][k].pdr for name in runs]]
+            header = ["offered_g"] + [f"pdr_{name}" for name in results]
+            rows = [[g, *[results[name][k].pdr for name in results]]
                     for k, g in enumerate(loads)]
             stem = "fig4_pdr"
         # without --seed each case keeps its own packaged seed, so none is shared
@@ -291,8 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loads", default=None, help="comma list of offered loads")
     p.add_argument("--replications", type=int, default=None)
     p.add_argument("--jobs", type=int, default=1, help="parallel workers")
-    p.add_argument("--force", action="store_true",
-                   help="allow redundant model/case combinations")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("reproduce", help="run a bundled reference-figure recipe")

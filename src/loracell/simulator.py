@@ -44,7 +44,7 @@ other belong to one episode when a chain of overlapping packets links them.
 Outcomes depend only on each packet's overlaps and its episode, so
 reception is resolved after the fact over the sorted event calendar, which
 permits a fully vectorized implementation. The resolver takes packets in
-start order and sorts none: `run_replication` draws them in that order, and
+start order and sorts none: a replication draws them in that order, and
 `resolve_reception` takes one stable argsort of the starts and scatters the
 flags back. BP and IIC resolve each channel alone; IC resolves each
 (channel, SF) partition alone. With starts sorted, packet i+k overlaps
@@ -61,8 +61,9 @@ and those whose SINR clears delta_ii only: all others lie below delta_ii,
 so the episode's max-SINR packet is among them if any packet is.
 Each packet carries only its start, channel and sending node; airtime, SF
 and receive power are read from per-node tables. A replication is
-bit-reproducible from its seed; replications use independently derived
-seeds and aggregate by averaging.
+bit-reproducible from its seed. No model draws from the stream, so the models
+of a case resolve one calendar per seed (`sweep_models`); replications use
+independently derived seeds and aggregate by averaging.
 """
 
 from __future__ import annotations
@@ -264,7 +265,7 @@ def _resolve(starts, owner, chans, node_toa, node_sf, node_dbm, model, threshold
     receive power (dBm). A packet competes only with its partition: its
     channel, and under IC its (channel, SF) pair. Packets must come in start
     order, ties in their stable order; each partition is a subsequence and
-    so in that order too. `run_replication` draws packets in start order,
+    so in that order too. A replication draws packets in start order,
     and `resolve_reception` sorts them once."""
     node_ok = node_dbm >= sensitivity_dbm(radio, thresholds)[node_sf]
     node_pw = 10.0 ** (node_dbm / 10.0)
@@ -422,8 +423,10 @@ class ReplicationResult:
     max_node_airtime_fraction: float
 
 
-def run_replication(scenario: Scenario, offered_load: float, seed) -> ReplicationResult:
-    """One seeded instance: place nodes, generate traffic, resolve reception."""
+def _replicate(scenario: Scenario, offered_load: float, seed,
+               models: Sequence[str]) -> list[ReplicationResult]:
+    """One seeded instance per model, in order: place nodes, generate traffic
+    and draw channels once, then resolve reception under each model."""
     rng = np.random.default_rng(seed)
     placement = sample_placement(scenario, rng=rng)
     radio = scenario.radio
@@ -443,30 +446,37 @@ def run_replication(scenario: Scenario, offered_load: float, seed) -> Replicatio
     # one channel draws nothing from the stream, so it needs no label array
     chans = rng.integers(0, scenario.channels, size=starts.size) if scenario.channels > 1 else None
 
-    received = _resolve(starts, nodes, chans, node_toa, node_sf, rx_dbm,
-                        scenario.collision_model, scenario.thresholds, radio)
-
     tx = int(starts.size)
-    rx = int(np.count_nonzero(received))
     measured_g = float(node_airtime.sum() / duration)
-    pdr = rx / tx if tx else 0.0
-    node_rx = np.bincount(nodes, weights=received, minlength=scenario.node_count)
     per_sf_tx = np.bincount(node_sf, weights=node_tx, minlength=NUM_SF)
-    per_sf_rx = np.bincount(node_sf, weights=node_rx, minlength=NUM_SF)
-    return ReplicationResult(
-        offered_load=offered_load,
-        measured_g=measured_g,
-        tx_count=tx,
-        rx_count=rx,
-        dropped_busy=dropped_busy,
-        dropped_duty=dropped_duty,
-        pdr=pdr,
-        throughput=measured_g * pdr,
-        rx_airtime_fraction=float(node_rx @ node_toa / duration),
-        per_sf_tx=tuple(int(v) for v in per_sf_tx),
-        per_sf_rx=tuple(int(v) for v in per_sf_rx),
-        max_node_airtime_fraction=float(node_airtime.max() / duration),
-    )
+    results = []
+    for model in models:
+        received = _resolve(starts, nodes, chans, node_toa, node_sf, rx_dbm, model,
+                            scenario.thresholds, radio)
+        rx = int(np.count_nonzero(received))
+        pdr = rx / tx if tx else 0.0
+        node_rx = np.bincount(nodes, weights=received, minlength=scenario.node_count)
+        per_sf_rx = np.bincount(node_sf, weights=node_rx, minlength=NUM_SF)
+        results.append(ReplicationResult(
+            offered_load=offered_load,
+            measured_g=measured_g,
+            tx_count=tx,
+            rx_count=rx,
+            dropped_busy=dropped_busy,
+            dropped_duty=dropped_duty,
+            pdr=pdr,
+            throughput=measured_g * pdr,
+            rx_airtime_fraction=float(node_rx @ node_toa / duration),
+            per_sf_tx=tuple(int(v) for v in per_sf_tx),
+            per_sf_rx=tuple(int(v) for v in per_sf_rx),
+            max_node_airtime_fraction=float(node_airtime.max() / duration),
+        ))
+    return results
+
+
+def run_replication(scenario: Scenario, offered_load: float, seed) -> ReplicationResult:
+    """One seeded instance: place nodes, generate traffic, resolve reception."""
+    return _replicate(scenario, offered_load, seed, (scenario.collision_model,))[0]
 
 
 @dataclass(frozen=True)
@@ -523,16 +533,21 @@ def run(scenario: Scenario, offered_load: float, replications: int | None = None
     return sweep(scenario, (offered_load,), replications, master_seed)[0]
 
 
-def sweep(scenario: Scenario, loads: Sequence[float] | None = None,
-          replications: int | None = None, master_seed: int | None = None,
-          jobs: int = 1) -> list[SimOutcome]:
-    """One SimOutcome per offered load. Each task is one replication, seeded
-    from (master seed, load index, rep); each load averages its replications
-    in order, so results do not depend on execution order or worker count."""
+def sweep_models(scenario: Scenario, models: Sequence[str],
+                 loads: Sequence[float] | None = None, replications: int | None = None,
+                 master_seed: int | None = None, jobs: int = 1) -> dict[str, list[SimOutcome]]:
+    """One SimOutcome per offered load for each collision model in `models`.
+    Each task is one replication, seeded from (master seed, load index, rep),
+    whose one calendar every model resolves; each load averages its
+    replications in order, so results do not depend on execution order or
+    worker count, and a model's list is `sweep` of the scenario with it."""
     scenario = validate(replace(
         scenario,
         offered_loads=scenario.offered_loads if loads is None else tuple(loads),
         replications=scenario.replications if replications is None else replications))
+    if not 0 < len(models) == len(set(COLLISION_MODELS).intersection(models)):
+        raise ConfigurationError(f"models must be distinct names from {COLLISION_MODELS}, "
+                                 f"got {models}")
     g_list, reps = scenario.offered_loads, scenario.replications
     if jobs < 1:
         raise ConfigurationError(f"jobs must be at least 1, got {jobs}")
@@ -542,10 +557,20 @@ def sweep(scenario: Scenario, loads: Sequence[float] | None = None,
              for k in range(len(g_list)) for r in range(reps)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_replication, repeat(scenario), task_loads, seeds))
+            results = list(pool.map(_replicate, repeat(scenario), task_loads, seeds,
+                                    repeat(models)))
     else:
-        results = list(map(run_replication, repeat(scenario), task_loads, seeds))
-    return [_aggregate(g, results[k * reps:(k + 1) * reps]) for k, g in enumerate(g_list)]
+        results = list(map(_replicate, repeat(scenario), task_loads, seeds, repeat(models)))
+    return {model: [_aggregate(g, [r[m] for r in results[k * reps:(k + 1) * reps]])
+                    for k, g in enumerate(g_list)] for m, model in enumerate(models)}
+
+
+def sweep(scenario: Scenario, loads: Sequence[float] | None = None,
+          replications: int | None = None, master_seed: int | None = None,
+          jobs: int = 1) -> list[SimOutcome]:
+    """`sweep_models` under the scenario's own collision model alone."""
+    model = scenario.collision_model
+    return sweep_models(scenario, (model,), loads, replications, master_seed, jobs)[model]
 
 
 def multichannel_projection(outcome: SimOutcome, channels: int) -> SimOutcome:

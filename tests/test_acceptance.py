@@ -1,12 +1,11 @@
 """Acceptance suite: every release criterion at its stated tolerance.
 
-Each test prints one [ACCEPTANCE] line; run with `pytest -s` to see them as
-they execute. The simulation sweeps (30 replications x 2 simulated hours)
+Each criterion prints one [ACCEPTANCE] line; run with `pytest -s` to see them
+as they execute. The simulation sweeps (30 replications x 2 simulated hours)
 are shared session-wide, so the whole suite stays within a desk-scale run.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +22,7 @@ from loracell import (
     resolve_reception,
     run,
     run_replication,
-    sweep,
+    sweep_models,
     typical_at,
 )
 from loracell.simulator import PacketEvent
@@ -47,14 +46,11 @@ def report(num, desc, ok, detail=""):
 
 @pytest.fixture(scope="module")
 def sim_sweeps():
-    cases = {
-        "n1_bp": replace(N1, collision_model="BP"),
-        "n1_ic": replace(N1, collision_model="IC"),
-        "n2_bp": replace(N2, collision_model="BP"),
-        "n2_ic": replace(N2, collision_model="IC"),
-        "n2_iic": replace(N2, collision_model="IIC"),
-    }
-    return {name: sweep(scn, replications=REPS) for name, scn in cases.items()}
+    # the models of a case resolve one calendar per replication
+    shared = {"n1": sweep_models(N1, ("BP", "IC"), replications=REPS),
+              "n2": sweep_models(N2, ("BP", "IC", "IIC"), replications=REPS)}
+    return {f"{case}_{model.lower()}": outcomes
+            for case, sweeps in shared.items() for model, outcomes in sweeps.items()}
 
 
 def test_criterion_1_pure_aloha_closed_form():
@@ -246,3 +242,14 @@ def test_criterion_10_property_suites(sim_sweeps):
                "duty-cycle ceiling",
            ok, f"det={ok_det} cons={ok_cons} uniq={ok_uni} order={ok_order} "
                f"duty={ok_duty} (worst node airtime {worst_duty:.4%})")
+
+
+def test_bp_receives_no_more_per_sf_than_ic_or_iic(sim_sweeps):
+    # a packet BP receives is alone in its episode, so IC and IIC receive it
+    # too; on calendars shared by construction the means keep that order exactly
+    for case, models in (("n1", ("ic",)), ("n2", ("ic", "iic"))):
+        for model in models:
+            for bp, other in zip(sim_sweeps[f"{case}_bp"], sim_sweeps[f"{case}_{model}"]):
+                assert bp.offered_load == other.offered_load
+                assert all(b <= o for b, o in zip(bp.per_sf_rx, other.per_sf_rx)), \
+                    (case, model, bp.offered_load)

@@ -161,18 +161,17 @@ def test_negative_seed_exits_config_error(argv, tmp_path, capsys):
     assert "rng_seed" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
-def test_simulate_rejects_redundant_iic_n1(capsys):
-    code = main(["simulate", "--scenario", "sim_n1.ini", "--model", "IIC",
-                 "--out", "/tmp/never.csv"])
-    assert code == EXIT_CONFIG
-    assert "redundant" in capsys.readouterr().err
-
-
 def test_simulate_n1_with_force_runs(tmp_path):
+    # IIC on the single-SF N1 case runs as it is; there is no --force flag
     out = tmp_path / "iic.csv"
-    code = main(["simulate", "--scenario", "sim_n1.ini", "--model", "IIC", "--force",
+    code = main(["simulate", "--scenario", "sim_n1.ini", "--model", "IIC",
                  "--loads", "0.2", "--replications", "1", "--out", str(out)])
     assert code == EXIT_OK
+
+
+def test_simulate_has_no_force_flag(tmp_path):
+    with pytest.raises(SystemExit):
+        main(["simulate", "--scenario", "sim_n1.ini", "--force", "--out", str(tmp_path / "x")])
 
 
 def test_simulate_theory_column_and_rerun_identical(tmp_path):
@@ -278,6 +277,14 @@ def test_reproduce_fig3_emits_all_curves(tmp_path):
     assert list(digests) == ["n1_bp", "n1_ic", "n2_bp", "n2_ic", "n2_iic"]
     assert len(set(digests.values())) == 5
     assert all(re.fullmatch("[0-9a-f]{64}", d) for d in digests.values())
+
+
+def test_reproduce_fig4_is_the_same_for_any_job_count(tmp_path):
+    for jobs in ("1", "2"):
+        assert main(["reproduce", "fig4", "--outdir", str(tmp_path / jobs), "--jobs", jobs,
+                     "--replications", "1", "--seed", "3"]) == EXIT_OK
+    assert (tmp_path / "1" / "fig4_pdr.csv").read_bytes() == \
+        (tmp_path / "2" / "fig4_pdr.csv").read_bytes()
 
 
 def test_reproduce_fig4_pdr_decreases(tmp_path):

@@ -249,6 +249,16 @@ def test_resolve_reception_matches_reference(packets, model):
     assert got == want.tolist()
 
 
+@settings(max_examples=100, deadline=None)
+@given(packet_sets())
+def test_bp_receptions_are_ic_and_iic_receptions(packets):
+    # a packet alone in its channel episode is alone in every partition of it
+    bp = resolve_reception(packets, "BP", N2.thresholds, N2.radio)
+    for model in ("IC", "IIC"):
+        got = resolve_reception(packets, model, N2.thresholds, N2.radio)
+        assert all(g for b, g in zip(bp, got) if b), model
+
+
 @st.composite
 def node_tables(draw):
     """run_replication-style inputs: a few nodes, each with one SF, airtime

@@ -18,6 +18,7 @@ from loracell import (
     sensitivity_dbm,
     simulator,
     sweep,
+    sweep_models,
 )
 
 N1 = default_scenario("sim_n1")
@@ -313,6 +314,15 @@ def test_model_ordering_bp_iic_ic():
     assert outs["IIC"].throughput <= outs["IC"].throughput + slack_ic
 
 
+@pytest.mark.parametrize("g", [0.5, 1.0])
+@pytest.mark.parametrize("seed", [3, 4])
+def test_iic_equals_ic_on_a_single_sf_calendar(g, seed):
+    # with one SF there is no inter-SF interference, so IIC's episodes and
+    # winners are IC's; both resolve the same calendar
+    ic, iic = simulator._replicate(N1, g, seed, ("IC", "IIC"))
+    assert ic == iic
+
+
 def test_duty_cycle_ceiling_enforced():
     rep = run_replication(N2, 1.0, seed=2)
     assert rep.max_node_airtime_fraction <= 0.0101
@@ -326,6 +336,23 @@ def test_sweep_deterministic_and_order_free():
     c = sweep(scn, replications=2, jobs=2)
     assert a == c
 
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("scn,models", [
+    (N1, ("BP", "IC")), (N2, ("BP", "IC", "IIC")), (replace(N2, channels=2), ("IIC", "BP", "IC")),
+], ids=["N1", "N2", "N2x2"])
+def test_sweep_models_equals_per_model_sweeps(scn, models, jobs):
+    shared = sweep_models(scn, models, (0.3, 1.0), 2, 11, jobs=jobs)
+    assert list(shared) == list(models)
+    for model in models:
+        assert shared[model] == sweep(replace(scn, collision_model=model), (0.3, 1.0), 2, 11)
+
+
+@pytest.mark.parametrize("models", [(), ("IC", "IC"), ("BP", "XX"), ["ic"], "BP"])
+def test_sweep_models_rejects_bad_model_lists(models):
+    with pytest.raises(ConfigurationError, match="models must be distinct"):
+        sweep_models(N1, models, (0.3,), 1)
 
 
 def test_run_is_single_load_sweep():

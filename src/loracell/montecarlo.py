@@ -8,12 +8,14 @@ interferers over the rings drawn, and at most 2^18 trials, so memory stays
 bounded and a block's arrays stay cache-sized (about 2 MiB each at most).
 Block k draws from its own generator, SeedSequence(seed).spawn(n_blocks)[k].
 Per ring and block of m trials one Poisson(mean * m) total is drawn and each
-interferer gets a uniform trial label; by Poisson splitting the per-trial
-counts are iid Poisson(mean). The block layout depends only on the trial count
-and the ring intensities, so thresholds and the fading mode never alter the
-positions drawn from the seed (common random numbers). A block depends only on
-its own stream and size, and summaries are pooled in block order, so blocks
-may run in any order or at once without changing an estimate.
+interferer draws one uniform u: floor(u m) is its trial label and the fraction
+of u m its position. As fl(u m) < m for u < 1, no label needs a clamp, and at
+m <= 2^18 the fraction keeps at least 35 bits. By Poisson splitting the
+per-trial counts are iid Poisson(mean). The block layout depends only on the
+trial count and the ring intensities, so thresholds and the fading mode never
+alter the positions drawn from the seed (common random numbers). A block
+depends only on its own stream and size, and summaries are pooled in block
+order, so blocks may run in any order or at once without changing an estimate.
 
 Fading is averaged out wherever the estimand allows. With mean signal S,
 P(S h > x) = exp(-x / S), so H1 = exp(-gamma sigma^2 / S) is exact (SE 0).
@@ -85,12 +87,15 @@ def _ring_exponent(rng: np.random.Generator, scenario: Scenario, ring: int, tria
                    weight: float, fading: np.random.Generator | None) -> np.ndarray:
     """Per-trial exponent from one SF ring's interferers, with received powers
     P_k (mW): sum_k log1p(w P_k), each interferer's fading averaged out, or
-    w sum_k P_k h_k with h_k drawn from `fading`. Positions come from `rng` alone."""
+    w sum_k P_k h_k with h_k drawn from `fading`. Positions come from `rng` alone:
+    one uniform u per interferer, whose u m gives its trial and its position."""
     topo, radio = scenario.topology, scenario.radio
     lo2, hi2 = np.square(topo.boundaries_m[ring:ring + 2])
     total = rng.poisson(float(topo.intensities[ring] * topo.ring_areas_m2[ring]) * trials)
-    trial_idx = rng.integers(0, trials, size=total)
-    p = rng.random(total)       # r^2 uniform on (lo^2, hi^2]: over the annulus, never r = 0
+    p = rng.random(total)
+    p *= trials                 # fl(u m) < m for u < 1: the label floor(u m) needs no clamp
+    trial_idx = p.astype(np.intp)
+    p -= trial_idx              # the fraction, in [0, 1): r^2 uniform on (lo^2, hi^2]
     p *= lo2 - hi2
     p += hi2
     np.power(p, -radio.path_loss_exponent / 2.0, out=p)

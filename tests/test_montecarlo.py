@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from loracell import (
     ConfigurationError,
@@ -189,20 +190,15 @@ def test_ring_interference_matches_annulus_mean(ring):
 
 
 class FixedDraws:
-    """Stands in for a generator: a fixed Poisson total, trial labels and
-    uniforms for the positions, or fixed fading for an interferer stream."""
+    """Stands in for a generator: a fixed Poisson total and uniforms, or fixed
+    fading for an interferer stream."""
 
-    def __init__(self, labels=(), uniforms=(), fading=()):
-        self.labels = np.array(labels, dtype=np.int64)
+    def __init__(self, uniforms=(), fading=()):
         self.uniforms = np.array(uniforms, dtype=float)
         self.fading = np.array(fading, dtype=float)
 
     def poisson(self, lam):
-        return self.labels.size
-
-    def integers(self, low, high, size):
-        assert (low, size) == (0, self.labels.size) and np.all(self.labels < high)
-        return self.labels.copy()
+        return self.uniforms.size
 
     def random(self, size):
         assert size == self.uniforms.size
@@ -219,10 +215,13 @@ def test_ring_exponent_per_trial_forms_are_exact(ring):
     radio = scn.radio
     lo, hi = scn.topology.boundaries_m[ring:ring + 2]
     labels = [0, 3, 3, 0, 1, 3]             # trials 2 and 4 have no interferer
-    uniforms = [0.0, 0.5, 0.999, 0.25, 0.75, 0.1]
+    fractions = [0.0, 0.5, 1023 / 1024, 0.25, 0.75, 0.125]
     fading = [0.3, 1.7, 0.01, 2.5, 1.0, 4.2]
     trials = 5
-    r = np.sqrt(hi ** 2 + np.array(uniforms) * (lo ** 2 - hi ** 2))
+    # u = (label + fraction) / trials: dyadic fractions, so u m decodes exactly
+    uniforms = (np.array(labels) + fractions) / trials
+    assert np.array_equal(uniforms * trials - labels, fractions)
+    r = np.sqrt(hi ** 2 + np.array(fractions) * (lo ** 2 - hi ** 2))
     power = radio.tx_power_mw * radio.antenna_gain_linear * path_gain(r, radio)
     # a same-SF typical node at the ring's outer edge: w P_k >= delta
     weight = scn.thresholds.sir_linear[ring, ring] / (
@@ -234,14 +233,79 @@ def test_ring_exponent_per_trial_forms_are_exact(ring):
     drawn *= weight
     assert averaged.max() > 1.0             # far from the linear regime of log1p
 
-    got = _ring_exponent(FixedDraws(labels, uniforms), scn, ring, trials, weight, None)
+    got = _ring_exponent(FixedDraws(uniforms), scn, ring, trials, weight, None)
     np.testing.assert_allclose(got, averaged, rtol=1e-14, atol=0.0)
     assert got[2] == got[4] == 0.0
     # positions come from the first generator, fading only from the second
-    got = _ring_exponent(FixedDraws(labels, uniforms), scn, ring, trials, weight,
+    got = _ring_exponent(FixedDraws(uniforms), scn, ring, trials, weight,
                          FixedDraws(fading=fading))
     np.testing.assert_allclose(got, drawn, rtol=1e-14, atol=0.0)
     assert got[2] == got[4] == 0.0
+
+
+class DecodeLog:
+    """numpy as the montecarlo module sees it, logging each ring draw's trial
+    labels (the argument of np.bincount) and squared radii (that of np.power)."""
+
+    def __init__(self):
+        self.labels, self.r2 = [], []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def bincount(self, x, *args, **kwargs):
+        self.labels.append(x.copy())
+        return np.bincount(x, *args, **kwargs)
+
+    def power(self, x, *args, **kwargs):
+        self.r2.append(x.copy())
+        return np.power(x, *args, **kwargs)
+
+
+@pytest.mark.parametrize("m", [1, 3, 1 << 17, 1 << 18])
+def test_one_uniform_decodes_to_a_trial_and_an_annulus_position(m, monkeypatch):
+    # u m gives the label floor(u m) and the fraction f = u m - floor(u m); ring 0
+    # is a disk, r^2 = hi^2 (1 - f), so r^2 > 0 exactly when f < 1
+    log = DecodeLog()
+    monkeypatch.setattr(montecarlo, "np", log)
+    hi2 = SCN.topology.boundaries_m[1] ** 2
+    got = _ring_exponent(FixedDraws([0.0, 0.5, np.nextafter(1.0, 0.0)]), SCN, 0, m, 1.0,
+                         None)
+    (labels,), (r2,) = log.labels, log.r2
+    assert labels.tolist() == [0, m // 2, m - 1] and got.shape == (m,)
+    assert r2[0] == hi2
+    assert r2[1] == (hi2 if m % 2 == 0 else pytest.approx(hi2 / 2, rel=1e-15))
+    # u just below 1 lands within 2^-35 of the span from the centre, never on it:
+    # the fraction keeps at least 35 bits up to the block's trial cap
+    assert 0.0 < r2[2] <= hi2 * 2.0 ** -35 * (1 + 1e-4)
+    assert np.all(np.isfinite(got))
+
+
+def test_blocks_never_exceed_the_decode_trial_cap():
+    # the 35-bit fraction of the decode above holds for m <= 2^18 trials
+    for trials, interferers in [(10_000_019, 0.0), (10_000_019, 1e-3), (1 << 18, 0.9)]:
+        assert max(_blocks(trials, interferers)) <= 1 << 18
+
+
+def test_one_uniform_per_interferer_keeps_the_sampler_law(monkeypatch):
+    # per-trial counts iid Poisson(mu), and r^2 uniform on (lo^2, hi^2] whatever
+    # the trial: a label or a position that leaks into the other breaks one
+    log = DecodeLog()
+    monkeypatch.setattr(montecarlo, "np", log)
+    scn, ring, m, calls = SCN.with_node_count(2500), 5, 8, 2_500
+    topo = scn.topology
+    mu = topo.intensities[ring] * topo.ring_areas_m2[ring]
+    lo2, hi2 = np.square(topo.boundaries_m[ring:ring + 2])
+    rng = np.random.default_rng(2020)
+    for _ in range(calls):
+        _ring_exponent(rng, scn, ring, m, 1.0, None)
+    counts = np.concatenate([np.bincount(x, minlength=m) for x in log.labels])
+    n = counts.size
+    assert abs(counts.mean() - mu) <= 4 * np.sqrt(mu / n)
+    assert abs(counts.var() / counts.mean() - 1) <= 4 * np.sqrt(2 / n)
+    first_half = np.concatenate([r2[x < m // 2] for x, r2 in zip(log.labels, log.r2)])
+    assert first_half.size > 30_000
+    assert stats.kstest(first_half, "uniform", args=(lo2, hi2 - lo2)).pvalue >= 1e-3
 
 
 def test_averaged_interferer_fading_lowers_variance():
@@ -294,7 +358,7 @@ def test_fading_modes_draw_the_same_interferer_positions(monkeypatch):
         estimate_coverage(typical, SCN, trials=20_000, seed=31, shared_fading=shared_fading)
     assert logs[True].keys() == logs[False].keys() == {(0,), (1,), (2,)}
     assert (sum(map(len, logs[True].values())) == sum(map(len, logs[False].values()))
-            == 3 * 6 * 3)
+            == 3 * 6 * 2)           # per block and ring: the Poisson total, the uniforms
     for key, log in logs[False].items():
         assert len(log) == len(logs[True][key])
         for (name_a, a), (name_b, b) in zip(log, logs[True][key]):

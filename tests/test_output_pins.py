@@ -51,71 +51,71 @@ def est(mean, standard_error):
 MC_COVERAGE = {
     (250, 300.0, False): (
         est(0.9974818412800541, 0.0),
-        est(0.8881052648073368, 0.0015234500530830455),
-        est(0.8858688747905323, 0.0015196137640474724),
+        est(0.8901764924227787, 0.0014933926307352178),
+        est(0.8879348867260934, 0.001489632031059829),
     ),
     (250, 300.0, True): (
         est(0.9974818412800541, 0.0),
-        est(0.8888384904014338, 0.0017006927517391498),
-        est(0.8872970445544117, 0.0016956732018878111),
+        est(0.89136527888731, 0.0016643662762664774),
+        est(0.8898262004649896, 0.0016593619796623454),
     ),
     (250, 1500.0, False): (
         est(0.8997551511544079, 0.0),
-        est(0.6929864583227012, 0.00277993813871917),
-        est(0.6235181355560998, 0.00250126366020317),
+        est(0.6937790110828715, 0.0027770769077298733),
+        est(0.6242312389846247, 0.002498689252881908),
     ),
     (250, 1500.0, True): (
         est(0.8997551511544079, 0.0),
-        est(0.6954264136394027, 0.002957245753731712),
-        est(0.6384780686283488, 0.0026744226646996387),
+        est(0.6952424946640486, 0.002960264582342955),
+        est(0.6381271952746309, 0.0026766803702486953),
     ),
     (250, 2900.0, False): (
         est(0.9498785736429707, 0.0),
-        est(0.7018763213036914, 0.002801377086538526),
-        est(0.6666972789537258, 0.002660968071197316),
+        est(0.7051320495019375, 0.002794232179664112),
+        est(0.669789825410845, 0.0026541812772466356),
     ),
     (250, 2900.0, True): (
         est(0.9498785736429707, 0.0),
-        est(0.7017099743188744, 0.002984439119929707),
-        est(0.6726280961217552, 0.002841457905059052),
+        est(0.7039772405956343, 0.0029780636263589417),
+        est(0.6746804269322136, 0.0028348040833983167),
     ),
     (2500, 300.0, False): (
         est(0.9974818412800541, 0.0),
-        est(0.3137271308445724, 0.0019024713666754669),
-        est(0.31293711613435254, 0.0018976806418140257),
+        est(0.31626106785341457, 0.0018950548564391505),
+        est(0.3154646722876201, 0.0018902828075276325),
     ),
     (2500, 300.0, True): (
         est(0.9974818412800541, 0.0),
-        est(0.3155332933718104, 0.0022085211196756958),
-        est(0.31551290593747106, 0.002208205952144302),
+        est(0.3191370983749372, 0.002200713727734444),
+        est(0.319118368483864, 0.0022004247002682656),
     ),
     (2500, 1500.0, False): (
         est(0.8997551511544079, 0.0),
-        est(0.025402862879254893, 0.0006927536496121182),
-        est(0.022856356729678683, 0.0006233086647195191),
+        est(0.025517218921614886, 0.0006862435332481514),
+        est(0.02295924916785772, 0.0006174511539864254),
     ),
     (2500, 1500.0, True): (
         est(0.8997551511544079, 0.0),
-        est(0.029908497348920406, 0.0009080750227148339),
-        est(0.029550392214506564, 0.0008901167023799413),
+        est(0.029320300393292753, 0.000894842732122144),
+        est(0.028948201923156613, 0.0008758739979981689),
     ),
     (2500, 2900.0, False): (
         est(0.9498785736429707, 0.0),
-        est(0.030358018296080955, 0.0008170370661659549),
-        est(0.028836431117708585, 0.0007760860030231547),
+        est(0.030575461268537704, 0.0008270650875189589),
+        est(0.02904297553823449, 0.0007856114056424073),
     ),
     (2500, 2900.0, True): (
         est(0.9498785736429707, 0.0),
-        est(0.0329001308633602, 0.0009993971486468947),
-        est(0.03268458987824287, 0.000989273532121945),
+        est(0.03294643210227905, 0.001006725613911501),
+        est(0.03269441580622033, 0.0009949712984892382),
     ),
 }
 # N=2500, 1500 m, the typical node's own ring
-MC_SIR_RING = est(0.03570838952403376, 0.0009380209491677817)
+MC_SIR_RING = est(0.034800282871826314, 0.0009085470815183997)
 # `loracell mc --distances 300,1500,2900 --trials 20000` on coverage_eu868.ini
 MC_CSV_SHA256 = {
-    False: "48cf8f300ce1f89e906f945fc45d23e7226bc67ddc5c39a1188af1692d65e329",
-    True: "ea1ea828fa68c0111ee6d8f25e4718af042c7d364f13cc75ff646be849259eab",
+    False: "6b81d9bcf4e3d8b7e164a35d08218bc854e895bd13adffe53ced26285c83e347",
+    True: "590dbf59a30247e65f1b7efcc5f062c3e983ef7fed759f67348672a3b6b49c93",
 }
 
 
@@ -156,7 +156,7 @@ CLI_SHA256 = {
         "out_N2500.csv.manifest.json": "b6861e5a31abc919e50a586f6e28dd92904b6fdb5e8372bc6295af354ee48261",
     },
     "coverage_validate": {
-        "out.csv": "2a7ab8e593a4b15701d5a6f2fdbf4bbec337d9046c8751b5a4892ad3ad15092a",
+        "out.csv": "d50206ddc8a16e304bd0f6bf331b080aab72a30027b747895e961272958eb420",
         "out.csv.manifest.json": "4e7ef843b5ac445fbd5d4c25eb7b2a5847032671b239dfafa41631bc3c8b444f",
     },
     "simulate_n2_iic": {

@@ -281,15 +281,11 @@ def test_one_uniform_decodes_to_a_trial_and_an_annulus_position(m, monkeypatch):
     assert np.all(np.isfinite(got))
 
 
-def test_blocks_never_exceed_the_decode_trial_cap():
-    # the 35-bit fraction of the decode above holds for m <= 2^18 trials
-    for trials, interferers in [(10_000_019, 0.0), (10_000_019, 1e-3), (1 << 18, 0.9)]:
-        assert max(_blocks(trials, interferers)) <= 1 << 18
-
-
 def test_one_uniform_per_interferer_keeps_the_sampler_law(monkeypatch):
     # per-trial counts iid Poisson(mu), and r^2 uniform on (lo^2, hi^2] whatever
-    # the trial: a label or a position that leaks into the other breaks one
+    # the trial. Small blocks of m = 8 trials let a label bias show in the
+    # dispersion, and the radii of the first half of the trials show a position
+    # that depends on the trial. Bounds: 4 SE, and a KS p-value of at least 1e-3.
     log = DecodeLog()
     monkeypatch.setattr(montecarlo, "np", log)
     scn, ring, m, calls = SCN.with_node_count(2500), 5, 8, 2_500
@@ -474,7 +470,7 @@ def test_blocks_are_equal_and_interference_sized(trials, interferers, sizes):
 def test_block_sizes_cover_trials_within_bounds(trials, interferers):
     sizes = _blocks(trials, interferers)
     assert sum(sizes) == trials and max(sizes) - min(sizes) <= 1
-    assert max(sizes) <= montecarlo._BLOCK
+    assert max(sizes) <= montecarlo._BLOCK <= 1 << 18     # the decode's 35-bit fraction
     budget = max(1.0, montecarlo._BLOCK / max(interferers, 1.0))   # trials a block may hold
     assert max(sizes) <= budget
     # as few blocks as the budget allows: one block fewer would overflow it

@@ -88,7 +88,7 @@ def _ring_exponent(rng: np.random.Generator, scenario: Scenario, ring: int, tria
     """Per-trial exponent from one SF ring's interferers, with received powers
     P_k (mW): sum_k log1p(w P_k), each interferer's fading averaged out, or
     w sum_k P_k h_k with h_k drawn from `fading`. Positions come from `rng` alone:
-    one uniform u per interferer, whose u m gives its trial and its position."""
+    one uniform u per interferer, whose u * trials gives its trial and position."""
     topo, radio = scenario.topology, scenario.radio
     lo2, hi2 = np.square(topo.boundaries_m[ring:ring + 2])
     total = rng.poisson(float(topo.intensities[ring] * topo.ring_areas_m2[ring]) * trials)

@@ -393,16 +393,30 @@ def _accept(times, nodes, node_toa, duty_limit):
     return keep, dropped_busy, dropped_duty
 
 
-def _traffic(rng, scenario, node_toa, rate):
-    """Kept start times in start order, their nodes as intp (which gathers
-    faster than the compact labels), and the busy and duty drop counts. The
-    arrival arrays are freed on return, before reception."""
-    times, nodes, by_node = _arrivals(rng, scenario.node_count, rate,
-                                      scenario.sim_duration_s)
+def _calendar(rng, scenario, offered_load):
+    """One replication's calendar, drawn from `rng` in this order: placement,
+    the Poisson total, the arrival uniforms, their node labels and, with two
+    channels or more, a channel label per kept packet. Returns `_resolve`'s
+    first six arguments (kept starts in start order, their nodes as intp, which
+    gathers faster than compact labels, the channel labels or None, and the
+    per-node airtime, SF index and receive power in dBm), then the busy and
+    duty drop counts. The arrival arrays are freed on return, before reception."""
+    placement = sample_placement(scenario, rng=rng)
+    radio = scenario.radio
+    node_dbm = (radio.tx_power_dbm + radio.gateway_gain_dbi + radio.device_gain_dbi
+                - hata_rural_loss(placement.distances_m, radio))
+    node_sf = placement.sfs - SF_RANGE[0]
+    node_toa = np.array([lora_airtime(sf, scenario.payload_bytes, radio.bandwidth_hz,
+                                      radio.coding_rate_index) for sf in SF_RANGE])[node_sf]
+    rate = per_node_rate(offered_load, scenario.node_count, float(node_toa.mean()))
+    times, nodes, by_node = _arrivals(rng, scenario.node_count, rate, scenario.sim_duration_s)
     keep = np.empty(times.size, dtype=bool)
     keep[by_node], dropped_busy, dropped_duty = _accept(
         times[by_node], nodes[by_node], node_toa, scenario.duty_cycle_limit)
-    return times[keep], nodes[keep].astype(np.intp), dropped_busy, dropped_duty
+    starts, owner = times[keep], nodes[keep].astype(np.intp)
+    # one channel draws nothing from the stream, so it needs no label array
+    chans = rng.integers(0, scenario.channels, size=starts.size) if scenario.channels > 1 else None
+    return starts, owner, chans, node_toa, node_sf, node_dbm, dropped_busy, dropped_duty
 
 
 @dataclass(frozen=True)
@@ -425,34 +439,20 @@ class ReplicationResult:
 
 def _replicate(scenario: Scenario, offered_load: float, seed,
                models: Sequence[str]) -> list[ReplicationResult]:
-    """One seeded instance per model, in order: place nodes, generate traffic
-    and draw channels once, then resolve reception under each model."""
-    rng = np.random.default_rng(seed)
-    placement = sample_placement(scenario, rng=rng)
-    radio = scenario.radio
+    """One seeded instance per model, in order: draw the calendar once
+    (`_calendar`), then resolve reception and tally under each model."""
+    *tables, dropped_busy, dropped_duty = _calendar(
+        np.random.default_rng(seed), scenario, offered_load)
+    starts, nodes, _, node_toa, node_sf, _ = tables
     duration = scenario.sim_duration_s
-
-    loss = hata_rural_loss(placement.distances_m, radio)
-    rx_dbm = (radio.tx_power_dbm + radio.gateway_gain_dbi + radio.device_gain_dbi
-              - loss)
-    node_sf = placement.sfs - SF_RANGE[0]
-    node_toa = np.array([lora_airtime(sf, scenario.payload_bytes, radio.bandwidth_hz,
-                                      radio.coding_rate_index) for sf in SF_RANGE])[node_sf]
-    rate = per_node_rate(offered_load, scenario.node_count, float(node_toa.mean()))
-
-    starts, nodes, dropped_busy, dropped_duty = _traffic(rng, scenario, node_toa, rate)
     node_tx = np.bincount(nodes, minlength=scenario.node_count)
     node_airtime = node_tx * node_toa
-    # one channel draws nothing from the stream, so it needs no label array
-    chans = rng.integers(0, scenario.channels, size=starts.size) if scenario.channels > 1 else None
-
     tx = int(starts.size)
     measured_g = float(node_airtime.sum() / duration)
     per_sf_tx = np.bincount(node_sf, weights=node_tx, minlength=NUM_SF)
     results = []
     for model in models:
-        received = _resolve(starts, nodes, chans, node_toa, node_sf, rx_dbm, model,
-                            scenario.thresholds, radio)
+        received = _resolve(*tables, model, scenario.thresholds, scenario.radio)
         rx = int(np.count_nonzero(received))
         pdr = rx / tx if tx else 0.0
         node_rx = np.bincount(nodes, weights=received, minlength=scenario.node_count)

@@ -136,9 +136,18 @@ def _references(tree: ast.AST) -> list[str]:
     return refs
 
 
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Top-level imports the module never reads as a bare name."""
+    imported, _ = _top_level_names(tree)
+    reads = {n.id for n in ast.walk(tree)
+             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return sorted(imported - reads)
+
+
 def test_src_has_no_unused_imports_or_private_names():
-    # a dead-code guard: an import the module never reads, or a private
-    # top-level name nothing in src/ refers to, is left over from a removal
+    # a dead-code guard: an import a module of src/, tests/ or demos/ never
+    # reads, or a private top-level name nothing in src/ refers to, is left
+    # over from a removal
     src = Path(loracell.__file__).parent
     trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
              for p in sorted(src.glob("*.py"))}
@@ -147,9 +156,11 @@ def test_src_has_no_unused_imports_or_private_names():
     for name, tree in trees.items():
         if name == "__init__.py":
             continue
-        imported, private = _top_level_names(tree)
-        module_refs = {n.id for n in ast.walk(tree)
-                       if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-        dead += [f"{name}: unused import {n}" for n in sorted(imported - module_refs)]
+        _, private = _top_level_names(tree)
+        dead += [f"{name}: unused import {n}" for n in _unused_imports(tree)]
         dead += [f"{name}: unreferenced {n}" for n in sorted(private) if n not in all_refs]
+    root = Path(__file__).parents[1]
+    for path in sorted([*root.glob("tests/*.py"), *root.glob("demos/*.py")]):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        dead += [f"{path.relative_to(root)}: unused import {n}" for n in _unused_imports(tree)]
     assert not dead

@@ -15,29 +15,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loracell import (
-    PacketEvent,
-    default_scenario,
-    per_node_rate,
-    resolve_reception,
-    sample_placement,
-)
+from loracell import PacketEvent, default_scenario, lora_airtime, resolve_reception
 from loracell.coverage import noise_power_mw
 from loracell.scenario import NUM_SF, SF_RANGE
 from loracell.simulator import (
-    _accept,
-    _arrivals,
+    _calendar,
     _interference,
     _interference_by_row,
     _overlap_lags,
     _resolve,
-    _traffic,
-    hata_rural_loss,
     sensitivity_dbm,
 )
 
 N2 = default_scenario("sim_n2")
-SF_TOA = (0.046336, 0.082432, 0.164864, 0.288768, 0.659456, 1.155072)
+SF_TOA = tuple(lora_airtime(sf) for sf in SF_RANGE)
 
 
 # ---------------------------------------------------------------------------
@@ -491,22 +482,11 @@ def test_ic_capture_tie_is_received():
 
 
 def n1_calendar(seed=2017):
-    """One N1 replication's calendar at G=1, about 155k SF7 packets in start
-    order, with its node tables."""
+    """One N1 replication's calendar at G=1 as the simulator draws it, about
+    155k SF7 packets in start order, with its node tables."""
     scn = replace(default_scenario("sim_n1"), collision_model="IC")
-    radio = scn.radio
-    rng = np.random.default_rng(seed)
-    placement = sample_placement(scn, rng=rng)
-    node_dbm = (radio.tx_power_dbm + radio.gateway_gain_dbi + radio.device_gain_dbi
-                - hata_rural_loss(placement.distances_m, radio))
-    node_sf = placement.sfs - SF_RANGE[0]
-    node_toa = np.array(SF_TOA)[node_sf]
-    rate = per_node_rate(1.0, scn.node_count, SF_TOA[0])
-    times, nodes, by_node = _arrivals(rng, scn.node_count, rate, scn.sim_duration_s)
-    keep = np.empty(times.size, dtype=bool)
-    keep[by_node] = _accept(times[by_node], nodes[by_node], node_toa,
-                            scn.duty_cycle_limit)[0]
-    starts, owner = times[keep], nodes[keep].astype(np.intp)
+    starts, owner, _, node_toa, node_sf, node_dbm, _, _ = _calendar(
+        np.random.default_rng(seed), scn, 1.0)
     assert starts.size > 150_000
     return scn, starts, owner, node_toa, node_sf, node_dbm
 
@@ -529,17 +509,10 @@ def test_one_channel_without_labels_matches_all_zero_labels(model):
     # one channel passes no label array; the flags equal those of an explicit
     # all-zero one. The N2 calendar has every SF, so IC resolves six partitions
     scn = replace(N2, collision_model=model)
-    radio = scn.radio
-    rng = np.random.default_rng(2018)
-    placement = sample_placement(scn, rng=rng)
-    node_dbm = (radio.tx_power_dbm + radio.gateway_gain_dbi + radio.device_gain_dbi
-                - hata_rural_loss(placement.distances_m, radio))
-    node_sf = placement.sfs - SF_RANGE[0]
-    node_toa = np.array(SF_TOA)[node_sf]
-    rate = per_node_rate(1.0, scn.node_count, float(node_toa.mean()))
-    starts, owner, _, _ = _traffic(rng, scn, node_toa, rate)
-    assert np.unique(node_sf[owner]).size == NUM_SF
-    tables = (node_toa, node_sf, node_dbm, model, scn.thresholds, radio)
+    starts, owner, chans, node_toa, node_sf, node_dbm, _, _ = _calendar(
+        np.random.default_rng(2018), scn, 1.0)
+    assert chans is None and np.unique(node_sf[owner]).size == NUM_SF
+    tables = (node_toa, node_sf, node_dbm, model, scn.thresholds, scn.radio)
     got = _resolve(starts, owner, None, *tables)
     assert np.array_equal(got, _resolve(starts, owner, np.zeros(starts.size, dtype=int),
                                         *tables))

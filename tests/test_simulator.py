@@ -1,7 +1,9 @@
 import hashlib
 import math
+from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from loracell import (
@@ -20,6 +22,7 @@ from loracell import (
     sweep,
     sweep_models,
 )
+from loracell.scenario import SF_RANGE
 
 N1 = default_scenario("sim_n1")
 N2 = default_scenario("sim_n2")
@@ -290,6 +293,41 @@ def test_replication_accounting():
     assert rep.throughput == pytest.approx(rep.measured_g * rep.pdr)
     assert rep.throughput <= rep.measured_g
     assert 0.0 <= rep.rx_airtime_fraction <= rep.measured_g
+
+
+@pytest.mark.parametrize("scn,g", [
+    (replace(N1, collision_model="IC"), 1.0),
+    (replace(N2, collision_model="IIC"), 1.0),          # duty-bound SF12 nodes
+    (replace(N2, collision_model="IC", channels=2), 0.6),
+    (replace(N1, collision_model="BP", channels=3), 0.3)],
+    ids=["N1-IC-1ch", "N2-IIC-1ch", "N2-IC-2ch", "N1-BP-3ch"])
+def test_replication_tallies_its_calendar(scn, g):
+    # the stage boundary: a replication's tallies are those recounted packet
+    # by packet from the calendar `_calendar` draws and `_resolve`'s flags
+    seed = 6
+    starts, owner, chans, node_toa, node_sf, node_dbm, busy, duty = simulator._calendar(
+        np.random.default_rng(seed), scn, g)
+    received = simulator._resolve(starts, owner, chans, node_toa, node_sf, node_dbm,
+                                  scn.collision_model, scn.thresholds, scn.radio).tolist()
+    toa = node_toa[owner].tolist()
+    sf = (node_sf[owner] + SF_RANGE[0]).tolist()
+    node_airtime = [0.0] * scn.node_count
+    for node, t in zip(owner.tolist(), toa):
+        node_airtime[node] += t
+    rx_sf = Counter(s for s, ok in zip(sf, received) if ok)
+    duration = scn.sim_duration_s
+
+    r = run_replication(scn, g, seed)
+    assert (r.tx_count, r.rx_count, r.dropped_busy, r.dropped_duty) == (
+        len(toa), sum(received), busy, duty)
+    assert r.per_sf_tx == tuple(Counter(sf)[s] for s in SF_RANGE)
+    assert r.per_sf_rx == tuple(rx_sf[s] for s in SF_RANGE)
+    assert r.measured_g == pytest.approx(math.fsum(toa) / duration, rel=1e-12, abs=0)
+    assert r.rx_airtime_fraction == pytest.approx(
+        math.fsum(t for t, ok in zip(toa, received) if ok) / duration, rel=1e-12, abs=0)
+    assert r.max_node_airtime_fraction == pytest.approx(max(node_airtime) / duration,
+                                                        rel=1e-12, abs=0)
+    assert 0 < r.rx_count < r.tx_count
 
 
 def test_measured_load_tracks_nominal():

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from loracell import default_scenario, per_node_rate, sample_placement, simulator
+from loracell import default_scenario, lora_airtime, per_node_rate, sample_placement, simulator
 from loracell.scenario import SF_RANGE
 from loracell.simulator import (
     _accept,
@@ -21,7 +21,7 @@ from loracell.simulator import (
     _winners_per_group,
 )
 
-SF_TOA = (0.046336, 0.082432, 0.164864, 0.288768, 0.659456, 1.155072)
+SF_TOA = tuple(lora_airtime(sf) for sf in SF_RANGE)
 
 
 def reference_node_transmissions(times, toa, duty_limit):

@@ -10,13 +10,13 @@ Traffic is the nodes' Poisson processes superposed (one Poisson total, sorted
 uniform times, an iid node label each), and the acceptance rule runs over all
 nodes at once in node-major order, which one sort of packed (node, position)
 keys gives; its keep mask is scattered back, so packets stay in start order.
-An arrival is close when t[i] < t[i-1] + ToA within its node. One rule
-picks the nodes that run the exact sequential loop: those with K+1 arrivals
-inside one trailing hour, where K airtimes fit the hourly duty budget, those
-whose budget is within float drift of a whole number of airtimes, and those
-with two consecutive close arrivals. Every other node keeps its arrivals
-that are not close, which is what the loop would keep. The result equals
-that loop run on every node.
+A node's packets share one airtime, so its duty budget is a whole number K
+of packets per trailing hour (`_accept` defines K). An arrival is close when
+t[i] < t[i-1] + ToA within its node. One rule picks the nodes that run the
+exact sequential loop: those with K+1 arrivals inside one trailing hour, and
+those with two consecutive close arrivals. Every other node keeps its
+arrivals that are not close, which is what the loop would keep. The result
+equals that loop run on every node.
 
 Propagation is the Okumura-Hata open-area (rural) median model, reception
 is threshold-based: a packet is detectable iff its receive power clears the
@@ -332,62 +332,60 @@ def _arrivals(rng, node_count, rate, duration):
     return times, nodes, np.bitwise_and(key, (1 << b) - 1, out=np.empty(times.size, np.intp))
 
 
-def _accept_sequential(times, toa, budget):
+def _accept_sequential(times, toa, budget_packets):
     """Keep mask and duty-drop count for one node's sorted arrivals under the
-    sequential rule: an arrival before `busy_until` is a busy drop; one whose
-    airtime would push the trailing-hour airtime over `budget` is a duty drop.
+    sequential rule: an arrival before `busy_until` is a busy drop; one with
+    `budget_packets` kept starts s > t - 3600.0 in its window is a duty drop.
     """
     keep = np.zeros(len(times), dtype=bool)
     dropped_duty = 0
     busy_until = -math.inf
     window: deque[float] = deque()
-    airtime_in_window = 0.0
     for i, t in enumerate(times.tolist()):
         if t < busy_until:
             continue
         while window and window[0] <= t - 3600.0:
             window.popleft()
-            airtime_in_window -= toa
-        if airtime_in_window + toa > budget + 1e-12:
+        if len(window) >= budget_packets:
             dropped_duty += 1
             continue
         keep[i] = True
         window.append(t)
-        airtime_in_window += toa
         busy_until = t + toa
     return keep, dropped_duty
 
 
 def _accept(times, nodes, node_toa, duty_limit):
     """Keep mask over node-major sorted arrivals, plus busy and duty drops,
-    equal to `_accept_sequential` per node. With K = floor(r), r = (budget +
-    1e-12) / toa, a duty drop needs K kept starts s > t - 3600.0 in the loop's
-    window, so K earlier arrivals in it: t[i] > t[i+K] - 3600.0 for some i.
-    The loop runs on each node with such an i; with r nearer a whole number
-    than 1e-6 plus (arrivals + 1)(r + 1) 2^-52, the most the loop's float
-    airtime can drift, in airtimes; or with two consecutive close arrivals
-    (t[i] < t[i-1] + toa). Any other node has no duty drop, and its close
-    arrivals follow kept ones, so it keeps the rest."""
+    equal to `_accept_sequential` per node. A node's budget is K packets per
+    trailing hour: the largest whole K with K * toa <= duty_limit * 3600.0 +
+    1e-12, K * toa one float64 product. A duty drop needs K kept starts
+    s > t - 3600.0 in the loop's window, so K earlier arrivals in it:
+    t[i] > t[i+K] - 3600.0 for some i. The loop runs on each node with such
+    an i, or with two consecutive close arrivals (t[i] < t[i-1] + toa). Any
+    other node has no duty drop, and its close arrivals follow kept ones, so
+    it keeps the rest."""
     close = np.zeros(times.size, dtype=bool)
     close[1:] = ((nodes[1:] == nodes[:-1])
                  & (times[1:] < times[:-1] + node_toa[nodes[1:]]))
     keep = ~close
-    budget = duty_limit * 3600.0
+    budget = duty_limit * 3600.0 + 1e-12
+    lag = np.floor(budget / node_toa)               # the quotient may round across K
+    lag += (lag + 1) * node_toa <= budget
+    lag = (lag - (lag * node_toa > budget)).astype(np.intp)
     counts = np.bincount(nodes, minlength=node_toa.size)
     bounds = np.concatenate(([0], np.cumsum(counts)))
-    ratio = (budget + 1e-12) / node_toa
-    lag = np.floor(ratio).astype(np.intp)
-    exact = np.abs(ratio - np.rint(ratio)) < 1e-6 + (counts + 1) * (ratio + 1) * 2.0 ** -52
     over = np.flatnonzero(counts > lag)             # a node with an arrival i + K
     span = counts[over] - lag[over]
     i = np.repeat(bounds[over] + span - np.cumsum(span), span) + np.arange(span.sum())
     full = times[i] > times[i + np.repeat(lag[over], span)] - 3600.0
-    exact[nodes[i[full]]] = True
-    exact[nodes[1:][close[1:] & close[:-1]]] = True
+    loop = np.zeros(node_toa.size, dtype=bool)
+    loop[nodes[i[full]]] = True
+    loop[nodes[1:][close[1:] & close[:-1]]] = True
     dropped_duty = 0
-    for k in np.flatnonzero(exact):
+    for k in np.flatnonzero(loop):
         keep[bounds[k]:bounds[k + 1]], duty = _accept_sequential(
-            times[bounds[k]:bounds[k + 1]], float(node_toa[k]), budget)
+            times[bounds[k]:bounds[k + 1]], float(node_toa[k]), int(lag[k]))
         dropped_duty += duty
     dropped_busy = times.size - int(np.count_nonzero(keep)) - dropped_duty
     return keep, dropped_busy, dropped_duty

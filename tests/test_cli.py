@@ -161,7 +161,7 @@ def test_negative_seed_exits_config_error(argv, tmp_path, capsys):
     assert "rng_seed" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
-def test_simulate_n1_with_force_runs(tmp_path):
+def test_simulate_iic_on_n1_runs(tmp_path):
     # IIC on the single-SF N1 case runs as it is; there is no --force flag
     out = tmp_path / "iic.csv"
     code = main(["simulate", "--scenario", "sim_n1.ini", "--model", "IIC",

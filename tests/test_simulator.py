@@ -154,9 +154,9 @@ def test_replication_bit_exact_determinism():
 
 
 # Golden replications: every ReplicationResult field, floats as float.hex.
-# The traffic stage draws the cell's superposed Poisson stream (a total, the
-# sorted times, then the node labels), so these values pin the random stream;
-# a change to the draws must regenerate them.
+# The `_calendar` stage draws the cell's superposed Poisson stream (a total,
+# the sorted times, then the node labels), so these values pin the random
+# stream; a change to the draws must regenerate them.
 # "N1x3" is N1 on three channels, which draws a channel per packet.
 GOLDEN = {
     ("N1", "IC", 1.0, 123): dict(

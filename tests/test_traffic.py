@@ -24,29 +24,37 @@ from loracell.simulator import (
 SF_TOA = tuple(lora_airtime(sf) for sf in SF_RANGE)
 
 
+def duty_packets(toa, duty_limit):
+    """The duty budget in packets: the largest k with k * toa <= budget +
+    1e-12, counted down from two above the quotient's floor."""
+    budget = duty_limit * 3600.0 + 1e-12
+    k = int(budget / toa) + 2
+    while k * toa > budget:
+        k -= 1
+    return k
+
+
 def reference_node_transmissions(times, toa, duty_limit):
     """Kept times, busy drops and duty drops for one node's sorted arrivals:
-    the sequential half-duplex and trailing-hour duty-cycle rule."""
-    budget = duty_limit * 3600.0
+    the sequential half-duplex rule, and a duty drop for an arrival with the
+    budget's count of kept starts in its trailing hour."""
+    budget_packets = duty_packets(toa, duty_limit)
     kept = []
     dropped_busy = 0
     dropped_duty = 0
     busy_until = -math.inf
     window: deque[float] = deque()
-    airtime_in_window = 0.0
     for t in times:
         if t < busy_until:
             dropped_busy += 1
             continue
         while window and window[0] <= t - 3600.0:
             window.popleft()
-            airtime_in_window -= toa
-        if airtime_in_window + toa > budget + 1e-12:
+        if len(window) >= budget_packets:
             dropped_duty += 1
             continue
         kept.append(t)
         window.append(t)
-        airtime_in_window += toa
         busy_until = t + toa
     return np.asarray(kept), dropped_busy, dropped_duty
 
@@ -79,7 +87,8 @@ def node_arrivals(draw):
 @st.composite
 def duty_edge_nodes(draw, duty_limit):
     """One node at the edge of the duty screen. K airtimes fit the budget,
-    with (budget + 1e-12) / toa at, just off or well off a whole number.
+    with (budget + 1e-12) / toa at, just off or well off a whole number, and
+    toa itself at or one ulp either side of that quotient.
     Bursts of K or more arrivals, some closer than one airtime, are
     separated by about an hour of silence, so the node saturates, recovers
     and saturates again, and some arrivals come exactly 3600 s after the
@@ -88,6 +97,7 @@ def duty_edge_nodes(draw, duty_limit):
     off = draw(st.sampled_from([0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-7, -1e-7, 2e-6])
                | st.floats(-0.5, 0.5, allow_nan=False))
     toa = (duty_limit * 3600.0 + 1e-12) / (k + off)
+    toa = draw(st.sampled_from([toa, math.nextafter(toa, 0.0), math.nextafter(toa, math.inf)]))
     times = []
     t = draw(st.floats(0.0, 100.0, allow_nan=False))
     for _ in range(draw(st.integers(1, 4))):
@@ -127,8 +137,8 @@ def test_accept_matches_sequential_reference(data, duty_limit):
 
 
 @pytest.mark.parametrize("toa, times", [
-    # (budget + 1e-12) / toa is 3.0, and the loop's running airtime puts
-    # three airtimes over the budget: it drops the third arrival, with two
+    # (budget + 1e-12) / toa is 3.0, but the float64 product 3 * toa lies
+    # over the budget, so K is 2: the third arrival is a duty drop, with two
     # kept in the window
     ((1e-3 * 3600.0 + 1e-12) / 3, [0.0, 2.0, 4.0]),
     # 3.6 airtimes fit, and the fourth arrival comes exactly an hour after
@@ -142,6 +152,35 @@ def test_accept_duty_screen_edges(toa, times):
     kept, ref_busy, ref_duty = reference_node_transmissions(times, toa, 1e-3)
     assert np.array_equal(times[keep], kept)
     assert (busy, duty) == (ref_busy, ref_duty) == (0, 1)
+
+
+@pytest.mark.parametrize("duty_limit, k, spacing, echo", [
+    (0.01, 38, 10.0, False), (0.01, 31, 10.0, True),
+    # the quotient rounds to 14.999999999999998, yet 15 * toa <= budget
+    (0.01, 15, 10.0, True),
+    (1e-3, 15, 60.0, True), (1e-3, 3, 60.0, True)])
+def test_duty_budget_is_a_whole_number_of_airtimes(duty_limit, k, spacing, echo):
+    # a saturated node with toa = (budget + 1e-12) / k for four hours, and with
+    # echo an arrival half an airtime after every 7th. The keep mask is checked
+    # against the rule itself: a dropped arrival inside a kept airtime is a busy
+    # drop; any other drop has exactly K kept starts s > t - 3600.0 before it,
+    # and no kept arrival has K.
+    toa = (duty_limit * 3600.0 + 1e-12) / k
+    budget_packets = duty_packets(toa, duty_limit)
+    times = np.arange(0.0, 4 * 3600.0, spacing)
+    if echo:
+        times = np.sort(np.concatenate((times, times[::7] + 0.5 * toa)))
+    keep, busy, duty = _accept(times, np.zeros(times.size, dtype=int), np.array([toa]),
+                               duty_limit)
+    kept_at = np.flatnonzero(keep)
+    before = np.searchsorted(kept_at, np.arange(times.size))   # kept with a lower index
+    in_hour = before - np.searchsorted(times[keep], times - 3600.0, side="right")
+    inside = (before > 0) & (times < times[kept_at[before - 1]] + toa)
+    assert budget_packets in (k - 1, k) and duty > 0
+    assert not inside[keep].any() and np.all(in_hour[keep] < budget_packets)
+    assert busy == np.count_nonzero(inside & ~keep) and (busy > 0) == echo
+    assert np.all(in_hour[~keep & ~inside] == budget_packets)
+    assert duty == np.count_nonzero(~keep & ~inside)
 
 
 def test_accept_loop_runs_only_where_a_window_can_fill(monkeypatch):

@@ -10,9 +10,6 @@ from .coverage import (
     CoverageBreakdown,
     CoverageSweep,
     TypicalNode,
-    connection_probability,
-    capture_probability,
-    capture_probability_ring,
     coverage_probability,
     coverage_sweep,
     noise_power_dbm,

@@ -17,8 +17,8 @@ dB values are converted once by the scenario types.
 The model is evaluated over whole distance arrays: one private kernel takes
 distances and per-point SF indices, evaluates 2F1 for every ring edge of
 every point in one array call and returns a read-only record of columns.
-The single-point functions take row 0 of a one-element call, so a point and
-the same distance in a sweep give identical values.
+`coverage_probability` takes row 0 of a one-element call, so a point and the
+same distance in a sweep give identical values.
 The bracketed 2F1 terms form a (ring, distance) table that depends on eta,
 the SIR thresholds, the ring edges, the distances and the point SFs, but not
 on alpha_j. A one-entry memo keeps the last table of a call with two or more
@@ -168,12 +168,12 @@ def _coverage(distances_m: np.ndarray, sf_idx: np.ndarray, scenario: Scenario) -
 
 
 def sf_indices(typical: TypicalNode, *ring_sfs: int,
-               topology: RingTopology | None = None) -> tuple[int, ...]:
+               topology: RingTopology) -> tuple[int, ...]:
     """SF_RANGE indices of the typical node's SF and of each ring SF.
 
-    Raises ConfigurationError for an SF outside SF_RANGE, a distance that is
-    not finite and positive, or, given a topology, a distance outside its
-    cell (0, R], the rule `coverage_sweep` applies.
+    Raises ConfigurationError for an SF outside SF_RANGE, or a distance that
+    is not finite and positive or lies outside the cell (0, R], the rule
+    `coverage_sweep` applies.
     """
     d = typical.distance_m
     if not (d > 0 and math.isfinite(d)):
@@ -182,44 +182,14 @@ def sf_indices(typical: TypicalNode, *ring_sfs: int,
     for sf in sfs:
         if not (isinstance(sf, (int, np.integer)) and SF_RANGE[0] <= sf <= SF_RANGE[-1]):
             raise ConfigurationError(f"spreading factor must be one of {SF_RANGE}, got {sf!r}")
-    if topology is not None:
-        topology.ring_index(d)
+    topology.ring_index(d)
     return tuple(int(sf) - SF_RANGE[0] for sf in sfs)
 
 
-def _one(typical: TypicalNode,
-         topology: RingTopology | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """A typical node as one-element kernel inputs."""
-    return (np.array([typical.distance_m], dtype=float),
-            np.array(sf_indices(typical, topology=topology)))
-
-
-def connection_probability(typical: TypicalNode, radio: RadioConfig,
-                           thresholds: ThresholdSet) -> float:
-    """H1 from the link budget alone. It takes no topology, so unlike the
-    capture and coverage functions it accepts a distance beyond the cell
-    radius."""
-    return float(_connection(*_one(typical), radio, thresholds)[0])
-
-
-def capture_probability_ring(typical: TypicalNode, ring_sf: int,
-                             topology: RingTopology, thresholds: ThresholdSet,
-                             radio: RadioConfig) -> float:
-    """P(SIR against ring `ring_sf` exceeds its capture threshold)."""
-    _, j = sf_indices(typical, ring_sf)
-    return capture_probability(typical, topology, thresholds, radio)[1][j]
-
-
-def capture_probability(typical: TypicalNode, topology: RingTopology,
-                        thresholds: ThresholdSet,
-                        radio: RadioConfig) -> tuple[float, tuple[float, ...]]:
-    """Q1 and the per-ring factors it is the product of."""
-    q1, p_sir = _capture(*_one(typical, topology), topology, thresholds, radio)
-    return float(q1[0]), tuple(p_sir[:, 0].tolist())
-
-
 def coverage_probability(typical: TypicalNode, scenario: Scenario) -> CoverageBreakdown:
-    return _coverage(*_one(typical, scenario.topology), scenario)[0]
+    """The closed form at one typical node, which may carry another ring's SF."""
+    (i,) = sf_indices(typical, topology=scenario.topology)
+    return _coverage(np.array([typical.distance_m], dtype=float), np.array([i]), scenario)[0]
 
 
 def coverage_sweep(scenario: Scenario, distances_m) -> CoverageSweep:

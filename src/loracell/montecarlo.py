@@ -35,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coverage import TypicalNode, _received_mw, connection_probability, sf_indices
-from .scenario import ConfigurationError, Scenario
+from .coverage import TypicalNode, _received_mw, coverage_probability, sf_indices
+from .scenario import SF_RANGE, ConfigurationError, Scenario
 
 _BLOCK = 1 << 18       # expected interferers, and the trial cap, of one block
 
@@ -111,10 +111,9 @@ def estimate_coverage(typical: TypicalNode, scenario: Scenario, trials: int,
                       seed: int, shared_fading: bool = False
                       ) -> tuple[MCEstimate, MCEstimate, MCEstimate]:
     """Estimate (H1, Q1, C1) by sampling the interference. Deterministic per seed."""
-    (i,) = sf_indices(typical, topology=scenario.topology)
-    h1 = connection_probability(typical, scenario.radio, scenario.thresholds)
-    weights = scenario.thresholds.sir_linear[i] / _received_mw(typical.distance_m,
-                                                               scenario.radio)
+    h1 = coverage_probability(typical, scenario).h1       # also checks the node
+    weights = (scenario.thresholds.sir_linear[typical.sf - SF_RANGE[0]]
+               / _received_mw(typical.distance_m, scenario.radio))
     combine = np.maximum if shared_fading else np.add
 
     def block(stream: np.random.SeedSequence, m: int):

@@ -95,3 +95,10 @@ def test_per_node_rate_rejects_non_finite(load, toa):
     with pytest.raises(ConfigurationError, match="finite"):
         per_node_rate(load, 300, toa)
 
+
+@pytest.mark.parametrize("load, nodes, toa", [(0.0, 300, 0.0463), (1.0, 0, 0.0463),
+                                              (1.0, 300, 0.0)])
+def test_per_node_rate_rejects_zero_inputs(load, nodes, toa):
+    with pytest.raises(ConfigurationError, match="must be positive"):
+        per_node_rate(load, nodes, toa)
+

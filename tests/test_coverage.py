@@ -14,9 +14,6 @@ from loracell import (
     RadioConfig,
     ThresholdSet,
     TypicalNode,
-    capture_probability,
-    capture_probability_ring,
-    connection_probability,
     coverage_probability,
     coverage_sweep,
     default_scenario,
@@ -79,34 +76,35 @@ def test_connection_probability_limits():
     typical = TypicalNode(distance_m=1500.0, sf=8)
     # vanishing threshold: always connected
     thr0 = make_thresholds([-1000, -1001, -1002, -1003, -1004, -1005], 6.0)
-    assert connection_probability(typical, SCN.radio, thr0) == 1.0
+    assert coverage_probability(typical, replace(SCN, thresholds=thr0)).h1 == 1.0
     # far node: probability collapses
     far = TypicalNode(distance_m=1e9, sf=12)
-    assert connection_probability(far, SCN.radio, SCN.thresholds) < 1e-12
-    h1 = connection_probability(typical, SCN.radio, SCN.thresholds)
+    huge = replace(SCN, topology=replace(SCN.topology, cell_radius_m=1e9))
+    assert coverage_probability(far, huge).h1 < 1e-12
+    h1 = coverage_probability(typical, SCN).h1
     assert 0.0 < h1 < 1.0
 
 
 def test_capture_ring_no_interferers_is_one():
-    empty = replace(SCN.topology, node_count=0)
+    empty = SCN.with_node_count(0)
     typical = typical_at(SCN.topology, 1500.0)
-    for sf in SF_RANGE:
-        assert capture_probability_ring(typical, sf, empty, SCN.thresholds,
-                                        SCN.radio) == 1.0
+    for j in range(len(SF_RANGE)):
+        assert coverage_probability(typical, empty).p_sir[j] == 1.0
 
 
 def test_capture_ring_vanishing_threshold_is_one():
     # delta -> 0 linear: any positive SIR passes, so the ring cannot harm
     thr = make_thresholds(SCN.thresholds.snr_floor_db, -1000.0)
     typical = typical_at(SCN.topology, 1500.0)
-    for sf in SF_RANGE:
-        p = capture_probability_ring(typical, sf, SCN.topology, thr, SCN.radio)
+    for j in range(len(SF_RANGE)):
+        p = coverage_probability(typical, replace(SCN, thresholds=thr)).p_sir[j]
         assert p == pytest.approx(1.0, abs=1e-9)
 
 
 def test_capture_probability_is_product_of_rings():
     typical = typical_at(SCN.topology, 1800.0)
-    q1, per_ring = capture_probability(typical, SCN.topology, SCN.thresholds, SCN.radio)
+    br = coverage_probability(typical, SCN)
+    q1, per_ring = br.q1, br.p_sir
     assert q1 == pytest.approx(math.prod(per_ring), rel=1e-15)
     assert q1 <= min(per_ring)
     log_form = math.exp(sum(math.log(p) for p in per_ring))
@@ -116,10 +114,10 @@ def test_capture_probability_is_product_of_rings():
 def test_capture_monotone_in_ring_intensity():
     # a larger node count raises every ring's intensity, so every factor falls
     typical = typical_at(SCN.topology, 1500.0)
-    q_base, rings_base = capture_probability(typical, SCN.topology, SCN.thresholds,
-                                             SCN.radio)
-    bumped = replace(SCN.topology, node_count=SCN.node_count * 1.5)
-    q_bumped, rings_bumped = capture_probability(typical, bumped, SCN.thresholds, SCN.radio)
+    base = coverage_probability(typical, SCN)
+    bumped = coverage_probability(typical, SCN.with_node_count(SCN.node_count * 1.5))
+    q_base, rings_base = base.q1, base.p_sir
+    q_bumped, rings_bumped = bumped.q1, bumped.p_sir
     assert q_bumped < q_base
     assert all(b < a for a, b in zip(rings_base, rings_bumped))
 
@@ -152,14 +150,11 @@ def test_h1_decreases_within_ring_and_jumps_at_boundary():
     for j in range(6):
         lo, hi = bounds[j], bounds[j + 1]
         ds = np.linspace(lo + 1.0, hi - 1.0, 5)
-        h = [connection_probability(typical_at(SCN.topology, float(d)),
-                                    SCN.radio, SCN.thresholds) for d in ds]
+        h = [coverage_probability(typical_at(SCN.topology, float(d)), SCN).h1 for d in ds]
         assert all(b < a for a, b in zip(h, h[1:]))
     for boundary in bounds[1:-1]:
-        before = connection_probability(typical_at(SCN.topology, boundary - 0.01),
-                                        SCN.radio, SCN.thresholds)
-        after = connection_probability(typical_at(SCN.topology, boundary + 0.01),
-                                       SCN.radio, SCN.thresholds)
+        before = coverage_probability(typical_at(SCN.topology, boundary - 0.01), SCN).h1
+        after = coverage_probability(typical_at(SCN.topology, boundary + 0.01), SCN).h1
         assert after > before
 
 
@@ -258,19 +253,6 @@ def test_sweep_matches_scalar_reference(case):
         assert br == coverage_probability(typical_at(scenario.topology, float(d)), scenario)
 
 
-def test_sweep_point_wrappers_agree_exactly():
-    distances = np.linspace(1.0, SCN.topology.cell_radius_m, 97)
-    for d, br in zip(distances, coverage_sweep(SCN, distances)):
-        typical = typical_at(SCN.topology, float(d))
-        assert connection_probability(typical, SCN.radio, SCN.thresholds) == br.h1
-        q1, per_ring = capture_probability(typical, SCN.topology, SCN.thresholds,
-                                           SCN.radio)
-        assert (q1, per_ring) == (br.q1, br.p_sir)
-        for j, ring_sf in enumerate(SF_RANGE):
-            assert capture_probability_ring(typical, ring_sf, SCN.topology,
-                                            SCN.thresholds, SCN.radio) == br.p_sir[j]
-
-
 def test_sweep_empty_input():
     assert len(coverage_sweep(SCN, [])) == 0
 
@@ -286,11 +268,6 @@ def test_sweep_rejects_distances_outside_the_cell(bad, position):
 
 # every entry point that takes a TypicalNode, called with one node and ring SF
 TYPICAL_NODE_ENTRY_POINTS = {
-    "connection": lambda t, ring_sf: connection_probability(t, SCN.radio, SCN.thresholds),
-    "capture": lambda t, ring_sf: capture_probability(t, SCN.topology, SCN.thresholds,
-                                                      SCN.radio),
-    "capture_ring": lambda t, ring_sf: capture_probability_ring(
-        t, ring_sf, SCN.topology, SCN.thresholds, SCN.radio),
     "coverage": lambda t, ring_sf: coverage_probability(t, SCN),
     "mc_coverage": lambda t, ring_sf: estimate_coverage(t, SCN, trials=100, seed=1),
     "mc_sir_ring": lambda t, ring_sf: estimate_sir_ring(t, ring_sf, SCN, trials=100, seed=1),
@@ -313,7 +290,7 @@ def test_entry_points_reject_invalid_typical_node(entry, distance, sf, match):
         TYPICAL_NODE_ENTRY_POINTS[entry](TypicalNode(distance, sf), 8)
 
 
-@pytest.mark.parametrize("entry", ["capture_ring", "mc_sir_ring"])
+@pytest.mark.parametrize("entry", ["mc_sir_ring"])
 @pytest.mark.parametrize("ring_sf", [6, 13, -1])
 def test_ring_entry_points_reject_invalid_ring_sf(entry, ring_sf):
     with pytest.raises(ConfigurationError, match="spreading factor"):
@@ -326,7 +303,7 @@ def test_entry_points_accept_numpy_integer_sf():
                                                                       SCN)
 
 
-@pytest.mark.parametrize("entry", sorted(set(TYPICAL_NODE_ENTRY_POINTS) - {"connection"}))
+@pytest.mark.parametrize("entry", sorted(TYPICAL_NODE_ENTRY_POINTS))
 @pytest.mark.parametrize("distance", [3000.0 + 1e-9, 5000.0])
 def test_entry_points_reject_distance_outside_cell(entry, distance):
     # the rule coverage_sweep applies: a typical node lies in (0, R]
@@ -338,13 +315,6 @@ def test_entry_points_reject_distance_outside_cell(entry, distance):
 def test_entry_points_accept_cell_edge(entry):
     assert SCN.topology.cell_radius_m == 3000.0
     TYPICAL_NODE_ENTRY_POINTS[entry](TypicalNode(3000.0, 12), 9)
-
-
-def test_connection_probability_is_link_budget_only():
-    # no topology, so no cell radius: a node beyond it still gets its H1
-    inside = connection_probability(TypicalNode(3000.0, 12), SCN.radio, SCN.thresholds)
-    beyond = connection_probability(TypicalNode(5000.0, 12), SCN.radio, SCN.thresholds)
-    assert 0.0 < beyond < inside
 
 
 # ---------------------------------------------------------------------------
@@ -395,11 +365,10 @@ def test_point_call_keeps_a_sweeps_table(monkeypatch):
 def test_memo_keys_on_the_typical_node_sf():
     # at 100 m the ring is SF7's, but a typical node may carry another SF
     node = TypicalNode(100.0, 9)
-    uncached = _fresh(capture_probability, node, SCN.topology, SCN.thresholds, SCN.radio)
+    uncached = _fresh(coverage_probability, node, SCN)
     coverage_sweep(SCN, [100.0])
-    assert capture_probability(node, SCN.topology, SCN.thresholds, SCN.radio) == uncached
-    assert uncached[0] != capture_probability(TypicalNode(100.0, 7), SCN.topology,
-                                              SCN.thresholds, SCN.radio)[0]
+    assert coverage_probability(node, SCN) == uncached
+    assert uncached.q1 != coverage_probability(TypicalNode(100.0, 7), SCN).q1
 
 
 def _sir_changed(scn):

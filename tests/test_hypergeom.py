@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from loracell import UnsupportedDomainError, hyp2f1, hyp2f1_oracle
+from loracell.hypergeom import B_GAP
 
 # Pinned with the quadrature oracle (independently cross-checked at 40-digit
 # precision) before the series implementation was written.
@@ -121,3 +122,14 @@ def test_array_logarithmic_case_matches_log1p():
     got = hyp2f1(1.0, 1.0, 2.0, -s)
     expected = np.array([math.log1p(v) / v for v in s])
     np.testing.assert_allclose(got, expected, rtol=1e-15, atol=0.0)
+
+
+def test_gap_edge_is_accepted_and_accurate():
+    # b = 1 - B_GAP is the largest accepted b below 1; the next float up is rejected
+    b = 1.0 - B_GAP
+    for x in (-0.5, -2.0, -1e3):
+        assert math.isclose(hyp2f1(1.0, b, 1.0 + b, x), hyp2f1_oracle(1.0, b, 1.0 + b, x),
+                            rel_tol=1e-10, abs_tol=0.0)
+    inside = float(np.nextafter(b, 1.0))
+    with pytest.raises(UnsupportedDomainError, match="too close to 1"):
+        hyp2f1(1.0, inside, 1.0 + inside, -2.0)

@@ -9,8 +9,6 @@ from loracell import (
     ConfigurationError,
     ThresholdSet,
     TypicalNode,
-    capture_probability_ring,
-    connection_probability,
     coverage_probability,
     default_scenario,
     estimate_coverage,
@@ -99,8 +97,7 @@ def test_sir_monotone_in_threshold_common_random_numbers():
 def test_sir_ring_matches_closed_form():
     typical = typical_at(SCN.topology, 1500.0)
     est = estimate_sir_ring(typical, 8, SCN, trials=400_000, seed=21)
-    closed = capture_probability_ring(typical, 8, SCN.topology, SCN.thresholds,
-                                      SCN.radio)
+    closed = coverage_probability(typical, SCN).p_sir[8 - SF_RANGE[0]]
     assert abs(est.mean - closed) <= 3 * est.standard_error
 
 
@@ -366,8 +363,7 @@ def test_fading_modes_draw_the_same_interferer_positions(monkeypatch):
 def test_sir_ring_matches_closed_form_every_ring(ring_sf):
     typical = typical_at(SCN.topology, 2100.0)
     est = estimate_sir_ring(typical, ring_sf, SCN, trials=200_000, seed=500 + ring_sf)
-    closed = capture_probability_ring(typical, ring_sf, SCN.topology, SCN.thresholds,
-                                      SCN.radio)
+    closed = coverage_probability(typical, SCN).p_sir[ring_sf - SF_RANGE[0]]
     assert abs(est.mean - closed) <= 4 * est.standard_error
 
 
@@ -378,7 +374,7 @@ def test_shared_fading_mean_never_rounds_above_h1():
     trials = 20_000
 
     def h1_at(d):
-        return connection_probability(typical_at(scn.topology, d), scn.radio, scn.thresholds)
+        return coverage_probability(typical_at(scn.topology, d), scn).h1
 
     d = next(d for d in np.linspace(2000.0, 2900.0, 91)
              if np.full(trials, h1_at(d)).mean() > h1_at(d))

@@ -442,18 +442,20 @@ def test_ic_without_candidate_receives_nothing():
     assert got == [False, False] == pairwise_resolve(*as_arrays([a, b]), "IC").tolist()
 
 
-def _with_sir_sf7(db):
+def _with_sir_sf7(db, j=0):
+    """The N2 thresholds with SF7's threshold against SF_RANGE[j] set to `db`."""
     rows = [list(r) for r in N2.thresholds.sir_db]
-    rows[0][0] = db
+    rows[0][j] = db
     return replace(N2.thresholds, sir_db=tuple(tuple(r) for r in rows))
 
 
-def _exact_sf7_db(linear):
-    """A dB value whose linear SF7 threshold equals `linear` bit for bit,
-    searched a few steps around 10 log10(linear); None if there is none."""
+def _exact_sf7_db(linear, j=0):
+    """A dB value whose linear SF7 threshold against SF_RANGE[j] equals
+    `linear` bit for bit, searched a few steps around 10 log10(linear); None
+    if there is none."""
     db = 10.0 * math.log10(linear)
     for _ in range(8):
-        got = _with_sir_sf7(db).sir_linear[0, 0]
+        got = _with_sir_sf7(db, j).sir_linear[0, j]
         if got == linear:
             return db
         db = float(np.nextafter(db, math.inf if got < linear else -math.inf))
@@ -479,6 +481,32 @@ def test_ic_capture_tie_is_received():
     above = float(np.nextafter(db, math.inf))
     assert _with_sir_sf7(above).sir_linear[0, 0] > sinr
     assert resolve_reception([a, b], "IC", _with_sir_sf7(above), N2.radio) == [False, False]
+
+
+def test_iic_pairwise_tie_is_received():
+    # the IIC rule for a winner is P >= delta_ij (noise + I_j) against each SF
+    # present: an SF7 packet over one SF8 partner, with a dB threshold whose
+    # linear form times (noise + I_SF8) gives the SF7 power bit for bit. The
+    # SF8 partner, 25 dB or more below, fails its packaged -24 dB threshold.
+    toa, noise = SF_TOA[0], noise_power_mw(N2.radio)
+    for weak_dbm in np.arange(-105.0, -109.0, -0.01):
+        pw = 10.0 ** (np.array([-80.0, weak_dbm]) / 10.0)
+        load = noise + pw[1]                          # one partner: a direct sum
+        db = _exact_sf7_db(pw[0] / load, j=1)
+        if db is None:
+            continue
+        above = float(np.nextafter(db, math.inf))
+        if (_with_sir_sf7(db, 1).sir_linear[0, 1] * load == pw[0]
+                and _with_sir_sf7(above, 1).sir_linear[0, 1] * load > pw[0]):
+            break
+    else:
+        pytest.fail("no dB threshold puts the SF7 power exactly on its pairwise bound")
+    a = PacketEvent(node=0, sf=7, start_s=0.0, duration_s=toa, rx_power_dbm=-80.0)
+    b = PacketEvent(node=1, sf=8, start_s=0.01, duration_s=SF_TOA[1],
+                    rx_power_dbm=float(weak_dbm))
+    assert resolve_reception([a, b], "IIC", _with_sir_sf7(db, 1), N2.radio) == [True, False]
+    # one step above the bound, the SF7 packet is lost to the SF8 interference
+    assert resolve_reception([a, b], "IIC", _with_sir_sf7(above, 1), N2.radio) == [False, False]
 
 
 def n1_calendar(seed=2017):

@@ -53,6 +53,17 @@ def test_hata_rejects_out_of_domain_frequency():
         hata_rural_loss(5000.0, bad)
 
 
+@pytest.mark.parametrize("bound, outward", [(150.0, -math.inf), (1500.0, math.inf)])
+def test_hata_domain_includes_its_bounds(bound, outward):
+    # the carrier in MHz is carrier_hz / 1e6, which gives each float back exactly
+    beyond = float(np.nextafter(bound, outward))
+    for f_mhz in (bound, beyond):
+        assert (f_mhz * 1e6) / 1e6 == f_mhz
+    assert math.isfinite(hata_rural_loss(5000.0, replace(N1.radio, carrier_hz=bound * 1e6)))
+    with pytest.raises(ConfigurationError, match="150..1500 MHz"):
+        hata_rural_loss(5000.0, replace(N1.radio, carrier_hz=beyond * 1e6))
+
+
 def test_cell_edge_link_closes_for_every_sf():
     # at 13 km the received power clears even the SF7 floor, and the SF12
     # link has double-digit margin, so PDR is ~100% absent collisions
@@ -77,6 +88,18 @@ def test_single_packet_received_under_all_models():
 def test_single_packet_below_sensitivity_lost():
     for model in ("BP", "IC", "IIC"):
         assert resolve_reception([pkt(7, 0.0, 1.0, -130.0)], model,
+                                 N1.thresholds, N1.radio) == [False]
+
+
+@pytest.mark.parametrize("model", ["BP", "IC", "IIC"])
+def test_lone_packet_exactly_at_sensitivity_is_received(model):
+    # a packet is received iff it clears sensitivity: equality clears it
+    floor = sensitivity_dbm(N1.radio, N1.thresholds)
+    for j, sf in enumerate(SF_RANGE):
+        at, below = float(floor[j]), float(np.nextafter(floor[j], -math.inf))
+        assert resolve_reception([pkt(sf, 0.0, 1.0, at)], model,
+                                 N1.thresholds, N1.radio) == [True]
+        assert resolve_reception([pkt(sf, 0.0, 1.0, below)], model,
                                  N1.thresholds, N1.radio) == [False]
 
 

@@ -164,3 +164,17 @@ def test_src_has_no_unused_imports_or_private_names():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         dead += [f"{path.relative_to(root)}: unused import {n}" for n in _unused_imports(tree)]
     assert not dead
+
+
+def test_monte_carlo_oracle_imports_no_closed_form():
+    # the oracle shares only the node, the link budget and H1 with the model it
+    # checks: no 2F1 and no capture term, so agreement is not by construction
+    tree = ast.parse((Path(loracell.__file__).parent / "montecarlo.py").read_text(encoding="utf-8"))
+    names = {(node.module or "", alias.name) for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) for alias in node.names}
+    names |= {("", alias.name) for node in ast.walk(tree) if isinstance(node, ast.Import)
+              for alias in node.names}
+    assert not [n for n in names if "hypergeom" in " ".join(n)]
+    from_coverage = {name for module, name in names if module.split(".")[-1] == "coverage"}
+    assert from_coverage <= {"TypicalNode", "_received_mw", "_connection", "sf_indices"}
+    assert not [n for n in names if n[1].split(".")[-1] == "coverage"]

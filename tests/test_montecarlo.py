@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
 from loracell import (
     ConfigurationError,
@@ -17,10 +17,11 @@ from loracell import (
     typical_at,
 )
 from loracell import montecarlo
-from loracell.coverage import noise_power_mw
+from loracell.coverage import _received_mw, noise_power_mw
 from loracell.montecarlo import (
     _blocks,
     _estimate,
+    _load_cumulants,
     _ring_exponent,
     _sum_by_trial,
     _summary,
@@ -495,3 +496,70 @@ def test_blocks_pool_to_the_same_estimate_in_any_order_or_at_once(monkeypatch):
     with ThreadPoolExecutor(4) as pool:
         monkeypatch.setattr(montecarlo, "map", pool.map, raising=False)
         assert estimates() == in_order
+
+
+@pytest.mark.parametrize("count", [250, 500, 2500])
+@pytest.mark.parametrize("distance", [
+    1.0, 400.0, 1100.0, 1500.0, 2100.0, 2900.0, SCN.topology.cell_radius_m])
+def test_h1_is_the_closed_form_bit_for_bit(count, distance):
+    # the criterion-6 grid and both ends of the cell
+    scn = SCN.with_node_count(count)
+    typical = typical_at(scn.topology, distance)
+    h1, _, _ = estimate_coverage(typical, scn, trials=1, seed=0)
+    assert h1.mean == coverage_probability(typical, scn).h1
+    assert h1.standard_error == 0.0
+
+
+def quad_cumulants(scn, weights):
+    """(kappa1, kappa2) of the per-trial exponent by scipy quadrature of
+    mu_j E[log1p(c_j s^-beta)^n] in v = log s, split where c_j s^-beta = 1."""
+    topo, beta = scn.topology, scn.radio.path_loss_exponent / 2.0
+    kappas = np.zeros(2)
+    for j, w in enumerate(weights):
+        log_c = np.log(_received_mw(1.0, scn.radio) * w)
+        lo, hi = topo.boundaries_m[j:j + 2]
+        v_lo, v_hi = (np.log(lo * lo) if lo > 0 else -np.inf), np.log(hi * hi)
+        cuts = [v_lo, *[v for v in [log_c / beta] if v_lo < v < v_hi], v_hi]
+
+        def integrand(v, n):
+            t = log_c - beta * v            # log of c s^-beta, with log1p kept stable
+            return np.exp(v) * (t + np.log1p(np.exp(-t)) if t > 0 else np.log1p(np.exp(t))) ** n
+
+        for n in (1, 2):
+            total = sum(integrate.quad(integrand, a, b, args=(n,), epsabs=0.0, epsrel=1e-13,
+                                       limit=500)[0] for a, b in zip(cuts, cuts[1:]))
+            kappas[n - 1] += topo.intensities[j] * topo.ring_areas_m2[j] * total / (hi * hi - lo * lo)
+    return kappas
+
+
+@pytest.mark.parametrize("eta", [2.0001, 2.75, 4.0])
+def test_load_cumulants_match_scipy_quadrature(eta):
+    # from the gateway to the cell edge, with thresholds far into log1p's
+    # linear (1e-12) and logarithmic (1e12) regimes
+    for count in (250, 2500):
+        scn = SCN.with_node_count(count)
+        scn = replace(scn, radio=replace(scn.radio, path_loss_exponent=eta))
+        for d in (1.0, 50.0, 1500.0, scn.topology.cell_radius_m - 1.0):
+            for sf in (7, 12):
+                for scale in (1e-12, 1.0, 1e12):
+                    weights = (scale * scn.thresholds.sir_linear[sf - SF_RANGE[0]]
+                               / _received_mw(d, scn.radio))
+                    np.testing.assert_allclose(_load_cumulants(scn, weights),
+                                               quad_cumulants(scn, weights), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("count, distance", [(2500, 1500.0), (250, 50.0)])
+def test_sampled_load_has_the_cumulants_as_mean_and_variance(count, distance):
+    # x summed over rings as `estimate_coverage` sums it; bounds 4 SE, the
+    # variance's SE from the sample's fourth central moment
+    scn = SCN.with_node_count(count)
+    typical = typical_at(scn.topology, distance)
+    weights = (scn.thresholds.sir_linear[typical.sf - SF_RANGE[0]]
+               / _received_mw(distance, scn.radio))
+    kappa1, kappa2 = _load_cumulants(scn, weights)
+    trials = 200_000
+    rng = np.random.default_rng(37)
+    x = sum(_ring_exponent(rng, scn, j, trials, w, None) for j, w in enumerate(weights))
+    mean, var = x.mean(), x.var()
+    assert abs(mean - kappa1) <= 4 * np.sqrt(kappa2 / trials)
+    assert abs(var - kappa2) <= 4 * np.sqrt((np.mean((x - mean) ** 4) - var * var) / trials)

@@ -51,8 +51,8 @@ def est(mean, standard_error):
 MC_COVERAGE = {
     (250, 300.0, False): (
         est(0.9974818412800541, 0.0),
-        est(0.8901764924227787, 0.0014933926307352178),
-        est(0.8879348867260934, 0.001489632031059829),
+        est(0.890051477066815, 0.0007790575803041007),
+        est(0.8878101861786385, 0.000777095789664918),
     ),
     (250, 300.0, True): (
         est(0.9974818412800541, 0.0),
@@ -61,8 +61,8 @@ MC_COVERAGE = {
     ),
     (250, 1500.0, False): (
         est(0.8997551511544079, 0.0),
-        est(0.6937790110828715, 0.0027770769077298733),
-        est(0.6242312389846247, 0.002498689252881908),
+        est(0.6936755614607613, 0.0011020238223698896),
+        est(0.624138159654246, 0.0009915516108721784),
     ),
     (250, 1500.0, True): (
         est(0.8997551511544079, 0.0),
@@ -71,8 +71,8 @@ MC_COVERAGE = {
     ),
     (250, 2900.0, False): (
         est(0.9498785736429707, 0.0),
-        est(0.7051320495019375, 0.002794232179664112),
-        est(0.669789825410845, 0.0026541812772466356),
+        est(0.7046752792228388, 0.0010333757975714663),
+        est(0.6693559491096522, 0.0009815815286343516),
     ),
     (250, 2900.0, True): (
         est(0.9498785736429707, 0.0),
@@ -81,8 +81,8 @@ MC_COVERAGE = {
     ),
     (2500, 300.0, False): (
         est(0.9974818412800541, 0.0),
-        est(0.31626106785341457, 0.0018950548564391505),
-        est(0.3154646722876201, 0.0018902828075276325),
+        est(0.31440884047582857, 0.0012472378226787307),
+        est(0.3136171091125563, 0.001244097079879706),
     ),
     (2500, 300.0, True): (
         est(0.9974818412800541, 0.0),
@@ -91,8 +91,8 @@ MC_COVERAGE = {
     ),
     (2500, 1500.0, False): (
         est(0.8997551511544079, 0.0),
-        est(0.025517218921614886, 0.0006862435332481514),
-        est(0.02295924916785772, 0.0006174511539864254),
+        est(0.0251397452612444, 0.0006209598446081869),
+        est(0.022619615297514262, 0.0005587118188462568),
     ),
     (2500, 1500.0, True): (
         est(0.8997551511544079, 0.0),
@@ -101,8 +101,8 @@ MC_COVERAGE = {
     ),
     (2500, 2900.0, False): (
         est(0.9498785736429707, 0.0),
-        est(0.030575461268537704, 0.0008270650875189589),
-        est(0.02904297553823449, 0.0007856114056424073),
+        est(0.03081475786392806, 0.0007453002526543632),
+        est(0.0292702782469415, 0.0007079447409270721),
     ),
     (2500, 2900.0, True): (
         est(0.9498785736429707, 0.0),
@@ -114,7 +114,7 @@ MC_COVERAGE = {
 MC_SIR_RING = est(0.034800282871826314, 0.0009085470815183997)
 # `loracell mc --distances 300,1500,2900 --trials 20000` on coverage_eu868.ini
 MC_CSV_SHA256 = {
-    False: "6b81d9bcf4e3d8b7e164a35d08218bc854e895bd13adffe53ced26285c83e347",
+    False: "8b50017c4a68f263b726a29ac841efad170c130592148c6dd15d1c40dddba561",
     True: "590dbf59a30247e65f1b7efcc5f062c3e983ef7fed759f67348672a3b6b49c93",
 }
 
@@ -156,7 +156,7 @@ CLI_SHA256 = {
         "out_N2500.csv.manifest.json": "b6861e5a31abc919e50a586f6e28dd92904b6fdb5e8372bc6295af354ee48261",
     },
     "coverage_validate": {
-        "out.csv": "d50206ddc8a16e304bd0f6bf331b080aab72a30027b747895e961272958eb420",
+        "out.csv": "0c07c57b96aba67344da7f23c56f75433f6e490892505cd35342783e4e753582",
         "out.csv.manifest.json": "4e7ef843b5ac445fbd5d4c25eb7b2a5847032671b239dfafa41631bc3c8b444f",
     },
     "simulate_n2_iic": {

@@ -5,9 +5,11 @@ model (Poisson interferers per ring, uniform positions, Rayleigh fading) and
 averages the typical node's own fading out in closed form, exp(-x / S), and
 each interferer's too, 1 / (1 + w P) per interferer (the PGFL form). It
 shares none of the 2F1 machinery, so agreement within a few standard errors
-at every distance and density is a two-sided correctness check; averaging
-the fading makes those standard errors smaller, and the check stricter, than
-drawing it would.
+at every distance and density is a two-sided correctness check. Averaging
+the fading, and taking each trial's exponent sum log1p(w P) as a control
+variate whose mean and variance are known without the PGFL, make those
+standard errors smaller, and the check stricter, than drawing the fading
+and averaging plainly would.
 
 Also shows what happens when the typical node's fading is shared across all
 threshold events instead of independent per event (interferer fading is then

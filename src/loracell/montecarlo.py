@@ -129,21 +129,19 @@ def _load_cumulants(scenario: Scenario, weights: np.ndarray) -> tuple[float, flo
     edges2 = np.square(topo.boundaries_m)
     lo2, hi2 = edges2[:-1], edges2[1:]
     s_log = np.clip(np.exp((log_c - _LOG_LINEAR) / beta), lo2, hi2)
-
-    def closed(s):              # both integrals over (0, s]; s = 0 gives 0
-        ell = log_c - beta * np.log(s, out=np.zeros_like(s), where=s > 0)
-        return s * (ell + beta), s * (ell * (ell + 2.0 * beta) + 2.0 * beta * beta)
-
     v0, v1 = np.log(s_log), np.log(hi2)
     panels = max(1, int(np.ceil((v1 - v0).max())))
     h = ((v1 - v0) / panels)[:, None, None]
     v = v0[:, None, None] + h * (np.arange(panels)[:, None] + (_NODES + 1.0) / 2.0)
     g = np.log1p(np.exp(log_c[:, None, None] - beta * v))
-    ds = np.exp(v) * (h / 2.0 * _WEIGHTS)
-    (a1, a2), (b1, b2) = closed(s_log), closed(lo2)
-    # the closed parts are differenced first: each may dwarf the quadrature
-    m1 = (ds * g).sum(axis=(1, 2)) + (a1 - b1)
-    m2 = (ds * g * g).sum(axis=(1, 2)) + (a2 - b2)
+    dg = np.exp(v) * (h / 2.0 * _WEIGHTS) * g
+    # the closed parts over (0, s_log] and (0, lo^2], s = 0 giving 0, are
+    # differenced first: each may dwarf the quadrature
+    s = np.stack([s_log, lo2])
+    ell = log_c - beta * np.log(s, out=np.zeros_like(s), where=s > 0)
+    c1, c2 = s * (ell + beta), s * (ell * (ell + 2.0 * beta) + 2.0 * beta * beta)
+    m1 = dg.sum(axis=(1, 2)) + (c1[0] - c1[1])
+    m2 = (dg * g).sum(axis=(1, 2)) + (c2[0] - c2[1])
     per_s = topo.intensities * topo.ring_areas_m2 / (hi2 - lo2)
     return float((per_s * m1).sum()), float((per_s * m2).sum())
 

@@ -20,6 +20,8 @@ from loracell import montecarlo
 from loracell.coverage import _received_mw, noise_power_mw
 from loracell.montecarlo import (
     _blocks,
+    _control_sums,
+    _controlled,
     _estimate,
     _load_cumulants,
     _ring_exponent,
@@ -53,7 +55,7 @@ def test_bit_exact_determinism():
 
 def test_standard_error_formula():
     # the typical node's fading is averaged out, so H1 is exact; Q1 and C1
-    # average values in [0, 1], whose sample SE never exceeds the Bernoulli SE
+    # average values in [0, 1], and their SE stays below the Bernoulli SE
     typical = typical_at(SCN.topology, 1500.0)
     h1, q1, c1 = estimate_coverage(typical, SCN, trials=40_000, seed=5)
     assert h1.mean == pytest.approx(coverage_probability(typical, SCN).h1, rel=1e-14)
@@ -498,16 +500,16 @@ def test_blocks_pool_to_the_same_estimate_in_any_order_or_at_once(monkeypatch):
         assert estimates() == in_order
 
 
-@pytest.mark.parametrize("count", [250, 500, 2500])
 @pytest.mark.parametrize("distance", [
     1.0, 400.0, 1100.0, 1500.0, 2100.0, 2900.0, SCN.topology.cell_radius_m])
-def test_h1_is_the_closed_form_bit_for_bit(count, distance):
+def test_h1_is_the_closed_form_bit_for_bit(distance):
     # the criterion-6 grid and both ends of the cell
-    scn = SCN.with_node_count(count)
-    typical = typical_at(scn.topology, distance)
-    h1, _, _ = estimate_coverage(typical, scn, trials=1, seed=0)
-    assert h1.mean == coverage_probability(typical, scn).h1
-    assert h1.standard_error == 0.0
+    for count in (250, 500, 2500):
+        scn = SCN.with_node_count(count)
+        typical = typical_at(scn.topology, distance)
+        h1, _, _ = estimate_coverage(typical, scn, trials=1, seed=0)
+        assert h1.mean == coverage_probability(typical, scn).h1
+        assert h1.standard_error == 0.0
 
 
 def quad_cumulants(scn, weights):
@@ -523,12 +525,14 @@ def quad_cumulants(scn, weights):
 
         def integrand(v, n):
             t = log_c - beta * v            # log of c s^-beta, with log1p kept stable
-            return np.exp(v) * (t + np.log1p(np.exp(-t)) if t > 0 else np.log1p(np.exp(t))) ** n
+            g = t + np.log1p(np.exp(-t)) if t > 0 else np.log1p(np.exp(t))
+            return np.exp(v) * g ** n
 
         for n in (1, 2):
             total = sum(integrate.quad(integrand, a, b, args=(n,), epsabs=0.0, epsrel=1e-13,
                                        limit=500)[0] for a, b in zip(cuts, cuts[1:]))
-            kappas[n - 1] += topo.intensities[j] * topo.ring_areas_m2[j] * total / (hi * hi - lo * lo)
+            mu = topo.intensities[j] * topo.ring_areas_m2[j]
+            kappas[n - 1] += mu * total / (hi * hi - lo * lo)
     return kappas
 
 
@@ -563,3 +567,18 @@ def test_sampled_load_has_the_cumulants_as_mean_and_variance(count, distance):
     mean, var = x.mean(), x.var()
     assert abs(mean - kappa1) <= 4 * np.sqrt(kappa2 / trials)
     assert abs(var - kappa2) <= 4 * np.sqrt((np.mean((x - mean) ** 4) - var * var) / trials)
+
+
+def test_control_variate_pools_block_sums_and_floors_the_control_variance():
+    x = np.random.default_rng(3).exponential(size=1000)
+    q = np.exp(-x)
+    parts = [_control_sums(x[:300]), _control_sums(x[300:700]), _control_sums(x[700:])]
+    b = np.mean((x - x.mean()) * (q - q.mean())) / x.var()
+    residual = (q - b * x).var()            # the textbook residual variance
+    for kappa2 in (0.5 * x.var(), 2.0 * x.var()):
+        est = _controlled(parts, 1.0, kappa2)
+        assert est.trials == 1000
+        assert est.mean == pytest.approx(q.mean() - b * (x.mean() - 1.0), rel=1e-12)
+        floor = b * b * max(0.0, kappa2 - x.var())
+        assert est.standard_error == pytest.approx(np.sqrt((residual + floor) / 1000),
+                                                   rel=1e-10)

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from loracell import PacketEvent, default_scenario, lora_airtime, resolve_reception
 from loracell.coverage import noise_power_mw
 from loracell.scenario import NUM_SF, SF_RANGE
+from loracell import simulator
 from loracell.simulator import (
     _calendar,
     _interference,
@@ -646,3 +647,87 @@ def test_two_thousand_mutually_overlapping_packets(model):
     got = _resolve(starts, np.arange(n), chans, durs, sf_idx, rx_dbm, model,
                    N2.thresholds, N2.radio)
     assert np.array_equal(got, ref_resolve(starts, durs, sf_idx, rx_dbm, chans, model))
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+@pytest.mark.parametrize("load", [0.3, 1.0])
+@pytest.mark.parametrize("case", ["sim_n1", "sim_n2"])
+def test_one_pass_over_five_channels_matches_each_partition_alone(case, load, seed,
+                                                                  monkeypatch):
+    # a five-channel calendar resolves in one pass, in partition-major order;
+    # its flags equal each channel's start-ordered packets resolved alone,
+    # and under IC each (channel, SF) pair's, and do not depend on which
+    # label each channel carries
+    scn = replace(default_scenario(case), channels=5)
+    starts, owner, chans, *nodes, _, _ = _calendar(np.random.default_rng(seed), scn, load)
+    node_sf = nodes[1]
+    relabelled = np.array([3, 0, 4, 2, 1])[chans]
+    one_pass = simulator._resolve_partition
+    calls = []
+    monkeypatch.setattr(simulator, "_resolve_partition",
+                        lambda *args: calls.append(args[2] is None) or one_pass(*args))
+    for model in ("BP", "IC", "IIC"):
+        tables = (*nodes, model, scn.thresholds, scn.radio)
+        calls.clear()
+        got = _resolve(starts, owner, chans, *tables)
+        assert calls == [False]                 # one labelled pass
+        key = chans * NUM_SF + node_sf[owner] if model == "IC" else chans
+        want = np.zeros(starts.size, dtype=bool)
+        for k in np.unique(key):
+            on = np.flatnonzero(key == k)
+            calls.clear()
+            want[on] = _resolve(starts[on], owner[on], None, *tables)
+            assert calls == [True]              # one partition: no reorder
+        assert np.array_equal(got, want)
+        assert np.array_equal(_resolve(starts, owner, relabelled, *tables), got)
+        assert 0 < got.sum() < starts.size
+
+
+@pytest.mark.parametrize("model", ["BP", "IC", "IIC"])
+def test_partition_boundary_in_one_pass(model):
+    # partition-major order puts a lone packet of channel 0 right before a
+    # channel 1 packet that starts before it ends, and a long, late SF7
+    # packet of channel 1 (with a short one over it) right before channel
+    # 1's SF8 packet and channel 2's early packets: its later lags reach
+    # packets of the next partitions, which it overlaps only in time. The
+    # ends are out of order inside channel 1, and channel 2 has a lone
+    # packet that a reach carried over from channel 1 would join to an
+    # episode
+    def packet(sf, start, dur, dbm, channel):
+        return PacketEvent(node=0, sf=sf, start_s=start, duration_s=dur, rx_power_dbm=dbm,
+                           channel=channel)
+    packets = [
+        packet(7, 0.0, 0.1, -80.0, 0),      # alone
+        packet(7, 0.05, 0.1, -80.0, 1),     # alone
+        packet(8, 0.2, 0.15, -80.0, 1),     # alone
+        packet(7, 4.0, 11.0, -70.0, 1),     # long and strong: captures the next
+        packet(7, 5.0, 0.2, -95.0, 1),
+        packet(7, 0.5, 0.3, -80.0, 2),      # captures the next
+        packet(7, 0.55, 0.1, -90.0, 2),
+        packet(9, 2.0, 0.1, -80.0, 2),      # alone
+    ]
+    got = resolve_reception(packets, model, N2.thresholds, N2.radio)
+    assert got == pairwise_resolve(*as_arrays(packets), model).tolist()
+    capture = model != "BP"
+    assert got == [True, True, True, capture, False, capture, False, True]
+
+
+@pytest.mark.parametrize("sf", SF_RANGE)
+def test_iic_lone_winner_needs_only_sensitivity(sf):
+    # with every pairwise threshold raised by 60 dB, no overlapping winner
+    # clears it, and a packet alone in its episode is received exactly when
+    # its power reaches its SF's sensitivity: one ulp below it is lost
+    thresholds = replace(N2.thresholds, sir_db=tuple(
+        tuple(v + 60.0 for v in row) for row in N2.thresholds.sir_db))
+    sens = float(sensitivity_dbm(N2.radio, thresholds)[sf - SF_RANGE[0]])
+    toa = SF_TOA[sf - SF_RANGE[0]]
+    pair = [PacketEvent(node=0, sf=7, start_s=0.0, duration_s=SF_TOA[0], rx_power_dbm=-80.0),
+            PacketEvent(node=1, sf=sf, start_s=0.01, duration_s=toa, rx_power_dbm=-90.0)]
+    for dbm, received in ((np.nextafter(sens, -math.inf), False), (sens, True),
+                          (np.nextafter(sens, math.inf), True)):
+        lone = PacketEvent(node=2, sf=sf, start_s=10.0, duration_s=toa,
+                           rx_power_dbm=float(dbm))
+        got = resolve_reception(pair + [lone], "IIC", thresholds, N2.radio)
+        assert got == [False, False, received]
+        assert got == pairwise_resolve(*as_arrays(pair + [lone]), "IIC",
+                                       replace(N2, thresholds=thresholds)).tolist()

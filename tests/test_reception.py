@@ -664,8 +664,12 @@ def test_one_pass_over_five_channels_matches_each_partition_alone(case, load, se
     relabelled = np.array([3, 0, 4, 2, 1])[chans]
     one_pass = simulator._resolve_partition
     calls = []
-    monkeypatch.setattr(simulator, "_resolve_partition",
-                        lambda *args: calls.append(args[2] is None) or one_pass(*args))
+
+    def counted(*args):
+        calls.append(args[2] is None)           # True: one partition, no labels
+        return one_pass(*args)
+
+    monkeypatch.setattr(simulator, "_resolve_partition", counted)
     for model in ("BP", "IC", "IIC"):
         tables = (*nodes, model, scn.thresholds, scn.radio)
         calls.clear()

@@ -692,28 +692,32 @@ def test_partition_boundary_in_one_pass(model):
     # partition-major order puts a lone packet of channel 0 right before a
     # channel 1 packet that starts before it ends, and a long, late SF7
     # packet of channel 1 (with a short one over it) right before channel
-    # 1's SF8 packet and channel 2's early packets: its later lags reach
+    # 1's SF8 pair and channel 2's early packets: its later lags reach
     # packets of the next partitions, which it overlaps only in time. The
     # ends are out of order inside channel 1, and channel 2 has a lone
     # packet that a reach carried over from channel 1 would join to an
-    # episode
+    # episode. The short SF7 packet also overlaps the first packet of the
+    # next partition in time (channel 1's SF8 pair under IC, channel 2
+    # otherwise), whose capture margin is 6.5 dB against a 6 dB threshold:
+    # its power leaking across the boundary would lose that packet
     def packet(sf, start, dur, dbm, channel):
         return PacketEvent(node=0, sf=sf, start_s=start, duration_s=dur, rx_power_dbm=dbm,
                            channel=channel)
     packets = [
         packet(7, 0.0, 0.1, -80.0, 0),      # alone
         packet(7, 0.05, 0.1, -80.0, 1),     # alone
-        packet(8, 0.2, 0.15, -80.0, 1),     # alone
+        packet(8, 0.2, 0.15, -80.0, 1),     # captures the next by 6.5 dB
+        packet(8, 0.25, 0.15, -86.5, 1),
         packet(7, 4.0, 11.0, -70.0, 1),     # long and strong: captures the next
         packet(7, 5.0, 0.2, -95.0, 1),
-        packet(7, 0.5, 0.3, -80.0, 2),      # captures the next
-        packet(7, 0.55, 0.1, -90.0, 2),
+        packet(7, 0.5, 0.3, -80.0, 2),      # captures the next by 6.5 dB
+        packet(7, 0.55, 0.1, -86.5, 2),
         packet(9, 2.0, 0.1, -80.0, 2),      # alone
     ]
     got = resolve_reception(packets, model, N2.thresholds, N2.radio)
     assert got == pairwise_resolve(*as_arrays(packets), model).tolist()
     capture = model != "BP"
-    assert got == [True, True, True, capture, False, capture, False, True]
+    assert got == [True, True, capture, False, capture, False, capture, False, True]
 
 
 @pytest.mark.parametrize("sf", SF_RANGE)

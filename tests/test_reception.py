@@ -15,10 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loracell import PacketEvent, default_scenario, lora_airtime, resolve_reception
+from loracell import PacketEvent, default_scenario, lora_airtime, resolve_reception, simulator
 from loracell.coverage import noise_power_mw
 from loracell.scenario import NUM_SF, SF_RANGE
-from loracell import simulator
 from loracell.simulator import (
     _calendar,
     _interference,

@@ -8,7 +8,9 @@ enough to prove against an independent quadrature oracle.
 Evaluation is scipy.special.hyp2f1, except at b = 1, where the family has
 the closed form log(1 - x) / (-x) and scipy loses accuracy for large |x|
 (relative error 2.1e-10 at x = -1e8, 3.6e-9 at x = -1e10).
-The quadrature oracle imports scipy.integrate.quad when it is first called.
+scipy.special loads at the first call with b < 1, and the quadrature oracle
+imports scipy.integrate.quad when it is first called, so importing this
+module loads numpy alone.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
 # Against the oracle over |x| in [1e-6, 1e9], scipy's worst relative error
 # grows as b approaches 1 (the worst x lies near -2): 6.0e-11 at
@@ -74,6 +75,8 @@ def hyp2f1(a: float, b: float, c: float, x):
     if b == 1.0:
         out[nonzero] = np.log1p(-xn) / -xn
     else:
+        from scipy import special
+
         out[nonzero] = special.hyp2f1(1.0, b, 1.0 + b, xn)
     return float(out) if out.ndim == 0 else out
 

@@ -42,6 +42,7 @@ standard error of the per-trial values (variance over n).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +51,6 @@ from .coverage import TypicalNode, _connection, _received_mw, sf_indices
 from .scenario import ConfigurationError, Scenario
 
 _BLOCK = 1 << 18       # expected interferers, and the trial cap, of one block
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(16)
 _LOG_LINEAR = 40.0     # log1p(z) = log z to within e^-40 relative beyond z = e^40
 
 
@@ -113,6 +113,13 @@ def _controlled(parts: list[tuple], kappa1: float, kappa2: float) -> MCEstimate:
                       int(n))
 
 
+@functools.cache
+def _legendre16() -> tuple[np.ndarray, np.ndarray]:
+    """16-point Gauss-Legendre nodes and weights on [-1, 1], computed (and
+    numpy.polynomial imported) at the first call."""
+    return np.polynomial.legendre.leggauss(16)
+
+
 def _load_cumulants(scenario: Scenario, weights: np.ndarray) -> tuple[float, float]:
     """Mean and variance of a trial's exponent x = sum_j sum_k log1p(w_j P_k).
 
@@ -124,6 +131,7 @@ def _load_cumulants(scenario: Scenario, weights: np.ndarray) -> tuple[float, flo
     v = log s, take the rest, every ring in one array.
     """
     topo = scenario.topology
+    nodes, quad_weights = _legendre16()
     beta = scenario.radio.path_loss_exponent / 2.0
     log_c = np.log(_received_mw(1.0, scenario.radio) * weights)
     edges2 = np.square(topo.boundaries_m)
@@ -132,9 +140,9 @@ def _load_cumulants(scenario: Scenario, weights: np.ndarray) -> tuple[float, flo
     v0, v1 = np.log(s_log), np.log(hi2)
     panels = max(1, int(np.ceil((v1 - v0).max())))
     h = ((v1 - v0) / panels)[:, None, None]
-    v = v0[:, None, None] + h * (np.arange(panels)[:, None] + (_NODES + 1.0) / 2.0)
+    v = v0[:, None, None] + h * (np.arange(panels)[:, None] + (nodes + 1.0) / 2.0)
     g = np.log1p(np.exp(log_c[:, None, None] - beta * v))
-    dg = np.exp(v) * (h / 2.0 * _WEIGHTS) * g
+    dg = np.exp(v) * (h / 2.0 * quad_weights) * g
     # the closed parts over (0, s_log] and (0, lo^2], s = 0 giving 0, are
     # differenced first: each may dwarf the quadrature
     s = np.stack([s_log, lo2])

@@ -72,13 +72,11 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import repeat
 from typing import Sequence
 
 import numpy as np
-from scipy import special
 
 from .airtime import lora_airtime, per_node_rate
 from .coverage import noise_power_dbm, noise_power_mw
@@ -515,7 +513,8 @@ def _ci95(values: np.ndarray) -> float:
     n = len(values)
     if n < 2:
         return 0.0
-    # stats.t.ppf is this call; scipy.stats would add about 1 s to the import.
+    from scipy import special
+
     half = special.stdtrit(n - 1, 0.975) * values.std(ddof=1) / math.sqrt(n)
     return float(half)
 
@@ -569,6 +568,8 @@ def sweep_models(scenario: Scenario, models: Sequence[str],
     seeds = [np.random.SeedSequence([seed0, k, r])
              for k in range(len(g_list)) for r in range(reps)]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_replicate, repeat(scenario), task_loads, seeds,
                                     repeat(models)))

@@ -1,10 +1,15 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import loracell
 from loracell import load_scenario
 from loracell.cli import EXIT_CONFIG, EXIT_OK, main
 
@@ -14,6 +19,15 @@ def read_csv(path):
     header = lines[0].split(",")
     rows = [line.split(",") for line in lines[1:]]
     return header, rows
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = str(Path(loracell.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "loracell", "--version"], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == f"loracell {loracell.__version__}"
 
 
 def test_validate_config_ok(capsys):

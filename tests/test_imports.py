@@ -1,9 +1,12 @@
-"""Imports: the package's cold start loads scipy.special and nothing heavier,
-every loracell name the benchmark and the demos use exists, and the
-benchmark's workloads run a few items and pass their own output checks."""
+"""Imports: the package's cold start loads numpy and the standard library
+only, scipy.special loads at the first 2F1 call and scipy.integrate at the
+first oracle call, every loracell name the benchmark and the demos use
+exists, and the benchmark's workloads run a few items and pass their own
+output checks."""
 
 import ast
 import importlib
+import json
 import math
 import os
 import subprocess
@@ -35,6 +38,62 @@ def test_import_leaves_scipy_stats_and_integrate_unloaded():
     done = subprocess.run([sys.executable, "-c", _PROBE], capture_output=True, text=True,
                           env=env)
     assert done.returncode == 0, done.stderr
+
+
+_COLD_START = """
+import json, sys
+import loracell, loracell.cli
+
+def heavy():
+    return sorted(m for m in sys.modules
+                  if m.split(".")[0] in ("scipy", "multiprocessing")
+                  or m.split(".")[:2] == ["numpy", "polynomial"]
+                  or m == "concurrent.futures.process")
+
+steps = {"import": heavy()}
+for name in ("coverage_eu868", "sim_n1", "sim_n2"):
+    loracell.default_scenario(name)
+steps["default_scenario"] = heavy()
+assert loracell.cli.main(["validate-config", "--scenario", "sim_n2.ini"]) == 0
+steps["validate-config"] = heavy()
+loracell.run_replication(loracell.default_scenario("sim_n2"), 0.5, 1)
+steps["run_replication"] = heavy()
+cell = loracell.default_scenario("coverage_eu868")
+typical = loracell.typical_at(cell.topology, 800.0)
+loracell.estimate_coverage(typical, cell, 2000, 1, shared_fading=True)
+steps["estimate_coverage shared"] = heavy()
+loracell.estimate_coverage(typical, cell, 2000, 1)
+steps["estimate_coverage"] = heavy()
+value = loracell.hyp2f1(1.0, 0.5, 1.5, -3.0)
+steps["hyp2f1"] = heavy()
+steps["oracle_error"] = abs(loracell.hyp2f1_oracle(1.0, 0.5, 1.5, -3.0) - value)
+steps["hyp2f1_oracle"] = heavy()
+print(json.dumps(steps))
+"""
+
+
+def test_cold_start_loads_numpy_and_the_standard_library_only(tmp_path):
+    # scipy.special, the process pool and numpy.polynomial each load at the
+    # one call that needs them, so a process that only simulates or only
+    # runs the Monte Carlo oracle never imports scipy
+    src = str(Path(loracell.__file__).parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run([sys.executable, "-c", _COLD_START], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    steps = json.loads(done.stdout.splitlines()[-1])
+    for step in ("import", "default_scenario", "validate-config", "run_replication",
+                 "estimate_coverage shared"):
+        assert steps[step] == [], step
+    # the control variate's cumulant quadrature is the first use of the
+    # Gauss-Legendre table; the Monte Carlo path still loads no scipy
+    assert "numpy.polynomial.legendre" in steps["estimate_coverage"]
+    assert all(m.startswith("numpy.polynomial") for m in steps["estimate_coverage"])
+    assert "scipy.special" in steps["hyp2f1"]
+    assert not [m for m in steps["hyp2f1"]
+                if m.startswith(("scipy.integrate", "scipy.stats", "multiprocessing"))]
+    assert steps["oracle_error"] <= 1e-10
+    assert "scipy.integrate" in steps["hyp2f1_oracle"]
 
 
 def test_ci95_equals_scipy_stats_t_quantile_bit_for_bit():

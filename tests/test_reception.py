@@ -738,3 +738,66 @@ def test_iic_lone_winner_needs_only_sensitivity(sf):
         assert got == [False, False, received]
         assert got == pairwise_resolve(*as_arrays(pair + [lone]), "IIC",
                                        replace(N2, thresholds=thresholds)).tolist()
+
+
+# ---------------------------------------------------------------------------
+# Metamorphic relations: properties any correct resolver has, drawn from
+# fixed seeds. Starts and airtimes lie on a 2^-10 s grid, so every end is
+# exact and packets touch (end == start) bit for bit.
+
+GRID_TOA = tuple(max(round(t * 1024), 1) / 1024 for t in SF_TOA)
+
+
+def grid_packets(rng, n, lo, hi):
+    """n packets inside [lo, hi]: start >= lo and end <= hi, a quarter of
+    them starting exactly at lo (if lo > 0) or ending exactly at hi; 1 to 3
+    channels."""
+    sf_idx = rng.choice(NUM_SF, size=n, p=[0.3, 0.25, 0.2, 0.1, 0.1, 0.05])
+    durs = np.array(GRID_TOA)[sf_idx]
+    starts = lo + np.floor(rng.random(n) * (hi - lo - durs) * 1024) / 1024
+    pinned = rng.random(n) < 0.25
+    starts[pinned] = lo if lo > 0 else (hi - durs)[pinned]
+    dbm = np.where(rng.random(n) < 0.2, rng.choice([-80.0, -86.0, -90.0], size=n),
+                   rng.uniform(-140.0, -60.0, size=n))
+    chans = rng.integers(0, rng.integers(1, 4), size=n)
+    return [PacketEvent(node=0, sf=SF_RANGE[s], start_s=float(t), duration_s=float(d),
+                        rx_power_dbm=float(p), channel=int(c))
+            for s, t, d, p, c in zip(sf_idx, starts, durs, dbm, chans)]
+
+
+@pytest.mark.parametrize("model", ["BP", "IC", "IIC"])
+def test_raising_a_received_packets_power_keeps_it_received(model):
+    # a received packet raised by 0-10 dB: its SINR rises, its partners'
+    # sums cannot fall and its episode is unchanged, so it still clears
+    # sensitivity, stays its episode's SINR maximum and clears every
+    # threshold it cleared
+    rng = np.random.default_rng(2020)
+    checked = 0
+    for _ in range(200):
+        packets = grid_packets(rng, int(rng.integers(2, 31)), 0.0, 3.0)
+        got = resolve_reception(packets, model, N2.thresholds, N2.radio)
+        for p in np.flatnonzero(got):
+            raised = list(packets)
+            raised[p] = replace(packets[p],
+                                rx_power_dbm=packets[p].rx_power_dbm + rng.uniform(0.0, 10.0))
+            assert resolve_reception(raised, model, N2.thresholds, N2.radio)[p], (packets, p)
+            checked += 1
+    assert checked > 500
+
+
+@pytest.mark.parametrize("model", ["BP", "IC", "IIC"])
+def test_splitting_at_an_idle_gap_keeps_the_flags(model):
+    # no packet spans the split time, and packets ending there only touch
+    # those starting there, so the two halves share no overlap and no
+    # episode: resolving them apart gives the same flags
+    rng = np.random.default_rng(2021)
+    split = 2.0
+    for _ in range(300):
+        left = grid_packets(rng, int(rng.integers(1, 16)), 0.0, split)
+        right = grid_packets(rng, int(rng.integers(1, 16)), split, split + 2.0)
+        order = rng.permutation(len(left) + len(right))
+        whole = [(left + right)[k] for k in order]
+        want = (resolve_reception(left, model, N2.thresholds, N2.radio)
+                + resolve_reception(right, model, N2.thresholds, N2.radio))
+        got = resolve_reception(whole, model, N2.thresholds, N2.radio)
+        assert got == [want[k] for k in order], whole

@@ -25,6 +25,7 @@ import numpy as np
 # b in (1 - 1e-5, 1) keeps every accepted b within 1e-10. RadioConfig.errors
 # rejects the path-loss exponents that would need it: eta < 2 / (1 - B_GAP).
 B_GAP = 1e-5
+_ORACLE_ABS_TOL = 1e-12       # the oracle's quadrature target; 10x it raises
 
 
 class UnsupportedDomainError(ValueError):
@@ -35,7 +36,8 @@ class QuadratureError(RuntimeError):
     """Oracle quadrature did not reach the requested tolerance."""
 
 
-def _check_parameters(a: float, b: float, c: float) -> None:
+def _check_family(a: float, b: float, c: float, x) -> np.ndarray:
+    """x as a float array, once a, b, c and every element of x are checked."""
     if a != 1.0:
         raise UnsupportedDomainError(f"a must be 1 (got {a})")
     if not 0.0 < b <= 1.0:
@@ -47,12 +49,11 @@ def _check_parameters(a: float, b: float, c: float) -> None:
         )
     if not math.isclose(c, 1.0 + b, rel_tol=1e-12, abs_tol=1e-12):
         raise UnsupportedDomainError(f"c must equal 1 + b (got c={c}, b={b})")
-
-
-def _check_family(a: float, b: float, c: float, x: float) -> None:
-    _check_parameters(a, b, c)
-    if math.isnan(x) or x > 0.0:
-        raise UnsupportedDomainError(f"x must satisfy x <= 0 (got {x})")
+    xs = np.asarray(x, dtype=float)
+    supported = xs <= 0.0
+    if not supported.all():
+        raise UnsupportedDomainError(f"x must satisfy x <= 0 (got {xs[~supported].flat[0]})")
+    return xs
 
 
 def hyp2f1(a: float, b: float, c: float, x):
@@ -64,11 +65,7 @@ def hyp2f1(a: float, b: float, c: float, x):
     Elements with x == 0 give exactly 1.0. A float is evaluated as a
     one-element array, so it equals the same element of any array call.
     """
-    _check_parameters(a, b, c)
-    xs = np.asarray(x, dtype=float)
-    supported = xs <= 0.0
-    if not supported.all():
-        raise UnsupportedDomainError(f"x must satisfy x <= 0 (got {xs[~supported].flat[0]})")
+    xs = _check_family(a, b, c, x)
     out = np.ones(xs.shape)
     nonzero = xs != 0.0
     xn = xs[nonzero]
@@ -81,8 +78,7 @@ def hyp2f1(a: float, b: float, c: float, x):
     return float(out) if out.ndim == 0 else out
 
 
-def hyp2f1_oracle(a: float, b: float, c: float, x: float,
-                  abs_tol: float = 1e-12) -> float:
+def hyp2f1_oracle(a: float, b: float, c: float, x: float) -> float:
     """Slow independent check: adaptive quadrature of the Euler integral.
 
     2F1(1,b;1+b;x) = b * int_0^1 t^(b-1) (1 - x t)^(-1) dt. Substituting
@@ -96,7 +92,7 @@ def hyp2f1_oracle(a: float, b: float, c: float, x: float,
     """
     from scipy.integrate import quad  # lazy: importing it costs about 0.35 s
 
-    _check_family(a, b, c, x)
+    x = float(_check_family(a, b, c, x))
     if x == 0.0:
         return 1.0
     s = -x
@@ -105,14 +101,14 @@ def hyp2f1_oracle(a: float, b: float, c: float, x: float,
         return b * math.exp(-b * u) / (1.0 + s * math.exp(-u))
 
     split = math.log1p(s)
-    head, err_head = quad(integrand, 0.0, split, epsabs=abs_tol / 2, epsrel=1e-13,
+    head, err_head = quad(integrand, 0.0, split, epsabs=_ORACLE_ABS_TOL / 2, epsrel=1e-13,
                           limit=300)
-    tail, err_tail = quad(integrand, split, math.inf, epsabs=abs_tol / 2,
+    tail, err_tail = quad(integrand, split, math.inf, epsabs=_ORACLE_ABS_TOL / 2,
                           epsrel=1e-13, limit=300)
     value = head + tail
     err = err_head + err_tail
-    if err > 10.0 * abs_tol:
+    if err > 10.0 * _ORACLE_ABS_TOL:
         raise QuadratureError(
-            f"quadrature reached absolute tolerance {err:.3e}, requested {abs_tol:.3e}"
+            f"quadrature reached absolute tolerance {err:.3e}, requested {_ORACLE_ABS_TOL:.3e}"
         )
     return value

@@ -11,12 +11,12 @@ uniform times, an iid node label each), and the acceptance rule runs over all
 nodes at once in node-major order, which one sort of packed (node, position)
 keys gives; its keep mask is scattered back, so packets stay in start order.
 A node's packets share one airtime, so its duty budget is a whole number K
-of packets per trailing hour (`_accept` defines K). An arrival is close when
-t[i] < t[i-1] + ToA within its node. One rule picks the nodes that run the
-exact sequential loop: those with K+1 arrivals inside one trailing hour, and
-those with two consecutive close arrivals. Every other node keeps its
-arrivals that are not close, which is what the loop would keep. The result
-equals that loop run on every node.
+of packets per trailing hour (`_accept` defines K). An arrival at t is a duty
+drop iff K = 0 or its node's K-th latest kept start is later than t - 3600,
+and close iff t < t' + ToA for the node's previous arrival t'. Nodes with K+1
+arrivals in one trailing hour or two consecutive close arrivals run that
+sequential rule; every other node keeps the arrivals that are not close,
+which is what the rule would keep, so the result equals it run on every node.
 
 Propagation is the Okumura-Hata open-area (rural) median model, reception
 is threshold-based: a packet is detectable iff its receive power clears the
@@ -71,7 +71,6 @@ independently derived seeds and aggregate by averaging.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, replace
 from itertools import repeat
 from typing import Sequence
@@ -346,24 +345,21 @@ def _arrivals(rng, node_count, rate, duration):
 
 
 def _accept_sequential(times, toa, budget_packets):
-    """Keep mask and duty-drop count for one node's sorted arrivals under the
-    sequential rule: an arrival before `busy_until` is a busy drop; one with
-    `budget_packets` kept starts s > t - 3600.0 in its window is a duty drop.
-    """
+    """Keep mask and duty-drop count for one node's sorted arrivals: one before
+    `busy_until` is a busy drop, one is a duty drop if K = `budget_packets` is 0
+    or its K-th latest kept start (-inf until K are kept) is > t - 3600.0."""
     keep = np.zeros(len(times), dtype=bool)
     dropped_duty = 0
     busy_until = -math.inf
-    window: deque[float] = deque()
+    kept = [-math.inf] * budget_packets
     for i, t in enumerate(times.tolist()):
         if t < busy_until:
             continue
-        while window and window[0] <= t - 3600.0:
-            window.popleft()
-        if len(window) >= budget_packets:
+        if not budget_packets or kept[-budget_packets] > t - 3600.0:
             dropped_duty += 1
             continue
         keep[i] = True
-        window.append(t)
+        kept.append(t)
         busy_until = t + toa
     return keep, dropped_duty
 
@@ -372,8 +368,8 @@ def _accept(times, nodes, node_toa, duty_limit):
     """Keep mask over node-major sorted arrivals, plus busy and duty drops,
     equal to `_accept_sequential` per node. A node's budget is K packets per
     trailing hour: the largest whole K with K * toa <= duty_limit * 3600.0 +
-    1e-12, K * toa one float64 product. A duty drop needs K kept starts
-    s > t - 3600.0 in the loop's window, so K earlier arrivals in it:
+    1e-12, K * toa one float64 product. A duty drop needs the K-th latest
+    kept start later than t - 3600.0, so K earlier arrivals in that hour:
     t[i] > t[i+K] - 3600.0 for some i. The loop runs on each node with such
     an i, or with two consecutive close arrivals (t[i] < t[i-1] + toa). Any
     other node has no duty drop, and its close arrivals follow kept ones, so
@@ -510,6 +506,8 @@ class SimOutcome:
 
 
 def _ci95(values: np.ndarray) -> float:
+    """Half-width of the t-based 95% interval of the mean. One value leaves it
+    undefined; 0.0 stands in, so `--replications 1` writes s_ci95 = pdr_ci95 = 0."""
     n = len(values)
     if n < 2:
         return 0.0

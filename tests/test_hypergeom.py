@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from loracell import UnsupportedDomainError, hyp2f1, hyp2f1_oracle
+from loracell import UnsupportedDomainError, hyp2f1, hyp2f1_oracle, hypergeom
 from loracell.hypergeom import B_GAP
 
 # Pinned with the quadrature oracle (independently cross-checked at 40-digit
@@ -59,9 +59,11 @@ def test_branch_boundaries_are_continuous():
         assert left == pytest.approx(right, rel=1e-8)
 
 
-def test_oracle_self_consistency_under_refinement():
-    coarse = hyp2f1_oracle(1.0, 2.0 / 3.0, 5.0 / 3.0, -0.5, abs_tol=1e-12)
-    fine = hyp2f1_oracle(1.0, 2.0 / 3.0, 5.0 / 3.0, -0.5, abs_tol=5e-13)
+def test_oracle_self_consistency_under_refinement(monkeypatch):
+    monkeypatch.setattr(hypergeom, "_ORACLE_ABS_TOL", 1e-12)
+    coarse = hyp2f1_oracle(1.0, 2.0 / 3.0, 5.0 / 3.0, -0.5)
+    monkeypatch.setattr(hypergeom, "_ORACLE_ABS_TOL", 5e-13)
+    fine = hyp2f1_oracle(1.0, 2.0 / 3.0, 5.0 / 3.0, -0.5)
     assert abs(coarse - fine) < 1e-12
 
 

@@ -20,26 +20,6 @@ from scipy import stats
 import loracell
 from loracell import simulator
 
-_PROBE = """
-import sys
-import loracell, loracell.cli
-heavy = [m for m in sys.modules if m.startswith(("scipy.stats", "scipy.integrate"))]
-assert not heavy, heavy
-from loracell import hyp2f1, hyp2f1_oracle
-assert abs(hyp2f1_oracle(1.0, 0.5, 1.5, -3.0) - hyp2f1(1.0, 0.5, 1.5, -3.0)) <= 1e-10
-assert "scipy.integrate" in sys.modules
-"""
-
-
-def test_import_leaves_scipy_stats_and_integrate_unloaded():
-    src = str(Path(loracell.__file__).parents[1])
-    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    env = {**os.environ, "PYTHONPATH": path}
-    done = subprocess.run([sys.executable, "-c", _PROBE], capture_output=True, text=True,
-                          env=env)
-    assert done.returncode == 0, done.stderr
-
-
 _COLD_START = """
 import json, sys
 import loracell, loracell.cli

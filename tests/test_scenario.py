@@ -178,6 +178,18 @@ def test_validate_rejects_infinite_link_values(field, value):
         assert "(sf9, sf11)" in str(err.value)
 
 
+@pytest.mark.parametrize("code_rate, message", [
+    ("4-5", "cannot parse '4-5', expected 4/5 .. 4/8"),
+    ("x/5", "cannot parse 'x/5', expected 4/5 .. 4/8"),
+    ("4/9", "'4/9' not one of 4/5 .. 4/8"),
+    ("5/5", "'5/5' not one of 4/5 .. 4/8"),
+])
+def test_validate_rejects_unknown_code_rate(code_rate, message):
+    bad = _with_value(default_scenario("coverage_eu868"), "radio.code_rate", code_rate)
+    with pytest.raises(ConfigurationError, match=re.escape(f"radio.code_rate: {message}")):
+        validate(bad)
+
+
 def test_validate_rejects_missing_sir_entry():
     scn = default_scenario("coverage_eu868")
     rows = [list(r) for r in scn.thresholds.sir_db]

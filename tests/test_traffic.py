@@ -154,6 +154,17 @@ def test_accept_duty_screen_edges(toa, times):
     assert (busy, duty) == (ref_busy, ref_duty) == (0, 1)
 
 
+def test_accept_airtime_over_the_budget_drops_every_free_arrival():
+    # K = 0: a 4 s airtime exceeds the 3.6 s budget at 0.1% duty, so every
+    # arrival is a duty drop, and with nothing kept none is a busy drop, not
+    # even one that comes 1 s after another
+    toa, times = 4.0, np.array([0.0, 1.0, 5.0, 3605.0, 3606.0, 9000.0])
+    keep, busy, duty = _accept(times, np.zeros(times.size, dtype=int), np.array([toa]), 1e-3)
+    kept, ref_busy, ref_duty = reference_node_transmissions(times, toa, 1e-3)
+    assert duty_packets(toa, 1e-3) == 0 and kept.size == 0 and not keep.any()
+    assert (busy, duty) == (ref_busy, ref_duty) == (0, times.size)
+
+
 @pytest.mark.parametrize("duty_limit, k, spacing, echo", [
     (0.01, 38, 10.0, False), (0.01, 31, 10.0, True),
     # the quotient rounds to 14.999999999999998, yet 15 * toa <= budget

@@ -7,6 +7,8 @@ acceptance suite runs the full 30-replication version. Writes
 throughput_sweep.csv and, if matplotlib is available, a two-panel PNG.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from loracell import default_scenario, pure_aloha_throughput, sweep_models
@@ -19,7 +21,8 @@ CASES = (("N1", "sim_n1", ("BP", "IC")), ("N2", "sim_n2", ("BP", "IC", "IIC")))
 def main():
     results = {}
     for case, name, models in CASES:
-        shared = sweep_models(default_scenario(name), models, replications=REPLICATIONS)
+        scenario = replace(default_scenario(name), replications=REPLICATIONS)
+        shared = sweep_models(scenario, models)
         for model, outcomes in shared.items():
             label = f"{case}/{model}"
             results[label] = outcomes

@@ -39,7 +39,6 @@ from .simulator import (
     hata_rural_loss,
     multichannel_projection,
     resolve_reception,
-    run,
     run_replication,
     sensitivity_dbm,
     sweep,

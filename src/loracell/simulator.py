@@ -483,7 +483,7 @@ def _replicate(scenario: Scenario, offered_load: float, seed,
 
 def run_replication(scenario: Scenario, offered_load: float, seed) -> ReplicationResult:
     """One seeded instance: place nodes, generate traffic, resolve reception."""
-    return _replicate(scenario, offered_load, seed, (scenario.collision_model,))[0]
+    return _replicate(validate(scenario), offered_load, seed, (scenario.collision_model,))[0]
 
 
 @dataclass(frozen=True)
@@ -537,33 +537,22 @@ def _aggregate(offered_load: float, reps: list[ReplicationResult]) -> SimOutcome
     )
 
 
-def run(scenario: Scenario, offered_load: float, replications: int | None = None,
-        master_seed: int | None = None) -> SimOutcome:
-    """Run `replications` independent instances at one offered load."""
-    return sweep(scenario, (offered_load,), replications, master_seed)[0]
-
-
-def sweep_models(scenario: Scenario, models: Sequence[str],
-                 loads: Sequence[float] | None = None, replications: int | None = None,
-                 master_seed: int | None = None, jobs: int = 1) -> dict[str, list[SimOutcome]]:
-    """One SimOutcome per offered load for each collision model in `models`.
-    Each task is one replication, seeded from (master seed, load index, rep),
-    whose one calendar every model resolves; each load averages its
-    replications in order, so results do not depend on execution order or
+def sweep_models(scenario: Scenario, models: Sequence[str], *,
+                 jobs: int = 1) -> dict[str, list[SimOutcome]]:
+    """One SimOutcome per offered load of the scenario for each collision model
+    in `models`. Each task is one replication, seeded from (rng_seed, load
+    index, rep), whose one calendar every model resolves; each load averages
+    its replications in order, so results do not depend on execution order or
     worker count, and a model's list is `sweep` of the scenario with it."""
-    scenario = validate(replace(
-        scenario,
-        offered_loads=scenario.offered_loads if loads is None else tuple(loads),
-        replications=scenario.replications if replications is None else replications))
+    validate(scenario)
     if not 0 < len(models) == len(set(COLLISION_MODELS).intersection(models)):
         raise ConfigurationError(f"models must be distinct names from {COLLISION_MODELS}, "
                                  f"got {models}")
     g_list, reps = scenario.offered_loads, scenario.replications
     if jobs < 1:
         raise ConfigurationError(f"jobs must be at least 1, got {jobs}")
-    seed0 = scenario.rng_seed if master_seed is None else master_seed
     task_loads = [g for g in g_list for _ in range(reps)]
-    seeds = [np.random.SeedSequence([seed0, k, r])
+    seeds = [np.random.SeedSequence([scenario.rng_seed, k, r])
              for k in range(len(g_list)) for r in range(reps)]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -577,12 +566,10 @@ def sweep_models(scenario: Scenario, models: Sequence[str],
                     for k, g in enumerate(g_list)] for m, model in enumerate(models)}
 
 
-def sweep(scenario: Scenario, loads: Sequence[float] | None = None,
-          replications: int | None = None, master_seed: int | None = None,
-          jobs: int = 1) -> list[SimOutcome]:
+def sweep(scenario: Scenario, *, jobs: int = 1) -> list[SimOutcome]:
     """`sweep_models` under the scenario's own collision model alone."""
     model = scenario.collision_model
-    return sweep_models(scenario, (model,), loads, replications, master_seed, jobs)[model]
+    return sweep_models(scenario, (model,), jobs=jobs)[model]
 
 
 def multichannel_projection(outcome: SimOutcome, channels: int) -> SimOutcome:

@@ -6,6 +6,7 @@ are shared session-wide, so the whole suite stays within a desk-scale run.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,8 +21,8 @@ from loracell import (
     multichannel_projection,
     pure_aloha_throughput,
     resolve_reception,
-    run,
     run_replication,
+    sweep,
     sweep_models,
     typical_at,
 )
@@ -47,8 +48,8 @@ def report(num, desc, ok, detail=""):
 @pytest.fixture(scope="module")
 def sim_sweeps():
     # the models of a case resolve one calendar per replication
-    shared = {"n1": sweep_models(N1, ("BP", "IC"), replications=REPS),
-              "n2": sweep_models(N2, ("BP", "IC", "IIC"), replications=REPS)}
+    shared = {"n1": sweep_models(replace(N1, replications=REPS), ("BP", "IC")),
+              "n2": sweep_models(replace(N2, replications=REPS), ("BP", "IC", "IIC"))}
     return {f"{case}_{model.lower()}": outcomes
             for case, sweeps in shared.items() for model, outcomes in sweeps.items()}
 
@@ -187,8 +188,8 @@ def test_criterion_9_multichannel_projection(sim_sweeps):
 
 def test_criterion_10_property_suites(sim_sweeps):
     # determinism: identical scenario and seed give bit-identical outcomes
-    det_a = run(N1, 0.3, replications=2, master_seed=1001)
-    det_b = run(N1, 0.3, replications=2, master_seed=1001)
+    det = replace(N1, offered_loads=(0.3,), replications=2, rng_seed=1001)
+    det_a, det_b = sweep(det), sweep(det)
     ok_det = det_a == det_b
 
     # conservation: every transmitted packet is either received or lost, and

@@ -6,6 +6,7 @@ output checks."""
 
 import ast
 import importlib
+import inspect
 import json
 import math
 import os
@@ -94,32 +95,72 @@ def _dotted(node: ast.AST) -> str | None:
     return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else None
 
 
-def _resolve(dotted: str) -> None:
+def _resolve(dotted: str):
     """Look a dotted loracell name up, importing submodules on the way."""
     obj, path = loracell, "loracell"
     for part in dotted.split(".")[1:]:
         path += "." + part
         obj = getattr(obj, part) if hasattr(obj, part) else importlib.import_module(path)
+    return obj
+
+
+def _loracell_uses(tree: ast.AST) -> tuple[set[str], list[tuple[str, ast.Call]]]:
+    """The dotted loracell names a module refers to, and its calls of them,
+    with names bound by `from loracell... import` spelled out."""
+    names, refs = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module.split(".")[0] == "loracell":
+                names.update((a.asname or a.name, f"{node.module}.{a.name}") for a in node.names)
+        elif isinstance(node, ast.Import):
+            refs.update(a.name for a in node.names if a.name.split(".")[0] == "loracell")
+
+    def qualified(node):
+        dotted = _dotted(node)
+        if dotted is None:
+            return None
+        head, dot, rest = dotted.partition(".")
+        dotted = names.get(head, head) + dot + rest
+        return dotted if dotted.startswith("loracell.") else None
+
+    refs.update(names.values())
+    calls = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and (dotted := qualified(node)):
+            refs.add(dotted)
+        elif isinstance(node, ast.Call) and (dotted := qualified(node.func)):
+            calls.append((dotted, node))
+    return refs, calls
+
+
+def _bind(func, call: ast.Call) -> str | None:
+    """Why `call` does not fit `func`'s signature, or None if it does. A call
+    that unpacks `*args` or `**kwargs` is not checked."""
+    if (any(isinstance(arg, ast.Starred) for arg in call.args)
+            or any(kw.arg is None for kw in call.keywords)):
+        return None
+    try:
+        inspect.signature(func).bind(*call.args, **{kw.arg: kw.value for kw in call.keywords})
+    except TypeError as err:
+        return str(err)
+    return None
 
 
 def test_benchmark_and_demo_loracell_names_resolve():
     # perfbench/ and demos/ are parsed, not run: a change that removes a name
-    # they call fails here in well under a second, not in the benchmark
+    # they use, or a parameter their calls pass, fails here in well under a
+    # second, not in the benchmark
     root = Path(__file__).parents[1]
-    refs = set()
+    refs, calls = set(), []
     for path in sorted([*root.glob("perfbench/*.py"), *root.glob("demos/*.py")]):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.ImportFrom) and node.level == 0:
-                if node.module.split(".")[0] == "loracell":
-                    refs.update(f"{node.module}.{alias.name}" for alias in node.names)
-            elif isinstance(node, ast.Import):
-                refs.update(a.name for a in node.names if a.name.split(".")[0] == "loracell")
-            elif isinstance(node, ast.Attribute):
-                dotted = _dotted(node)
-                if dotted is not None and dotted.startswith("loracell."):
-                    refs.add(dotted)
+        file_refs, file_calls = _loracell_uses(ast.parse(path.read_text(encoding="utf-8")))
+        refs |= file_refs
+        calls += [(f"{path.name}:{call.lineno} {dotted}", dotted, call)
+                  for dotted, call in file_calls]
     assert {"loracell.lora_airtime", "loracell.scenario.SF_RANGE", "loracell.cli.main",
             "loracell.hyp2f1_oracle"} <= refs
+    assert {"loracell.run_replication", "loracell.sweep_models",
+            "loracell.coverage_sweep"} <= {dotted for _, dotted, _ in calls}
     missing = []
     for ref in sorted(refs):
         try:
@@ -127,6 +168,9 @@ def test_benchmark_and_demo_loracell_names_resolve():
         except (AttributeError, ImportError):
             missing.append(ref)
     assert not missing
+    unbound = [f"{where}: {why}" for where, dotted, call in calls
+               if (why := _bind(_resolve(dotted), call)) is not None]
+    assert not unbound
 
 
 @pytest.mark.parametrize("name", ["fig3_n1", "fig3_n2", "coverage_heatmap", "mc_crossval"])

@@ -15,7 +15,6 @@ from loracell import (
     multichannel_projection,
     pure_aloha_throughput,
     resolve_reception,
-    run,
     run_replication,
     sensitivity_dbm,
     simulator,
@@ -359,7 +358,7 @@ def test_measured_load_tracks_nominal():
 
 
 def test_bp_single_sf_matches_aloha_theory():
-    out = run(N1, 0.4, replications=6, master_seed=31)
+    (out,) = sweep(replace(N1, offered_loads=(0.4,), replications=6, rng_seed=31))
     theory = pure_aloha_throughput(out.measured_g)
     assert abs(out.throughput - theory) / theory < 0.02
 
@@ -368,7 +367,7 @@ def test_model_ordering_bp_iic_ic():
     outs = {}
     for model in ("BP", "IIC", "IC"):
         scn = replace(N2, collision_model=model)
-        outs[model] = run(scn, 0.6, replications=6, master_seed=17)
+        (outs[model],) = sweep(replace(scn, offered_loads=(0.6,), replications=6, rng_seed=17))
     slack_bp = outs["BP"].throughput_ci95 + outs["IIC"].throughput_ci95
     slack_ic = outs["IIC"].throughput_ci95 + outs["IC"].throughput_ci95
     assert outs["BP"].throughput <= outs["IIC"].throughput + slack_bp
@@ -390,11 +389,11 @@ def test_duty_cycle_ceiling_enforced():
 
 
 def test_sweep_deterministic_and_order_free():
-    scn = replace(N1, offered_loads=(0.2, 0.5))
-    a = sweep(scn, replications=2)
-    b = sweep(scn, replications=2)
+    scn = replace(N1, offered_loads=(0.2, 0.5), replications=2)
+    a = sweep(scn)
+    b = sweep(scn)
     assert a == b
-    c = sweep(scn, replications=2, jobs=2)
+    c = sweep(scn, jobs=2)
     assert a == c
 
 
@@ -404,33 +403,57 @@ def test_sweep_deterministic_and_order_free():
     (N1, ("BP", "IC")), (N2, ("BP", "IC", "IIC")), (replace(N2, channels=2), ("IIC", "BP", "IC")),
 ], ids=["N1", "N2", "N2x2"])
 def test_sweep_models_equals_per_model_sweeps(scn, models, jobs):
-    shared = sweep_models(scn, models, (0.3, 1.0), 2, 11, jobs=jobs)
+    scn = replace(scn, offered_loads=(0.3, 1.0), replications=2, rng_seed=11)
+    shared = sweep_models(scn, models, jobs=jobs)
     assert list(shared) == list(models)
     for model in models:
-        assert shared[model] == sweep(replace(scn, collision_model=model), (0.3, 1.0), 2, 11)
+        assert shared[model] == sweep(replace(scn, collision_model=model))
 
 
 @pytest.mark.parametrize("models", [(), ("IC", "IC"), ("BP", "XX"), ["ic"], "BP"])
 def test_sweep_models_rejects_bad_model_lists(models):
     with pytest.raises(ConfigurationError, match="models must be distinct"):
-        sweep_models(N1, models, (0.3,), 1)
-
-
-def test_run_is_single_load_sweep():
-    assert run(N2, 0.4, 3, 5) == sweep(N2, (0.4,), 3, 5)[0]
+        sweep_models(replace(N1, offered_loads=(0.3,), replications=1), models)
 
 
 def test_single_load_sweep_parallel_matches_serial():
-    assert sweep(N2, (0.6,), 3, 8, jobs=2) == sweep(N2, (0.6,), 3, 8, jobs=1)
+    scn = replace(N2, offered_loads=(0.6,), replications=3, rng_seed=8)
+    assert sweep(scn, jobs=2) == sweep(scn, jobs=1)
 
 
-@pytest.mark.parametrize("bad", [replace(N1, rng_seed=-1), replace(N1, channels=0)],
-                         ids=["negative-seed", "zero-channels"])
-def test_run_and_sweep_validate_scenario(bad):
-    with pytest.raises(ConfigurationError, match="invalid scenario"):
-        run(bad, 0.3, replications=1)
-    with pytest.raises(ConfigurationError, match="invalid scenario"):
-        sweep(bad, (0.3,), replications=1)
+# each bad scenario is a valid one-load, one-replication sweep with one field
+# changed; `run_replication` checks the scenario as `sweep` does
+VALID = replace(N2, offered_loads=(0.3,), replications=1)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("rng_seed", -1), ("channels", 0), ("collision_model", "XX"), ("replications", 0),
+    ("replications", -1), ("offered_loads", (1.5,)), ("offered_loads", (0.0,)),
+    ("offered_loads", ()), ("sim_duration_s", 0.0), ("sim_duration_s", -5.0),
+    ("duty_cycle_limit", 0.0),
+], ids=["negative-seed", "zero-channels", "bad-model", "zero-replications",
+        "negative-replications", "load-above-one", "zero-load", "no-loads", "zero-duration",
+        "negative-duration", "zero-duty"])
+def test_run_and_sweep_validate_scenario(field, value):
+    bad = replace(VALID, **{field: value})
+    with pytest.raises(ConfigurationError, match=f"(?s)invalid scenario.*{field}"):
+        sweep(bad)
+    with pytest.raises(ConfigurationError, match=f"(?s)invalid scenario.*{field}"):
+        run_replication(bad, 0.5, seed=0)
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_sweep_rejects_bad_jobs(jobs):
+    with pytest.raises(ConfigurationError, match="jobs"):
+        sweep(VALID, jobs=jobs)
+
+
+def test_sweep_takes_no_positional_overrides():
+    # the removed (loads, replications, master seed, jobs) positions
+    with pytest.raises(TypeError):
+        sweep(VALID, (0.3,), 1)
+    with pytest.raises(TypeError):
+        sweep_models(VALID, ("BP",), 2)
 
 
 def test_channel_draw_leaves_traffic_unchanged():
@@ -463,7 +486,7 @@ def test_channel_labels_are_drawn_for_two_or_more_channels(channels, monkeypatch
 
 
 def test_multichannel_projection_scales_linearly():
-    out = run(N1, 0.3, replications=2, master_seed=77)
+    (out,) = sweep(replace(N1, offered_loads=(0.3,), replications=2, rng_seed=77))
     proj1 = multichannel_projection(out, 1)
     assert proj1 == out
     proj5 = multichannel_projection(out, 5)
@@ -472,39 +495,6 @@ def test_multichannel_projection_scales_linearly():
     assert proj5.tx_count == pytest.approx(5 * out.tx_count, rel=1e-15)
     with pytest.raises(ConfigurationError):
         multichannel_projection(out, 0)
-
-
-def test_run_rejects_bad_model():
-    bad = replace(N1, collision_model="XX")
-    with pytest.raises(ConfigurationError):
-        run(bad, 0.3, replications=1)
-
-
-@pytest.mark.parametrize("kwargs", [dict(replications=0), dict(replications=-1),
-                                    dict(jobs=0), dict(jobs=-3)])
-def test_sweep_rejects_bad_counts(kwargs):
-    with pytest.raises(ConfigurationError):
-        sweep(N2, loads=(0.2,), **kwargs)
-
-
-@pytest.mark.parametrize("loads", [(1.5,), (0.0,), ()])
-def test_run_and_sweep_check_loads_as_scenario_loads(loads):
-    with pytest.raises(ConfigurationError, match="invalid scenario"):
-        sweep(N2, loads, replications=1)
-    if loads:
-        with pytest.raises(ConfigurationError, match="invalid scenario"):
-            run(N2, loads[0], replications=1)
-
-
-def test_run_rejects_zero_replications():
-    with pytest.raises(ConfigurationError, match="replications"):
-        run(N2, 0.2, replications=0)
-
-
-def test_zero_duration_rejected():
-    bad = replace(N1, sim_duration_s=0.0)
-    with pytest.raises(ConfigurationError):
-        run(bad, 0.3, replications=1)
 
 
 def test_resolve_reception_rejects_bad_duration():

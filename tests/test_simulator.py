@@ -427,13 +427,11 @@ VALID = replace(N2, offered_loads=(0.3,), replications=1)
 
 
 @pytest.mark.parametrize("field,value", [
-    ("rng_seed", -1), ("channels", 0), ("collision_model", "XX"), ("replications", 0),
-    ("replications", -1), ("offered_loads", (1.5,)), ("offered_loads", (0.0,)),
-    ("offered_loads", ()), ("sim_duration_s", 0.0), ("sim_duration_s", -5.0),
-    ("duty_cycle_limit", 0.0),
-], ids=["negative-seed", "zero-channels", "bad-model", "zero-replications",
-        "negative-replications", "load-above-one", "zero-load", "no-loads", "zero-duration",
-        "negative-duration", "zero-duty"])
+    ("rng_seed", -1), ("channels", 0), ("collision_model", "XX"),
+    ("offered_loads", (1.5,)), ("offered_loads", (0.0,)), ("offered_loads", ()),
+    ("sim_duration_s", 0.0), ("sim_duration_s", -5.0), ("duty_cycle_limit", 0.0),
+], ids=["negative-seed", "zero-channels", "bad-model", "load-above-one", "zero-load",
+        "no-loads", "zero-duration", "negative-duration", "zero-duty"])
 def test_run_and_sweep_validate_scenario(field, value):
     bad = replace(VALID, **{field: value})
     with pytest.raises(ConfigurationError, match=f"(?s)invalid scenario.*{field}"):
@@ -442,10 +440,18 @@ def test_run_and_sweep_validate_scenario(field, value):
         run_replication(bad, 0.5, seed=0)
 
 
-@pytest.mark.parametrize("jobs", [0, -3])
-def test_sweep_rejects_bad_jobs(jobs):
-    with pytest.raises(ConfigurationError, match="jobs"):
-        sweep(VALID, jobs=jobs)
+@pytest.mark.parametrize("kwargs", [dict(replications=0), dict(replications=-1),
+                                    dict(jobs=0), dict(jobs=-3)])
+def test_sweep_rejects_bad_counts(kwargs):
+    scn = replace(VALID, replications=kwargs.get("replications", 1))
+    with pytest.raises(ConfigurationError, match="replications|jobs"):
+        sweep(scn, jobs=kwargs.get("jobs", 1))
+
+
+def test_run_rejects_zero_replications():
+    bad = replace(VALID, replications=0)
+    with pytest.raises(ConfigurationError, match="replications"):
+        run_replication(bad, 0.2, seed=0)
 
 
 def test_sweep_takes_no_positional_overrides():

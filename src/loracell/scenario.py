@@ -306,10 +306,12 @@ class Scenario:
             errs.append("channels: must be at least 1")
         return errs
 
+    _errors = cached_property(errors)      # `validate` checks a frozen scenario once
+
 
 def validate(scenario: Scenario) -> Scenario:
     """Check every invariant; raise ConfigurationError listing all violations."""
-    errs = scenario.errors()
+    errs = scenario._errors
     if errs:
         raise ConfigurationError("invalid scenario:\n  " + "\n  ".join(errs))
     return scenario

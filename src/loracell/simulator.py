@@ -56,11 +56,11 @@ overlapping pairs come lag by lag from one shrinking index set, which stops
 at the first empty lag: time O(n + overlapping pairs), memory O(n), and as
 many lag steps as the deepest overlap. A packet's interference is the direct
 sum of its partners' powers, added lag by lag and, at each lag, the later
-partner before the earlier one; a lone packet's is exactly 0.0. IIC keeps
-one such sum per SF present and adds them in SF order. An exact SINR tie
-goes to the later packet. IC picks each episode's winner among lone packets
-and those whose SINR clears delta_ii only: all others lie below delta_ii,
-so the episode's max-SINR packet is among them if any packet is.
+partner before the earlier one; a lone packet's is exactly 0.0. IIC adds one
+such sum per SF present, in SF order; each starts at -0.0, whose sign bit a
+partner clears (even at 0.0 mW) to flag presence, as x + -0.0 == x. An exact
+SINR tie goes to the later packet. A lone packet is its own winner; IC picks
+the rest among those that clear delta_ii (no other can win), IIC among all.
 Each packet carries only its start, channel and sending node; airtime, SF
 and receive power are read from per-node tables. A replication is
 bit-reproducible from its seed. No model draws from the stream, so the models
@@ -172,18 +172,16 @@ def _interference(starts, ends, pw, first, stop=None):
 
 def _interference_by_row(starts, ends, pw, first, row, stop=None):
     """The same sums in the same order, split by the partner's row: [r, p]
-    sums p's partners q with row[q] == r, and `has` flags those with one."""
+    sums p's partners q with row[q] == r. Each starts at -0.0, and a partner,
+    even at 0.0 mW, clears the sign bit, so it flags presence (x + -0.0 == x)."""
     n = starts.size
     at = row * n
-    inter = np.zeros((row.max() + 1) * n)
-    has = np.zeros(inter.size, dtype=bool)
+    inter = np.full((row.max() + 1) * n, -0.0)
     for k, i in _overlap_lags(starts, ends, first, stop):
         j = i + k
-        later, earlier = at[j] + i, at[i] + j   # i's entry for j, j's for i
-        inter[later] += pw[j]
-        inter[earlier] += pw[i]
-        has[later] = has[earlier] = True
-    return inter.reshape(-1, n), has.reshape(-1, n)
+        inter[at[j] + i] += pw[j]      # i's entry for the later j, then j's for i
+        inter[at[i] + j] += pw[i]
+    return inter.reshape(-1, n)
 
 
 def _episode_heads(starts, ends, label=None):
@@ -229,7 +227,6 @@ def _resolve_partition(starts, owner, label, node_toa, node_sf, node_pw, node_ok
         return node_ok[owner] & alone
 
     n = len(starts)
-    received = np.zeros(n, dtype=bool)
     pw = node_pw[owner]
     first = starts[1:] < ends[:-1]
     stop = None                        # the end of each packet's partition
@@ -240,6 +237,7 @@ def _resolve_partition(starts, owner, label, node_toa, node_sf, node_pw, node_ok
         sinr = pw / (_interference(starts, ends, pw, first, stop) + noise_mw)
         delta = np.diagonal(sir_lin)[node_sf[owner] if np.ptp(node_sf) else node_sf[owner[0]]]
         cand = np.flatnonzero(alone | (sinr >= delta))
+        received = np.zeros(n, dtype=bool)
         if cand.size:                  # int32 episode ids: no calendar in memory nears 2^31
             w = cand[_winners_per_group(np.cumsum(heads, dtype=np.int32)[cand], sinr[cand])]
             received[w] = node_ok[owner[w]]
@@ -250,19 +248,22 @@ def _resolve_partition(starts, owner, label, node_toa, node_sf, node_pw, node_ok
         sf_idx = node_sf[owner]
         present = np.flatnonzero(np.bincount(sf_idx, minlength=NUM_SF))
         row = np.searchsorted(present, np.arange(NUM_SF))[sf_idx]    # a six-entry table
-        inter, has = _interference_by_row(starts, ends, pw, first, row, stop)
+        inter = _interference_by_row(starts, ends, pw, first, row, stop)
         sinr = pw / (noise_mw + sum(inter[1:], inter[0]))
-        # one winner per SF and episode: groups run SF-major, then by start
-        by_sf = np.concatenate([np.flatnonzero(sf_idx == j) for j in present])
+        received = node_ok[owner] & alone    # a lone packet wins, with no threshold
+        crowd = np.flatnonzero(~alone)
+        if not crowd.size:
+            return received
+        # one winner per SF and episode among the rest: groups run SF-major, then by start
+        by_sf = crowd[np.argsort(sf_idx[crowd].astype(np.uint8), kind="stable")]
         group = (sf_idx * n + np.cumsum(heads, dtype=np.int32))[by_sf]
         w = by_sf[_winners_per_group(group, sinr[by_sf])]
-        received[w] = node_ok[owner[w]]
-        w = w[~alone[w]]               # a lone winner has no threshold to clear
-        # the pairwise threshold against each SF present, on C-ordered (SF, winner)
-        # arrays: `inter[:, w]` is in Fortran order
-        delta = np.take(sir_lin.T[present], sf_idx[w], axis=1)
-        clears = pw[w] >= delta * (noise_mw + np.take(inter, w, axis=1))
-        received[w] &= (clears | ~np.take(has, w, axis=1)).all(axis=0)
+        # the pairwise threshold against each SF present, one row at a time
+        sf_w, pw_w, clears = sf_idx[w], pw[w], node_ok[owner[w]]
+        for r, j in enumerate(present):
+            i_r = inter[r].take(w)
+            clears &= np.signbit(i_r) | (pw_w >= sir_lin[:, j].take(sf_w) * (noise_mw + i_r))
+        received[w] = clears
         return received
 
     raise ConfigurationError(f"unknown collision model {model!r}")
@@ -374,16 +375,16 @@ def _accept(times, nodes, node_toa, duty_limit):
     an i, or with two consecutive close arrivals (t[i] < t[i-1] + toa). Any
     other node has no duty drop, and its close arrivals follow kept ones, so
     it keeps the rest."""
+    bounds = np.searchsorted(nodes, np.arange(node_toa.size + 1, dtype=nodes.dtype))
+    counts = np.diff(bounds)
     close = np.zeros(times.size, dtype=bool)
     close[1:] = ((nodes[1:] == nodes[:-1])
-                 & (times[1:] < times[:-1] + node_toa[nodes[1:]]))
+                 & (times[1:] < times[:-1] + np.repeat(node_toa, counts)[1:]))
     keep = ~close
     budget = duty_limit * 3600.0 + 1e-12
     lag = np.floor(budget / node_toa)               # the quotient may round across K
     lag += (lag + 1) * node_toa <= budget
     lag = (lag - (lag * node_toa > budget)).astype(np.intp)
-    counts = np.bincount(nodes, minlength=node_toa.size)
-    bounds = np.concatenate(([0], np.cumsum(counts)))
     over = np.flatnonzero(counts > lag)             # a node with an arrival i + K
     span = counts[over] - lag[over]
     i = np.repeat(bounds[over] + span - np.cumsum(span), span) + np.arange(span.sum())

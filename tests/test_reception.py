@@ -8,6 +8,7 @@ documented order (lag by lag, at each lag the later partner before the
 earlier one), so the library's flags must equal them flag for flag."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -509,6 +510,24 @@ def test_iic_pairwise_tie_is_received():
     assert resolve_reception([a, b], "IIC", _with_sir_sf7(above, 1), N2.radio) == [False, False]
 
 
+def test_iic_zero_power_partner_still_counts():
+    # an SF8 partner whose power underflows to 0.0 mW still overlaps the SF7
+    # packet, so the SF7 winner must clear delta(SF7, SF8) against noise alone;
+    # at 40 dB that bound lies above its power, and it is lost. Under IC the
+    # SFs are transparent, and under BP any overlap destroys both
+    a = PacketEvent(node=0, sf=7, start_s=0.0, duration_s=SF_TOA[0], rx_power_dbm=-80.0)
+    b = PacketEvent(node=1, sf=8, start_s=0.01, duration_s=SF_TOA[1], rx_power_dbm=-5000.0)
+    assert 10.0 ** (b.rx_power_dbm / 10.0) == 0.0
+    thresholds = _with_sir_sf7(40.0, 1)
+    assert thresholds.sir_linear[0, 1] * noise_power_mw(N2.radio) > 10.0 ** (a.rx_power_dbm / 10.0)
+    for model, want in (("IIC", [False, False]), ("IC", [True, False]), ("BP", [False, False])):
+        assert resolve_reception([a, b], model, thresholds, N2.radio) == want
+        assert pairwise_resolve(*as_arrays([a, b]), model,
+                                replace(N2, thresholds=thresholds)).tolist() == want
+    # with a 0 dB bound the SF7 packet clears it, so only the threshold decides
+    assert resolve_reception([a, b], "IIC", _with_sir_sf7(0.0, 1), N2.radio) == [True, False]
+
+
 def n1_calendar(seed=2017):
     """One N1 replication's calendar at G=1 as the simulator draws it, about
     155k SF7 packets in start order, with its node tables."""
@@ -565,11 +584,31 @@ def test_interference_is_the_exact_sum_on_a_full_n1_calendar():
     exact = np.array([math.fsum(powers[a:b]) for a, b in zip(bounds[:-1], bounds[1:])])
     lone = bounds[1:] == bounds[:-1]
     assert 0 < lone.sum() < starts.size
-    rows, has = _interference_by_row(starts, ends, pw, first, owner % NUM_SF)
+    rows = _interference_by_row(starts, ends, pw, first, owner % NUM_SF)
+    has = ~np.signbit(rows)
     for inter in (_interference(starts, ends, pw, first), sum(rows[1:], rows[0])):
         assert np.all(inter[lone] == 0.0)
         assert np.all(np.abs(inter - exact) <= 1e-12 * exact)
     assert np.array_equal(has.any(axis=0), ~lone)
+
+
+def test_iic_peak_memory_stays_near_ic():
+    # IIC holds partner presence in the sign bit of its row sums and checks the
+    # pairwise threshold one row at a time, so on an N2 calendar at G=1 its
+    # peak traced memory stays within 1.15x of IC's. A bool presence matrix
+    # and (row x winner) temporaries read 1.30x
+    starts, owner, chans, *tables, _, _ = _calendar(np.random.default_rng(2018), N2, 1.0)
+    peaks = {}
+    for model in ("IC", "IIC"):
+        args = (starts, owner, chans, *tables, model, N2.thresholds, N2.radio)
+        _resolve(*args)                         # first-use loads are no working set
+        tracemalloc.start()
+        try:
+            _resolve(*args)
+            peaks[model] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["IIC"] <= 1.15 * peaks["IC"]
 
 
 @pytest.mark.parametrize("model", ["IC", "IIC"])
@@ -609,7 +648,8 @@ def test_unequal_durations_at_scale_match_reference(model):
     first = st_[1:] < en[:-1]
     tgt, src = ref_pairs(st_, en)
     assert np.array_equal(_interference(st_, en, pw, first), ref_sums(tgt, src, pw, n)[0])
-    rows, has = _interference_by_row(st_, en, pw, first, sf_idx[order])
+    rows = _interference_by_row(st_, en, pw, first, sf_idx[order])
+    has = ~np.signbit(rows)
     for j in range(NUM_SF):
         inter, cnt = ref_sums(tgt, src, pw, n, sf_idx[order][src] == j)
         assert np.array_equal(rows[j], inter) and np.array_equal(has[j], cnt > 0)

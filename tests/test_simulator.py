@@ -440,7 +440,19 @@ def test_run_and_sweep_validate_scenario(field, value):
         run_replication(bad, 0.5, seed=0)
 
 
-@pytest.mark.parametrize("kwargs", [dict(replications=0), dict(replications=-1),
+def test_copy_of_a_validated_scenario_is_checked_again():
+    # a frozen scenario keeps its check after the first one; a
+    # `dataclasses.replace` copy is a new object, so it is checked afresh
+    scn = replace(VALID)
+    run_replication(scn, 0.5, seed=0)
+    bad = replace(scn, channels=0)
+    with pytest.raises(ConfigurationError, match="(?s)invalid scenario.*channels"):
+        run_replication(bad, 0.5, seed=0)
+    with pytest.raises(ConfigurationError, match="(?s)invalid scenario.*channels"):
+        sweep(bad)
+
+
+@pytest.mark.parametrize("kwargs",[dict(replications=0), dict(replications=-1),
                                     dict(jobs=0), dict(jobs=-3)])
 def test_sweep_rejects_bad_counts(kwargs):
     scn = replace(VALID, replications=kwargs.get("replications", 1))

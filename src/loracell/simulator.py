@@ -179,8 +179,8 @@ def _interference_by_row(starts, ends, pw, first, row, stop=None):
     inter = np.full((row.max() + 1) * n, -0.0)
     for k, i in _overlap_lags(starts, ends, first, stop):
         j = i + k
-        inter[at[j] + i] += pw[j]      # i's entry for the later j, then j's for i
-        inter[at[i] + j] += pw[i]
+        np.add.at(inter, at[j] + i, pw[j])      # i's entry for the later j, then j's for i
+        np.add.at(inter, at[i] + j, pw[i])
     return inter.reshape(-1, n)
 
 

@@ -596,7 +596,7 @@ def test_iic_peak_memory_stays_near_ic():
     # IIC holds partner presence in the sign bit of its row sums and checks the
     # pairwise threshold one row at a time, so on an N2 calendar at G=1 its
     # peak traced memory stays within 1.15x of IC's. A bool presence matrix
-    # and (row x winner) temporaries read 1.30x
+    # and (row x winner) temporaries read 1.31x
     starts, owner, chans, *tables, _, _ = _calendar(np.random.default_rng(2018), N2, 1.0)
     peaks = {}
     for model in ("IC", "IIC"):

@@ -452,7 +452,7 @@ def test_copy_of_a_validated_scenario_is_checked_again():
         sweep(bad)
 
 
-@pytest.mark.parametrize("kwargs",[dict(replications=0), dict(replications=-1),
+@pytest.mark.parametrize("kwargs", [dict(replications=0), dict(replications=-1),
                                     dict(jobs=0), dict(jobs=-3)])
 def test_sweep_rejects_bad_counts(kwargs):
     scn = replace(VALID, replications=kwargs.get("replications", 1))

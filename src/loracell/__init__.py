@@ -33,9 +33,11 @@ from .scenario import (
     validate,
 )
 from .simulator import (
+    Calendar,
     PacketEvent,
     ReplicationResult,
     SimOutcome,
+    draw_calendar,
     hata_rural_loss,
     multichannel_projection,
     resolve_reception,

@@ -117,6 +117,13 @@ class RadioConfig:
         for name in ("noise_figure_db", "gateway_gain_dbi", "device_gain_dbi"):
             if not math.isfinite(getattr(self, name)):
                 errs.append(f"radio.{name}: must be finite")
+        # the one-sided bounds above pass these infinities, which `_cast` refuses
+        for name in ("carrier_hz", "bandwidth_hz", "gateway_height_m", "device_height_m",
+                     "path_loss_exponent", "tx_power_limit_dbm"):
+            if getattr(self, name) == math.inf:
+                errs.append(f"radio.{name}: must be finite")
+        if self.tx_power_dbm == -math.inf:
+            errs.append("radio.tx_power_dbm: must be finite")
         try:
             self.coding_rate_index
         except ConfigurationError as exc:
@@ -219,6 +226,8 @@ class ThresholdSet:
             errs.append("thresholds.snr_floor_db: expected one floor per SF 7..12")
         elif not np.all(np.diff(self.snr_floor_db) < 0):
             errs.append("thresholds.snr_floor_db: floors must strictly decrease with SF")
+        elif not np.isfinite(self.snr_floor_db).all():    # an infinity first or last
+            errs.append("thresholds.snr_floor_db: floors must be finite")
         if len(self.sir_db) != NUM_SF:
             errs.append("thresholds.sir_db: expected 6 rows")
             return errs
@@ -302,6 +311,8 @@ class Scenario:
             errs.append("replications: must be at least 1")
         if not self.sim_duration_s > 0:
             errs.append("sim_duration_s: must be positive")
+        elif self.sim_duration_s == math.inf:
+            errs.append("sim_duration_s: must be finite")
         if not self.channels >= 1:
             errs.append("channels: must be at least 1")
         return errs

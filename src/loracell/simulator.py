@@ -44,12 +44,14 @@ other belong to one episode when a chain of overlapping packets links them.
 
 Outcomes depend only on each packet's overlaps and its episode, so
 reception is resolved after the fact over the sorted event calendar, which
-permits a fully vectorized implementation. The resolver takes packets in
-start order and sorts none: a replication draws them in that order, and
-`resolve_reception` takes one stable argsort of the starts and scatters the
-flags back. A calendar resolves in one pass over its partitions (channels,
-and under IC (channel, SF) pairs) in partition-major order, start order
-within each; no pair spans two. With starts sorted, packet i+k overlaps
+permits a fully vectorized implementation. A `Calendar` is the boundary
+between the stages: each packet's start, channel and sending node, the
+per-node airtime, SF and receive power tables, and the busy and duty drop
+counts. `draw_calendar` draws one per replication, and each model resolves
+it; `resolve_reception` builds one from a stable argsort of the starts and
+scatters the flags back. A calendar resolves in one pass over its partitions
+(channels, and under IC (channel, SF) pairs) in partition-major order, start
+order within each; no pair spans two. With starts sorted, packet i+k overlaps
 packet i iff start[i+k] < end[i], whatever the order of the ends, and the
 packets i that do so at lag k+1 are among those that do at lag k. So the
 overlapping pairs come lag by lag from one shrinking index set, which stops
@@ -61,11 +63,10 @@ such sum per SF present, in SF order; each starts at -0.0, whose sign bit a
 partner clears (even at 0.0 mW) to flag presence, as x + -0.0 == x. An exact
 SINR tie goes to the later packet. A lone packet is its own winner; IC picks
 the rest among those that clear delta_ii (no other can win), IIC among all.
-Each packet carries only its start, channel and sending node; airtime, SF
-and receive power are read from per-node tables. A replication is
-bit-reproducible from its seed. No model draws from the stream, so the models
-of a case resolve one calendar per seed (`sweep_models`); replications use
-independently derived seeds and aggregate by averaging.
+A replication is bit-reproducible from its seed. No model draws from the
+stream, so the models of a case resolve one calendar per seed
+(`sweep_models`); replications use independently derived seeds and aggregate
+by averaging.
 """
 
 from __future__ import annotations
@@ -128,7 +129,8 @@ def sensitivity_dbm(radio: RadioConfig, thresholds: ThresholdSet) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PacketEvent:
-    """One uplink transmission as seen by the gateway."""
+    """One uplink transmission as seen by the gateway. `resolve_reception`
+    does not read `node`: each packet is its own node-table entry."""
 
     node: int
     sf: int
@@ -136,6 +138,25 @@ class PacketEvent:
     duration_s: float
     rx_power_dbm: float
     channel: int = 0
+
+
+@dataclass(frozen=True, eq=False)         # the columns are arrays
+class Calendar:
+    """One replication's packets: packet k starts at starts[k] on channel
+    channel[k] (a label in 0..C-1, or None for one channel) and is sent by
+    node owner[k] (intp), whose airtime, SF index and receive power (dBm)
+    the node tables give; plus the arrivals dropped busy and over duty.
+    Packets come in start order, ties in their stable order: the resolver
+    sorts none."""
+
+    starts: np.ndarray
+    owner: np.ndarray
+    channel: np.ndarray | None
+    node_toa: np.ndarray
+    node_sf: np.ndarray
+    node_dbm: np.ndarray
+    dropped_busy: int = 0
+    dropped_duty: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -269,20 +290,16 @@ def _resolve_partition(starts, owner, label, node_toa, node_sf, node_pw, node_ok
     raise ConfigurationError(f"unknown collision model {model!r}")
 
 
-def _resolve(starts, owner, chans, node_toa, node_sf, node_dbm, model, thresholds,
-             radio):
-    """Received flag per packet. Packet k starts at starts[k] on channel
-    chans[k] (a label in 0..C-1, or None for one channel) and is sent by
-    node owner[k]; the node tables give each node's airtime, SF index and
-    receive power (dBm). A packet competes only with its partition: its
-    channel, and under IC its (channel, SF) pair. Packets must come in start
-    order, ties in their stable order. A replication draws packets in start
-    order, and `resolve_reception` sorts them once. Several partitions are
-    stably sorted by label for one `_resolve_partition` pass."""
+def _resolve(calendar: Calendar, model, thresholds, radio):
+    """Received flag per packet of `calendar`. A packet competes only with
+    its partition: its channel, and under IC its (channel, SF) pair. Several
+    partitions are stably sorted by label for one `_resolve_partition` pass."""
+    starts, owner, chans, node_sf, node_dbm = (
+        calendar.starts, calendar.owner, calendar.channel, calendar.node_sf, calendar.node_dbm)
     if not starts.size:
         return np.zeros(0, dtype=bool)
     node_ok = node_dbm >= sensitivity_dbm(radio, thresholds)[node_sf]
-    tables = (node_toa, node_sf, 10.0 ** (node_dbm / 10.0), node_ok, model,
+    tables = (calendar.node_toa, node_sf, 10.0 ** (node_dbm / 10.0), node_ok, model,
               thresholds.sir_linear, noise_power_mw(radio))
     # with one SF on every node, the IC (channel, SF) partitions are the channels
     part = chans
@@ -318,9 +335,9 @@ def resolve_reception(packets: Sequence[PacketEvent], model: str,
     # channels as labels 0..C-1; every packet is its own node-table entry
     chans = np.unique([p.channel for p in packets], return_inverse=True)[1]
     order = np.argsort(starts, kind="stable")
+    cal = Calendar(starts[order], order, chans[order], durs, sfs.astype(int) - SF_RANGE[0], dbm)
     received = np.empty(order.size, dtype=bool)
-    received[order] = _resolve(starts[order], order, chans[order], durs,
-                               sfs.astype(int) - SF_RANGE[0], dbm, model, thresholds, radio)
+    received[order] = _resolve(cal, model, thresholds, radio)
     return received.tolist()
 
 
@@ -401,14 +418,14 @@ def _accept(times, nodes, node_toa, duty_limit):
     return keep, dropped_busy, dropped_duty
 
 
-def _calendar(rng, scenario, offered_load):
-    """One replication's calendar, drawn from `rng` in this order: placement,
-    the Poisson total, the arrival uniforms, their node labels and, with two
-    channels or more, a channel label per kept packet. Returns `_resolve`'s
-    first six arguments (kept starts in start order, their nodes as intp, which
-    gathers faster than compact labels, the channel labels or None, and the
-    per-node airtime, SF index and receive power in dBm), then the busy and
-    duty drop counts. The arrival arrays are freed on return, before reception."""
+def draw_calendar(scenario: Scenario, offered_load: float, seed) -> Calendar:
+    """One replication's `Calendar`, drawn from `np.random.default_rng(seed)`
+    in this order: placement, the Poisson total, the arrival uniforms, their
+    node labels and, with two channels or more, a channel label per kept
+    packet. Owners are intp, which gathers faster than compact labels. The
+    arrival arrays are freed on return, before reception."""
+    validate(scenario)
+    rng = np.random.default_rng(seed)
     placement = sample_placement(scenario, rng=rng)
     radio = scenario.radio
     node_dbm = (radio.tx_power_dbm + radio.gateway_gain_dbi + radio.device_gain_dbi
@@ -424,7 +441,7 @@ def _calendar(rng, scenario, offered_load):
     starts, owner = times[keep], nodes[keep].astype(np.intp)
     # one channel draws nothing from the stream, so it needs no label array
     chans = rng.integers(0, scenario.channels, size=starts.size) if scenario.channels > 1 else None
-    return starts, owner, chans, node_toa, node_sf, node_dbm, dropped_busy, dropped_duty
+    return Calendar(starts, owner, chans, node_toa, node_sf, node_dbm, dropped_busy, dropped_duty)
 
 
 @dataclass(frozen=True)
@@ -447,34 +464,32 @@ class ReplicationResult:
 
 def _replicate(scenario: Scenario, offered_load: float, seed,
                models: Sequence[str]) -> list[ReplicationResult]:
-    """One seeded instance per model, in order: draw the calendar once
-    (`_calendar`), then resolve reception and tally under each model."""
-    *tables, dropped_busy, dropped_duty = _calendar(
-        np.random.default_rng(seed), scenario, offered_load)
-    starts, nodes, _, node_toa, node_sf, _ = tables
+    """One seeded instance per model, in order: draw the calendar once, then
+    resolve reception and tally under each model."""
+    cal = draw_calendar(scenario, offered_load, seed)
     duration = scenario.sim_duration_s
-    node_tx = np.bincount(nodes, minlength=scenario.node_count)
-    node_airtime = node_tx * node_toa
-    tx = int(starts.size)
+    node_tx = np.bincount(cal.owner, minlength=scenario.node_count)
+    node_airtime = node_tx * cal.node_toa
+    tx = int(cal.starts.size)
     measured_g = float(node_airtime.sum() / duration)
-    per_sf_tx = np.bincount(node_sf, weights=node_tx, minlength=NUM_SF)
+    per_sf_tx = np.bincount(cal.node_sf, weights=node_tx, minlength=NUM_SF)
     results = []
     for model in models:
-        received = _resolve(*tables, model, scenario.thresholds, scenario.radio)
+        received = _resolve(cal, model, scenario.thresholds, scenario.radio)
         rx = int(np.count_nonzero(received))
         pdr = rx / tx if tx else 0.0
-        node_rx = np.bincount(nodes, weights=received, minlength=scenario.node_count)
-        per_sf_rx = np.bincount(node_sf, weights=node_rx, minlength=NUM_SF)
+        node_rx = np.bincount(cal.owner, weights=received, minlength=scenario.node_count)
+        per_sf_rx = np.bincount(cal.node_sf, weights=node_rx, minlength=NUM_SF)
         results.append(ReplicationResult(
             offered_load=offered_load,
             measured_g=measured_g,
             tx_count=tx,
             rx_count=rx,
-            dropped_busy=dropped_busy,
-            dropped_duty=dropped_duty,
+            dropped_busy=cal.dropped_busy,
+            dropped_duty=cal.dropped_duty,
             pdr=pdr,
             throughput=measured_g * pdr,
-            rx_airtime_fraction=float(node_rx @ node_toa / duration),
+            rx_airtime_fraction=float(node_rx @ cal.node_toa / duration),
             per_sf_tx=tuple(int(v) for v in per_sf_tx),
             per_sf_rx=tuple(int(v) for v in per_sf_rx),
             max_node_airtime_fraction=float(node_airtime.max() / duration),
@@ -484,7 +499,7 @@ def _replicate(scenario: Scenario, offered_load: float, seed,
 
 def run_replication(scenario: Scenario, offered_load: float, seed) -> ReplicationResult:
     """One seeded instance: place nodes, generate traffic, resolve reception."""
-    return _replicate(validate(scenario), offered_load, seed, (scenario.collision_model,))[0]
+    return _replicate(scenario, offered_load, seed, (scenario.collision_model,))[0]
 
 
 @dataclass(frozen=True)

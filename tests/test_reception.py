@@ -20,11 +20,12 @@ from loracell import PacketEvent, default_scenario, lora_airtime, resolve_recept
 from loracell.coverage import noise_power_mw
 from loracell.scenario import NUM_SF, SF_RANGE
 from loracell.simulator import (
-    _calendar,
+    Calendar,
     _interference,
     _interference_by_row,
     _overlap_lags,
     _resolve,
+    draw_calendar,
     sensitivity_dbm,
 )
 
@@ -278,8 +279,8 @@ def test_node_table_gathers_match_reference(tables, model):
     node_toa = np.array(SF_TOA)[node_sf]
     order = np.argsort(starts, kind="stable")       # _resolve takes start order
     got = np.empty(starts.size, dtype=bool)
-    got[order] = _resolve(starts[order], owner[order], chans[order], node_toa, node_sf,
-                          node_dbm, model, N2.thresholds, N2.radio)
+    cal = Calendar(starts[order], owner[order], chans[order], node_toa, node_sf, node_dbm)
+    got[order] = _resolve(cal, model, N2.thresholds, N2.radio)
     want = pairwise_resolve(starts, node_toa[owner], node_sf[owner], node_dbm[owner], chans,
                             model)
     assert np.array_equal(got, want)
@@ -332,7 +333,7 @@ def test_dense_touching_chains_match_reference(model):
     chans = np.zeros(n, dtype=int)
     order = np.argsort(starts, kind="stable")       # _resolve takes start order
     got = np.empty(n, dtype=bool)
-    got[order] = _resolve(starts[order], order, chans, durs, sf_idx, rx_dbm, model,
+    got[order] = _resolve(Calendar(starts[order], order, chans, durs, sf_idx, rx_dbm), model,
                           N2.thresholds, N2.radio)
     assert np.array_equal(got, ref_resolve(starts, durs, sf_idx, rx_dbm, chans, model))
 
@@ -532,21 +533,20 @@ def n1_calendar(seed=2017):
     """One N1 replication's calendar at G=1 as the simulator draws it, about
     155k SF7 packets in start order, with its node tables."""
     scn = replace(default_scenario("sim_n1"), collision_model="IC")
-    starts, owner, _, node_toa, node_sf, node_dbm, _, _ = _calendar(
-        np.random.default_rng(seed), scn, 1.0)
-    assert starts.size > 150_000
-    return scn, starts, owner, node_toa, node_sf, node_dbm
+    cal = draw_calendar(scn, 1.0, seed)
+    assert cal.starts.size > 150_000
+    return scn, cal
 
 
 def test_ic_full_n1_calendar_matches_reference():
     # one IC partition of about 155k packets: the lag loop and the candidate
     # winners at full scale
-    scn, starts, owner, node_toa, node_sf, node_dbm = n1_calendar()
+    scn, cal = n1_calendar()
+    starts, owner = cal.starts, cal.owner
     chans = np.zeros(starts.size, dtype=int)
-    got = _resolve(starts, owner, chans, node_toa, node_sf, node_dbm, "IC",
-                   scn.thresholds, scn.radio)
-    want = ref_resolve(starts, node_toa[owner], node_sf[owner], node_dbm[owner], chans,
-                       "IC", scn)
+    got = _resolve(replace(cal, channel=chans), "IC", scn.thresholds, scn.radio)
+    want = ref_resolve(starts, cal.node_toa[owner], cal.node_sf[owner], cal.node_dbm[owner],
+                       chans, "IC", scn)
     assert np.array_equal(got, want)
     assert 0 < got.sum() < starts.size
 
@@ -556,15 +556,14 @@ def test_one_channel_without_labels_matches_all_zero_labels(model):
     # one channel passes no label array; the flags equal those of an explicit
     # all-zero one. The N2 calendar has every SF, so IC resolves six partitions
     scn = replace(N2, collision_model=model)
-    starts, owner, chans, node_toa, node_sf, node_dbm, _, _ = _calendar(
-        np.random.default_rng(2018), scn, 1.0)
-    assert chans is None and np.unique(node_sf[owner]).size == NUM_SF
-    tables = (node_toa, node_sf, node_dbm, model, scn.thresholds, scn.radio)
-    got = _resolve(starts, owner, None, *tables)
-    assert np.array_equal(got, _resolve(starts, owner, np.zeros(starts.size, dtype=int),
-                                        *tables))
-    assert 0 < got.sum() < starts.size
-    assert _resolve(starts[:0], owner[:0], None, *tables).size == 0
+    cal = draw_calendar(scn, 1.0, 2018)
+    n = cal.starts.size
+    assert cal.channel is None and np.unique(cal.node_sf[cal.owner]).size == NUM_SF
+    args = (model, scn.thresholds, scn.radio)
+    got = _resolve(cal, *args)
+    assert np.array_equal(got, _resolve(replace(cal, channel=np.zeros(n, dtype=int)), *args))
+    assert 0 < got.sum() < n
+    assert _resolve(replace(cal, starts=cal.starts[:0], owner=cal.owner[:0]), *args).size == 0
 
 
 def test_interference_is_the_exact_sum_on_a_full_n1_calendar():
@@ -573,9 +572,10 @@ def test_interference_is_the_exact_sum_on_a_full_n1_calendar():
     # lone packet's is exactly 0.0. N1 has one SF, so the IIC rows are split
     # by node label into six. (The prefix-sum difference this replaced was
     # off by up to 3.1e-8 relative here, and left lone packets a residue.)
-    _, starts, owner, node_toa, _, node_dbm = n1_calendar()
-    ends = starts + node_toa[owner]
-    pw = (10.0 ** (node_dbm / 10.0))[owner]
+    _, cal = n1_calendar()
+    starts, owner = cal.starts, cal.owner
+    ends = starts + cal.node_toa[owner]
+    pw = (10.0 ** (cal.node_dbm / 10.0))[owner]
     first = starts[1:] < ends[:-1]
     tgt, src = ref_pairs(starts, ends)
     by_tgt = np.argsort(tgt, kind="stable")
@@ -597,10 +597,10 @@ def test_iic_peak_memory_stays_near_ic():
     # pairwise threshold one row at a time, so on an N2 calendar at G=1 its
     # peak traced memory stays within 1.15x of IC's. A bool presence matrix
     # and (row x winner) temporaries read 1.31x
-    starts, owner, chans, *tables, _, _ = _calendar(np.random.default_rng(2018), N2, 1.0)
+    cal = draw_calendar(N2, 1.0, 2018)
     peaks = {}
     for model in ("IC", "IIC"):
-        args = (starts, owner, chans, *tables, model, N2.thresholds, N2.radio)
+        args = (cal, model, N2.thresholds, N2.radio)
         _resolve(*args)                         # first-use loads are no working set
         tracemalloc.start()
         try:
@@ -666,7 +666,7 @@ def test_long_packet_over_ten_thousand_short_ones():
     ends = starts + durs
     assert len(lag_sets(starts, ends)) == n
     chans = np.zeros(n + 1, dtype=int)
-    got = _resolve(starts, np.arange(n + 1), chans, durs, sf_idx, rx_dbm, "IIC",
+    got = _resolve(Calendar(starts, np.arange(n + 1), chans, durs, sf_idx, rx_dbm), "IIC",
                    N2.thresholds, N2.radio)
     assert np.array_equal(got, ref_resolve(starts, durs, sf_idx, rx_dbm, chans, "IIC"))
     assert got.any()
@@ -683,7 +683,7 @@ def test_two_thousand_mutually_overlapping_packets(model):
     durs = np.array(SF_TOA)[sf_idx]
     rx_dbm = rng.uniform(-130.0, -70.0, size=n)
     chans = np.zeros(n, dtype=int)
-    got = _resolve(starts, np.arange(n), chans, durs, sf_idx, rx_dbm, model,
+    got = _resolve(Calendar(starts, np.arange(n), chans, durs, sf_idx, rx_dbm), model,
                    N2.thresholds, N2.radio)
     assert np.array_equal(got, ref_resolve(starts, durs, sf_idx, rx_dbm, chans, model))
 
@@ -698,8 +698,8 @@ def test_one_pass_over_five_channels_matches_each_partition_alone(case, load, se
     # and under IC each (channel, SF) pair's, and do not depend on which
     # label each channel carries
     scn = replace(default_scenario(case), channels=5)
-    starts, owner, chans, *nodes, _, _ = _calendar(np.random.default_rng(seed), scn, load)
-    node_sf = nodes[1]
+    cal = draw_calendar(scn, load, seed)
+    starts, owner, chans, node_sf = cal.starts, cal.owner, cal.channel, cal.node_sf
     relabelled = np.array([3, 0, 4, 2, 1])[chans]
     one_pass = simulator._resolve_partition
     calls = []
@@ -710,19 +710,20 @@ def test_one_pass_over_five_channels_matches_each_partition_alone(case, load, se
 
     monkeypatch.setattr(simulator, "_resolve_partition", counted)
     for model in ("BP", "IC", "IIC"):
-        tables = (*nodes, model, scn.thresholds, scn.radio)
+        args = (model, scn.thresholds, scn.radio)
         calls.clear()
-        got = _resolve(starts, owner, chans, *tables)
+        got = _resolve(cal, *args)
         assert calls == [False]                 # one labelled pass
         key = chans * NUM_SF + node_sf[owner] if model == "IC" else chans
         want = np.zeros(starts.size, dtype=bool)
         for k in np.unique(key):
             on = np.flatnonzero(key == k)
             calls.clear()
-            want[on] = _resolve(starts[on], owner[on], None, *tables)
+            want[on] = _resolve(replace(cal, starts=starts[on], owner=owner[on], channel=None),
+                                *args)
             assert calls == [True]              # one partition: no reorder
         assert np.array_equal(got, want)
-        assert np.array_equal(_resolve(starts, owner, relabelled, *tables), got)
+        assert np.array_equal(_resolve(replace(cal, channel=relabelled), *args), got)
         assert 0 < got.sum() < starts.size
 
 
@@ -841,3 +842,30 @@ def test_splitting_at_an_idle_gap_keeps_the_flags(model):
                 + resolve_reception(right, model, N2.thresholds, N2.radio))
         got = resolve_reception(whole, model, N2.thresholds, N2.radio)
         assert got == [want[k] for k in order], whole
+
+
+@pytest.mark.parametrize("case, channels, load, seed", [
+    ("sim_n1", 1, 0.3, 1), ("sim_n1", 1, 1.0, 2), ("sim_n1", 3, 0.3, 3), ("sim_n1", 3, 1.0, 1),
+    ("sim_n2", 1, 0.3, 2), ("sim_n2", 1, 1.0, 3), ("sim_n2", 3, 0.3, 1), ("sim_n2", 3, 1.0, 2),
+])
+def test_time_reversal_keeps_the_tallies(case, channels, load, seed):
+    # a whole calendar mirrored in time (start' = T - end, one stable sort)
+    # keeps every packet's partners and episode, so BP flags are equal. An IC
+    # or IIC SINR tie may pass to the other packet, which shares its SF and
+    # power, so per-SF rx (and the rx count) is equal; for IIC it is measured
+    scn = replace(default_scenario(case), channels=channels)
+    cal = draw_calendar(scn, load, seed)
+    flipped = scn.sim_duration_s - (cal.starts + cal.node_toa[cal.owner])
+    order = np.argsort(flipped, kind="stable")
+    mirror = replace(cal, starts=flipped[order], owner=cal.owner[order],
+                     channel=None if cal.channel is None else cal.channel[order])
+    sf = cal.node_sf[cal.owner]
+    for model in ("BP", "IC", "IIC"):
+        got = _resolve(cal, model, scn.thresholds, scn.radio)
+        back = np.empty_like(got)
+        back[order] = _resolve(mirror, model, scn.thresholds, scn.radio)
+        if model == "BP":
+            assert np.array_equal(back, got)
+        assert np.array_equal(np.bincount(sf[back], minlength=NUM_SF),
+                              np.bincount(sf[got], minlength=NUM_SF)), model
+        assert 0 < got.sum() < got.size

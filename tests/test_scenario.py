@@ -149,6 +149,10 @@ def _with_value(scn, field, value):
         rows[2][4] = value
         sir_db = tuple(tuple(r) for r in rows)
         return replace(scn, thresholds=replace(scn.thresholds, sir_db=sir_db))
+    if field == "thresholds.snr_floor_db":      # +inf first or -inf last keeps the order
+        floors = list(scn.thresholds.snr_floor_db)
+        floors[0 if value > 0 else -1] = value
+        return replace(scn, thresholds=replace(scn.thresholds, snr_floor_db=tuple(floors)))
     if field.startswith("radio."):
         return replace(scn, radio=replace(scn.radio, **{field[6:]: value}))
     return replace(scn, **{field: value})
@@ -170,9 +174,15 @@ def test_validate_rejects_nan(field):
 @pytest.mark.parametrize("field", [
     "radio.noise_figure_db", "radio.gateway_gain_dbi", "radio.device_gain_dbi",
     "thresholds.sir_db", "topology.cell_radius_m", "topology.node_count",
+    "radio.carrier_hz", "radio.bandwidth_hz", "radio.gateway_height_m",
+    "radio.device_height_m", "radio.path_loss_exponent", "radio.tx_power_limit_dbm",
+    "radio.tx_power_dbm", "sim_duration_s", "thresholds.snr_floor_db",
 ])
 def test_validate_rejects_infinite_link_values(field, value):
-    with pytest.raises(ConfigurationError, match=re.escape(field)) as err:
+    # a limit of -inf is rejected as the power above it, under the power's key
+    limit_below = (field, value) == ("radio.tx_power_limit_dbm", -math.inf)
+    key = "radio.tx_power_dbm" if limit_below else field
+    with pytest.raises(ConfigurationError, match=re.escape(key)) as err:
         validate(_with_value(default_scenario("coverage_eu868"), field, value))
     if field == "thresholds.sir_db":
         assert "(sf9, sf11)" in str(err.value)

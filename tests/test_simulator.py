@@ -11,6 +11,7 @@ from loracell import (
     PacketEvent,
     ReplicationResult,
     default_scenario,
+    draw_calendar,
     hata_rural_loss,
     multichannel_projection,
     pure_aloha_throughput,
@@ -176,7 +177,7 @@ def test_replication_bit_exact_determinism():
 
 
 # Golden replications: every ReplicationResult field, floats as float.hex.
-# The `_calendar` stage draws the cell's superposed Poisson stream (a total,
+# The `draw_calendar` stage draws the cell's superposed Poisson stream (a total,
 # the sorted times, then the node labels), so these values pin the random
 # stream; a change to the draws must regenerate them.
 # "N1x3" is N1 on three channels, which draws a channel per packet.
@@ -325,23 +326,21 @@ def test_replication_accounting():
     ids=["N1-IC-1ch", "N2-IIC-1ch", "N2-IC-2ch", "N1-BP-3ch"])
 def test_replication_tallies_its_calendar(scn, g):
     # the stage boundary: a replication's tallies are those recounted packet
-    # by packet from the calendar `_calendar` draws and `_resolve`'s flags
+    # by packet from the calendar `draw_calendar` draws and `_resolve`'s flags
     seed = 6
-    starts, owner, chans, node_toa, node_sf, node_dbm, busy, duty = simulator._calendar(
-        np.random.default_rng(seed), scn, g)
-    received = simulator._resolve(starts, owner, chans, node_toa, node_sf, node_dbm,
-                                  scn.collision_model, scn.thresholds, scn.radio).tolist()
-    toa = node_toa[owner].tolist()
-    sf = (node_sf[owner] + SF_RANGE[0]).tolist()
+    cal = draw_calendar(scn, g, seed)
+    received = simulator._resolve(cal, scn.collision_model, scn.thresholds, scn.radio).tolist()
+    toa = cal.node_toa[cal.owner].tolist()
+    sf = (cal.node_sf[cal.owner] + SF_RANGE[0]).tolist()
     node_airtime = [0.0] * scn.node_count
-    for node, t in zip(owner.tolist(), toa):
+    for node, t in zip(cal.owner.tolist(), toa):
         node_airtime[node] += t
     rx_sf = Counter(s for s, ok in zip(sf, received) if ok)
     duration = scn.sim_duration_s
 
     r = run_replication(scn, g, seed)
     assert (r.tx_count, r.rx_count, r.dropped_busy, r.dropped_duty) == (
-        len(toa), sum(received), busy, duty)
+        len(toa), sum(received), cal.dropped_busy, cal.dropped_duty)
     assert r.per_sf_tx == tuple(Counter(sf)[s] for s in SF_RANGE)
     assert r.per_sf_rx == tuple(rx_sf[s] for s in SF_RANGE)
     assert r.measured_g == pytest.approx(math.fsum(toa) / duration, rel=1e-12, abs=0)
@@ -484,19 +483,11 @@ def test_channel_draw_leaves_traffic_unchanged():
         assert getattr(three, field) == getattr(one, field)
 
 @pytest.mark.parametrize("channels", [1, 2])
-def test_channel_labels_are_drawn_for_two_or_more_channels(channels, monkeypatch):
+def test_channel_labels_are_drawn_for_two_or_more_channels(channels):
     # one channel hands the resolver no label array; two draw a label per
     # packet, and both channels carry packets
-    seen = []
-    resolve = simulator._resolve
-
-    def spy(starts, owner, chans, *rest):
-        seen.append(chans)
-        return resolve(starts, owner, chans, *rest)
-
-    monkeypatch.setattr(simulator, "_resolve", spy)
     r = run_replication(replace(N2, channels=channels), 0.8, seed=7)
-    (chans,) = seen
+    chans = draw_calendar(replace(N2, channels=channels), 0.8, 7).channel
     if channels == 1:
         assert chans is None
     else:

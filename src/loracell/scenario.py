@@ -11,7 +11,7 @@ from __future__ import annotations
 import configparser
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
@@ -49,21 +49,52 @@ def equal_area_rings(cell_radius_m: float, num_rings: int) -> np.ndarray:
     return cell_radius_m * np.sqrt(j / num_rings)
 
 
+def _key(default, section: str, check=None, message: str = ""):
+    """A scenario key, declared once: its default, INI section and range
+    check, a predicate on the value whose message is formatted with it."""
+    return field(default=default, metadata={"section": section, "check": check,
+                                            "message": message})
+
+
+_POSITIVE = (lambda value: value > 0, "must be positive")
+_AT_LEAST_ONE = (lambda value: value >= 1, "must be at least 1")
+_UNIT_INTERVAL = (lambda value: 0 < value <= 1, "must be in (0, 1]")
+
+
+def _key_errors(config, prefix: str = "") -> list[str]:
+    """One message per declared key that fails its range check. Inside its
+    range, a key declared float must also be finite and one declared int a
+    whole number. `node_count` is declared float, because a topology alone
+    may hold a mean count; `Scenario.errors` holds its whole-number rule."""
+    errs = []
+    for f in fields(config):
+        value = getattr(config, f.name)
+        check = f.metadata.get("check")
+        if check is not None and not check(value):
+            errs.append(f"{prefix}{f.name}: " + f.metadata["message"].format(value))
+        elif f.type == "float" and not math.isfinite(value):
+            errs.append(f"{prefix}{f.name}: must be finite")
+        elif f.type == "int" and not isinstance(value, (int, np.integer)):
+            errs.append(f"{prefix}{f.name}: must be a whole number")
+    return errs
+
+
 @dataclass(frozen=True)
 class RadioConfig:
     """Physical-layer parameters shared by every node in the cell."""
 
-    carrier_hz: float = 868.1e6
-    bandwidth_hz: float = 125e3
-    tx_power_dbm: float = 14.0
-    tx_power_limit_dbm: float = 14.0      # EU868 regulatory cap
-    noise_figure_db: float = 6.0
-    path_loss_exponent: float = 2.75
-    code_rate: str = "4/5"
-    gateway_height_m: float = 24.0
-    device_height_m: float = 3.0
-    gateway_gain_dbi: float = 0.0
-    device_gain_dbi: float = 0.0
+    carrier_hz: float = _key(868.1e6, "radio", *_POSITIVE)
+    bandwidth_hz: float = _key(125e3, "radio", *_POSITIVE)
+    tx_power_dbm: float = _key(14.0, "radio")
+    tx_power_limit_dbm: float = _key(14.0, "radio")     # EU868 regulatory cap
+    noise_figure_db: float = _key(6.0, "radio")
+    path_loss_exponent: float = _key(2.75, "radio", lambda eta: eta > 2,
+                                     "path_loss_exponent must exceed 2")
+    code_rate: str = _key("4/5", "radio")
+    gateway_height_m: float = _key(24.0, "radio", *_POSITIVE)
+    device_height_m: float = _key(3.0, "radio", *_POSITIVE)
+    gateway_gain_dbi: float = _key(0.0, "radio")
+    device_gain_dbi: float = _key(0.0, "radio")
 
     @cached_property
     def wavelength_m(self) -> float:
@@ -94,14 +125,8 @@ class RadioConfig:
         return d - 4
 
     def errors(self) -> list[str]:
-        errs = []
-        if not self.carrier_hz > 0:
-            errs.append("radio.carrier_hz: must be positive")
-        if not self.bandwidth_hz > 0:
-            errs.append("radio.bandwidth_hz: must be positive")
-        if not self.path_loss_exponent > 2:
-            errs.append("radio.path_loss_exponent: path_loss_exponent must exceed 2")
-        elif 2.0 / self.path_loss_exponent > 1.0 - B_GAP:
+        errs = _key_errors(self, "radio.")
+        if self.path_loss_exponent > 2 and 2.0 / self.path_loss_exponent > 1.0 - B_GAP:
             errs.append(
                 f"radio.path_loss_exponent: must be at least 2 / (1 - {B_GAP}) = "
                 f"{2.0 / (1.0 - B_GAP)!r}, where 2F1 with b = 2 / path_loss_exponent "
@@ -112,18 +137,6 @@ class RadioConfig:
                 f"radio.tx_power_dbm: {self.tx_power_dbm} dBm exceeds the regulatory "
                 f"limit of {self.tx_power_limit_dbm} dBm"
             )
-        if not (self.gateway_height_m > 0 and self.device_height_m > 0):
-            errs.append("radio.gateway_height_m, radio.device_height_m: must be positive")
-        for name in ("noise_figure_db", "gateway_gain_dbi", "device_gain_dbi"):
-            if not math.isfinite(getattr(self, name)):
-                errs.append(f"radio.{name}: must be finite")
-        # the one-sided bounds above pass these infinities, which `_cast` refuses
-        for name in ("carrier_hz", "bandwidth_hz", "gateway_height_m", "device_height_m",
-                     "path_loss_exponent", "tx_power_limit_dbm"):
-            if getattr(self, name) == math.inf:
-                errs.append(f"radio.{name}: must be finite")
-        if self.tx_power_dbm == -math.inf:
-            errs.append("radio.tx_power_dbm: must be finite")
         try:
             self.coding_rate_index
         except ConfigurationError as exc:
@@ -143,9 +156,11 @@ class RingTopology:
     intensity alpha_j = p * rho_j.
     """
 
-    cell_radius_m: float
-    node_count: float                         # mean nodes in the whole cell
-    transmit_probability: float
+    cell_radius_m: float = _key(3000.0, "topology", lambda r: 0 < r < math.inf,
+                                "must be finite and positive")
+    node_count: float = _key(500, "nodes", lambda n: 0 <= n < math.inf,
+                             "must be finite and non-negative")
+    transmit_probability: float = _key(0.01, "topology", *_UNIT_INTERVAL)
 
     @cached_property
     def boundaries_m(self) -> tuple[float, ...]:
@@ -182,14 +197,7 @@ class RingTopology:
         return SF_RANGE[int(self.ring_index(distance_m))]
 
     def errors(self) -> list[str]:
-        errs = []
-        if not 0 < self.cell_radius_m < math.inf:
-            errs.append("topology.cell_radius_m: must be finite and positive")
-        if not 0 <= self.node_count < math.inf:
-            errs.append("topology.node_count: must be finite and non-negative")
-        if not 0 < self.transmit_probability <= 1:
-            errs.append("topology.transmit_probability: must be in (0, 1]")
-        return errs
+        return _key_errors(self, "topology.")
 
 
 @dataclass(frozen=True)
@@ -254,17 +262,23 @@ class Scenario:
     radio: RadioConfig
     topology: RingTopology
     thresholds: ThresholdSet
-    offered_loads: tuple[float, ...] = tuple(round(0.1 * k, 1) for k in range(1, 11))
-    sf_assignment: str = "distance_rings"      # or "uniform_random"
-    sf_set: tuple[int, ...] = SF_RANGE
-    radial_distribution: str = "area_uniform"  # or "radius_uniform"
-    duty_cycle_limit: float = 0.01
-    payload_bytes: int = 1                     # application payload
-    collision_model: str = "BP"
-    rng_seed: int = 1
-    replications: int = 30
-    sim_duration_s: float = 7200.0
-    channels: int = 1
+    offered_loads: tuple[float, ...] = _key(tuple(round(0.1 * k, 1) for k in range(1, 11)),
+                                            "traffic")
+    sf_assignment: str = _key("distance_rings", "nodes",
+                              lambda mode: mode in ("distance_rings", "uniform_random"),
+                              "unknown mode {!r}")
+    sf_set: tuple[int, ...] = _key(SF_RANGE, "nodes")
+    radial_distribution: str = _key("area_uniform", "nodes",
+                                    lambda mode: mode in ("area_uniform", "radius_uniform"),
+                                    "unknown mode {!r}")
+    duty_cycle_limit: float = _key(0.01, "simulation", *_UNIT_INTERVAL)
+    payload_bytes: int = _key(1, "traffic", *_AT_LEAST_ONE)    # application payload
+    collision_model: str = _key("BP", "simulation", COLLISION_MODELS.__contains__,
+                                "unknown model {!r}")
+    rng_seed: int = _key(1, "simulation", lambda seed: seed >= 0, "must be non-negative")
+    replications: int = _key(30, "simulation", *_AT_LEAST_ONE)
+    sim_duration_s: float = _key(7200.0, "simulation", *_POSITIVE)
+    channels: int = _key(1, "simulation", *_AT_LEAST_ONE)
 
     @property
     def node_count(self) -> int:
@@ -274,7 +288,8 @@ class Scenario:
         return replace(self, topology=replace(self.topology, node_count=n))
 
     def errors(self) -> list[str]:
-        errs = self.radio.errors() + self.topology.errors() + self.thresholds.errors()
+        errs = (self.radio.errors() + self.topology.errors() + self.thresholds.errors()
+                + _key_errors(self))
         if not self.offered_loads:
             errs.append("offered_loads: must not be empty")
         elif any(not 0 < g <= 1 for g in self.offered_loads):
@@ -283,8 +298,6 @@ class Scenario:
         if not whole:
             errs.append(f"node_count: must be a whole number at least 1, "
                         f"got {self.node_count!r}")
-        if self.sf_assignment not in ("distance_rings", "uniform_random"):
-            errs.append(f"sf_assignment: unknown mode {self.sf_assignment!r}")
         if not self.sf_set or any(sf not in SF_RANGE for sf in self.sf_set):
             errs.append("sf_set: spreading factors must come from 7..12")
         elif len(set(self.sf_set)) != len(self.sf_set):
@@ -297,24 +310,6 @@ class Scenario:
                 f"node_count: {self.node_count} not divisible by {len(self.sf_set)} "
                 "for exact per-SF quotas"
             )
-        if self.radial_distribution not in ("area_uniform", "radius_uniform"):
-            errs.append(f"radial_distribution: unknown mode {self.radial_distribution!r}")
-        if not 0 < self.duty_cycle_limit <= 1:
-            errs.append("duty_cycle_limit: must be in (0, 1]")
-        if not self.payload_bytes >= 1:
-            errs.append("payload_bytes: must be at least 1")
-        if self.collision_model not in COLLISION_MODELS:
-            errs.append(f"collision_model: unknown model {self.collision_model!r}")
-        if not self.rng_seed >= 0:
-            errs.append("rng_seed: must be non-negative")
-        if not self.replications >= 1:
-            errs.append("replications: must be at least 1")
-        if not self.sim_duration_s > 0:
-            errs.append("sim_duration_s: must be positive")
-        elif self.sim_duration_s == math.inf:
-            errs.append("sim_duration_s: must be finite")
-        if not self.channels >= 1:
-            errs.append("channels: must be at least 1")
         return errs
 
     _errors = cached_property(errors)      # `validate` checks a frozen scenario once
@@ -362,26 +357,22 @@ def sample_placement(scenario: Scenario, seed: int | None = None,
 
 
 # ---------------------------------------------------------------------------
-# Config-file loading. One table maps section -> key -> default, and the type
-# of each key is the type of its default. Unknown sections and keys are hard
-# errors so typos cannot silently fall back to defaults.
+# Config-file loading. `_SCENARIO_KEYS` maps section -> key -> default. It is
+# built from the `_key` declarations of the config fields, plus
+# `[thresholds] file`, which names the file a ThresholdSet is read from. The
+# type of each key is the type of its default. Unknown sections and keys are
+# hard errors so typos cannot silently fall back to defaults.
 
-def _field_defaults(cls, *names: str) -> dict[str, object]:
-    defaults = {f.name: f.default for f in fields(cls)}
-    return {name: defaults[name] for name in names} if names else defaults
+def _scenario_keys() -> dict[str, dict[str, object]]:
+    keys = {"thresholds": {"file": "thresholds_eu868.ini"}}
+    for cls in (RadioConfig, RingTopology, Scenario):
+        for f in fields(cls):
+            if "section" in f.metadata:
+                keys.setdefault(f.metadata["section"], {})[f.name] = f.default
+    return keys
 
 
-_SCENARIO_KEYS = {
-    "radio": _field_defaults(RadioConfig),
-    "topology": {"cell_radius_m": 3000.0, "transmit_probability": 0.01},
-    "thresholds": {"file": "thresholds_eu868.ini"},
-    "nodes": {"node_count": 500,
-              **_field_defaults(Scenario, "sf_assignment", "sf_set", "radial_distribution")},
-    "traffic": _field_defaults(Scenario, "offered_loads", "payload_bytes"),
-    "simulation": _field_defaults(Scenario, "collision_model", "duty_cycle_limit",
-                                  "rng_seed", "replications", "sim_duration_s",
-                                  "channels"),
-}
+_SCENARIO_KEYS = _scenario_keys()
 # Every threshold entry is required; the defaults only give the types.
 _THRESHOLD_KEYS = {
     "snr_floor_db": {f"sf{sf}": 0.0 for sf in SF_RANGE},
@@ -466,17 +457,12 @@ def load_thresholds(path: str | os.PathLike) -> ThresholdSet:
 def load_scenario(path: str | os.PathLike) -> Scenario:
     """Load and validate a scenario file. Raises ConfigurationError."""
     path = resolve_config_path(path)
-    values = _read_values(path, _SCENARIO_KEYS)
-    nodes = values["nodes"]
-    thr_file = values["thresholds"]["file"]
-    scenario = Scenario(
-        radio=RadioConfig(**values["radio"]),
-        topology=RingTopology(node_count=nodes.pop("node_count"), **values["topology"]),
-        thresholds=load_thresholds(resolve_config_path(thr_file, relative_to=path.parent)),
-        **nodes,
-        **values["traffic"],
-        **values["simulation"],
-    )
+    values = {key: value for section in _read_values(path, _SCENARIO_KEYS).values()
+              for key, value in section.items()}
+    thr_file = resolve_config_path(values.pop("file"), relative_to=path.parent)
+    radio, topology = (cls(**{f.name: values.pop(f.name) for f in fields(cls)})
+                       for cls in (RadioConfig, RingTopology))
+    scenario = Scenario(radio, topology, load_thresholds(thr_file), **values)
     return validate(scenario)
 
 

@@ -423,7 +423,8 @@ def draw_calendar(scenario: Scenario, offered_load: float, seed) -> Calendar:
     in this order: placement, the Poisson total, the arrival uniforms, their
     node labels and, with two channels or more, a channel label per kept
     packet. Owners are intp, which gathers faster than compact labels. The
-    arrival arrays are freed on return, before reception."""
+    arrival arrays are freed on return, before reception. A duration that
+    expects 2^31 arrivals or more is a `ConfigurationError`."""
     validate(scenario)
     rng = np.random.default_rng(seed)
     placement = sample_placement(scenario, rng=rng)
@@ -434,6 +435,10 @@ def draw_calendar(scenario: Scenario, offered_load: float, seed) -> Calendar:
     node_toa = np.array([lora_airtime(sf, scenario.payload_bytes, radio.bandwidth_hz,
                                       radio.coding_rate_index) for sf in SF_RANGE])[node_sf]
     rate = per_node_rate(offered_load, scenario.node_count, float(node_toa.mean()))
+    expected = rate * scenario.sim_duration_s * scenario.node_count
+    if expected >= 2 ** 31:            # the bound of `_resolve_partition`'s int32 episode ids
+        raise ConfigurationError(f"sim_duration_s: {scenario.sim_duration_s} s expects "
+                                 f"{expected:.3g} arrivals, at least 2^31")
     times, nodes, by_node = _arrivals(rng, scenario.node_count, rate, scenario.sim_duration_s)
     keep = np.empty(times.size, dtype=bool)
     keep[by_node], dropped_busy, dropped_duty = _accept(

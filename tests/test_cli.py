@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -241,6 +242,17 @@ def test_simulate_bad_loads_exits_config_error(loads, message, tmp_path, capsys)
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "--loads" in err and message in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_simulate_huge_duration_exits_config_error(tmp_path, capsys):
+    text = (resources.files("loracell.data") / "sim_n2.ini").read_text()
+    cfg = tmp_path / "long.ini"
+    cfg.write_text(text.replace("sim_duration_s = 7200", "sim_duration_s = 1e30"))
+    code = main(["simulate", "--scenario", str(cfg), "--loads", "0.5", "--replications", "1",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == EXIT_CONFIG
+    assert "sim_duration_s: 1e+30 s expects" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
 
 

@@ -12,6 +12,7 @@ from loracell import (
     ConfigurationError,
     RadioConfig,
     RingTopology,
+    Scenario,
     ThresholdSet,
     default_scenario,
     equal_area_rings,
@@ -158,12 +159,14 @@ def _with_value(scn, field, value):
     return replace(scn, **{field: value})
 
 
-@pytest.mark.parametrize("field", [
-    "radio.path_loss_exponent", "radio.carrier_hz", "radio.bandwidth_hz",
-    "radio.tx_power_dbm", "radio.gateway_height_m", "sim_duration_s",
-    "topology.node_count", "topology.cell_radius_m", "radio.noise_figure_db",
-    "radio.gateway_gain_dbi", "radio.device_gain_dbi", "thresholds.sir_db",
-])
+# every key declared float, from the declarations themselves
+FLOAT_KEYS = [prefix + f.name
+              for prefix, cls in (("radio.", RadioConfig), ("topology.", RingTopology),
+                                  ("", Scenario))
+              for f in fields(cls) if f.type == "float"]
+
+
+@pytest.mark.parametrize("field", FLOAT_KEYS + ["thresholds.sir_db"])
 def test_validate_rejects_nan(field):
     # a NaN fails every comparison, so each bound is written to fail on it
     with pytest.raises(ConfigurationError, match=re.escape(field)):
@@ -171,13 +174,7 @@ def test_validate_rejects_nan(field):
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf])
-@pytest.mark.parametrize("field", [
-    "radio.noise_figure_db", "radio.gateway_gain_dbi", "radio.device_gain_dbi",
-    "thresholds.sir_db", "topology.cell_radius_m", "topology.node_count",
-    "radio.carrier_hz", "radio.bandwidth_hz", "radio.gateway_height_m",
-    "radio.device_height_m", "radio.path_loss_exponent", "radio.tx_power_limit_dbm",
-    "radio.tx_power_dbm", "sim_duration_s", "thresholds.snr_floor_db",
-])
+@pytest.mark.parametrize("field", FLOAT_KEYS + ["thresholds.sir_db", "thresholds.snr_floor_db"])
 def test_validate_rejects_infinite_link_values(field, value):
     # a limit of -inf is rejected as the power above it, under the power's key
     limit_below = (field, value) == ("radio.tx_power_limit_dbm", -math.inf)
@@ -186,6 +183,62 @@ def test_validate_rejects_infinite_link_values(field, value):
         validate(_with_value(default_scenario("coverage_eu868"), field, value))
     if field == "thresholds.sir_db":
         assert "(sf9, sf11)" in str(err.value)
+
+
+# the exact `errors()` list of one bad key on the packaged coverage scenario:
+# NaN and infinities of float keys, each enum and each lower bound
+MESSAGES = [
+    ("radio.carrier_hz", math.nan, ["radio.carrier_hz: must be positive"]),
+    ("radio.carrier_hz", math.inf, ["radio.carrier_hz: must be finite"]),
+    ("radio.bandwidth_hz", 0.0, ["radio.bandwidth_hz: must be positive"]),
+    ("radio.tx_power_dbm", math.nan, [
+        "radio.tx_power_dbm: must be finite",
+        "radio.tx_power_dbm: nan dBm exceeds the regulatory limit of 14.0 dBm"]),
+    ("radio.tx_power_dbm", -math.inf, ["radio.tx_power_dbm: must be finite"]),
+    ("radio.tx_power_limit_dbm", math.inf, ["radio.tx_power_limit_dbm: must be finite"]),
+    ("radio.tx_power_limit_dbm", -math.inf, [
+        "radio.tx_power_limit_dbm: must be finite",
+        "radio.tx_power_dbm: 14.0 dBm exceeds the regulatory limit of -inf dBm"]),
+    ("radio.noise_figure_db", math.nan, ["radio.noise_figure_db: must be finite"]),
+    ("radio.path_loss_exponent", math.nan,
+     ["radio.path_loss_exponent: path_loss_exponent must exceed 2"]),
+    ("radio.path_loss_exponent", 2.000001, [
+        "radio.path_loss_exponent: must be at least 2 / (1 - 1e-05) = 2.000020000200002, "
+        "where 2F1 with b = 2 / path_loss_exponent is accurate (got 2.000001)"]),
+    ("radio.path_loss_exponent", math.inf, ["radio.path_loss_exponent: must be finite"]),
+    ("radio.gateway_height_m", 0.0, ["radio.gateway_height_m: must be positive"]),
+    ("radio.device_height_m", -1.0, ["radio.device_height_m: must be positive"]),
+    ("radio.gateway_gain_dbi", -math.inf, ["radio.gateway_gain_dbi: must be finite"]),
+    ("radio.device_gain_dbi", math.inf, ["radio.device_gain_dbi: must be finite"]),
+    ("radio.code_rate", "4/9", ["radio.code_rate: '4/9' not one of 4/5 .. 4/8"]),
+    ("topology.cell_radius_m", math.inf,
+     ["topology.cell_radius_m: must be finite and positive"]),
+    ("topology.node_count", math.nan, [
+        "topology.node_count: must be finite and non-negative",
+        "node_count: must be a whole number at least 1, got nan"]),
+    ("topology.node_count", -1, [
+        "topology.node_count: must be finite and non-negative",
+        "node_count: must be a whole number at least 1, got -1"]),
+    ("topology.transmit_probability", 0.0, ["topology.transmit_probability: must be in (0, 1]"]),
+    ("topology.transmit_probability", math.nan,
+     ["topology.transmit_probability: must be in (0, 1]"]),
+    ("sf_assignment", "XX", ["sf_assignment: unknown mode 'XX'"]),
+    ("radial_distribution", "XX", ["radial_distribution: unknown mode 'XX'"]),
+    ("collision_model", "XX", ["collision_model: unknown model 'XX'"]),
+    ("duty_cycle_limit", math.inf, ["duty_cycle_limit: must be in (0, 1]"]),
+    ("payload_bytes", 0, ["payload_bytes: must be at least 1"]),
+    ("rng_seed", -1, ["rng_seed: must be non-negative"]),
+    ("replications", math.inf, ["replications: must be a whole number"]),
+    ("sim_duration_s", math.nan, ["sim_duration_s: must be positive"]),
+    ("sim_duration_s", math.inf, ["sim_duration_s: must be finite"]),
+    ("channels", 2.5, ["channels: must be a whole number"]),
+]
+
+
+@pytest.mark.parametrize("field,value,expected", MESSAGES,
+                         ids=[f"{field}={value}" for field, value, _ in MESSAGES])
+def test_validation_messages_are_pinned(field, value, expected):
+    assert _with_value(default_scenario("coverage_eu868"), field, value).errors() == expected
 
 
 @pytest.mark.parametrize("code_rate, message", [
@@ -285,6 +338,14 @@ def test_validate_rejects_node_count_that_is_not_a_whole_number(count):
     scn = default_scenario("coverage_eu868").with_node_count(count)
     with pytest.raises(ConfigurationError, match=r"node_count: must be a whole number"):
         validate(scn)
+
+
+def test_file_with_only_a_thresholds_file_takes_every_field_default(tmp_path):
+    # each default has one source: the field that declares its key
+    cfg = tmp_path / "bare.ini"
+    cfg.write_text("[thresholds]\nfile = thresholds_eu868.ini\n")
+    assert load_scenario(cfg) == Scenario(RadioConfig(), RingTopology(),
+                                          load_thresholds("thresholds_eu868.ini"))
 
 
 def test_radius_edit_alone_validates_and_moves_every_ring_edge(tmp_path):

@@ -429,14 +429,24 @@ VALID = replace(N2, offered_loads=(0.3,), replications=1)
     ("rng_seed", -1), ("channels", 0), ("collision_model", "XX"),
     ("offered_loads", (1.5,)), ("offered_loads", (0.0,)), ("offered_loads", ()),
     ("sim_duration_s", 0.0), ("sim_duration_s", -5.0), ("duty_cycle_limit", 0.0),
+    ("channels", math.inf), ("channels", 2.5), ("replications", 2.5), ("payload_bytes", 1.5),
+    ("rng_seed", 1.5),
 ], ids=["negative-seed", "zero-channels", "bad-model", "load-above-one", "zero-load",
-        "no-loads", "zero-duration", "negative-duration", "zero-duty"])
+        "no-loads", "zero-duration", "negative-duration", "zero-duty", "infinite-channels",
+        "fractional-channels", "fractional-replications", "fractional-payload",
+        "fractional-seed"])
 def test_run_and_sweep_validate_scenario(field, value):
     bad = replace(VALID, **{field: value})
     with pytest.raises(ConfigurationError, match=f"(?s)invalid scenario.*{field}"):
         sweep(bad)
     with pytest.raises(ConfigurationError, match=f"(?s)invalid scenario.*{field}"):
         run_replication(bad, 0.5, seed=0)
+
+
+def test_duration_beyond_two_to_the_31_expected_arrivals_is_a_configuration_error():
+    # finite, so `validate` passes it; the calendar refuses it before its Poisson draw
+    with pytest.raises(ConfigurationError, match=r"sim_duration_s: 1e\+30 s expects"):
+        run_replication(replace(VALID, sim_duration_s=1e30), 0.5, seed=0)
 
 
 def test_copy_of_a_validated_scenario_is_checked_again():

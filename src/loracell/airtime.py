@@ -46,8 +46,8 @@ def lora_airtime(sf: int, app_payload_bytes: int = 1, bandwidth_hz: float = 125e
 
 def pure_aloha_throughput(offered_load: float) -> float:
     """S = G exp(-2G), the pure-ALOHA channel utilization at offered load G."""
-    if offered_load < 0:
-        raise ConfigurationError("offered_load must be non-negative")
+    if not 0 <= offered_load < math.inf:
+        raise ConfigurationError("offered_load must be finite and non-negative")
     return offered_load * math.exp(-2.0 * offered_load)
 
 

@@ -236,91 +236,81 @@ def _winners_per_group(group_ids, score):
     return at_best[np.append(ids[1:] != ids[:-1], True)]
 
 
-def _resolve_partition(starts, owner, label, node_toa, node_sf, node_pw, node_ok, model,
-                       sir_lin, noise_mw):
-    """Reception flags in one pass over packets sorted by (label, start):
-    label[k] is packet k's partition (None for one), and owner[k] its node,
-    whose airtime, SF index, mW power and sensitivity flag the tables give."""
-    ends = starts + node_toa[owner]
+def _resolve(calendar: Calendar, model, thresholds, radio):
+    """Received flag per packet of `calendar` under `model`. A packet competes
+    only with its partition: its channel, and under IC its (channel, SF) pair.
+    Several partitions are stably sorted by label into one pass in (label,
+    start) order, whose flags are scattered back at the end; one partition
+    keeps the calendar's order. A lone packet wins iff it clears sensitivity;
+    under IC and IIC the others compete per episode (the module docstring)."""
+    if model not in COLLISION_MODELS:
+        raise ConfigurationError(f"unknown collision model {model!r}")
+    starts, owner, label, node_sf = (
+        calendar.starts, calendar.owner, calendar.channel, calendar.node_sf)
+    n = starts.size
+    if not n:
+        return np.zeros(0, dtype=bool)
+    # with one SF on every node, the IC (channel, SF) partitions are the channels
+    if model == "IC" and np.ptp(node_sf):
+        label = node_sf[owner] if label is None else label * NUM_SF + node_sf[owner]
+    order = None
+    if label is not None and label.min() < label.max():
+        # small unsigned labels take numpy's radix sort: a tenth of int64's time
+        order = np.argsort(label.astype(np.min_scalar_type(label.max())), kind="stable")
+        starts, owner, label = starts[order], owner[order], label[order]
+    else:
+        label = None
+    node_ok = calendar.node_dbm >= sensitivity_dbm(radio, thresholds)[node_sf]
+    ends = starts + calendar.node_toa[owner]
     heads = _episode_heads(starts, ends, label)
     alone = heads & np.append(heads[1:], True)      # a singleton episode
     if model == "BP":
-        return node_ok[owner] & alone
-
-    n = len(starts)
-    pw = node_pw[owner]
-    first = starts[1:] < ends[:-1]
-    stop = None                        # the end of each packet's partition
-    if label is not None:
-        first &= label[1:] == label[:-1]
-        stop = np.searchsorted(label, np.arange(label[-1] + 1), side="right")[label]
-    if model == "IC":                  # candidates only: see the module docstring
-        sinr = pw / (_interference(starts, ends, pw, first, stop) + noise_mw)
-        delta = np.diagonal(sir_lin)[node_sf[owner] if np.ptp(node_sf) else node_sf[owner[0]]]
-        cand = np.flatnonzero(alone | (sinr >= delta))
-        received = np.zeros(n, dtype=bool)
-        if cand.size:                  # int32 episode ids: no calendar in memory nears 2^31
-            w = cand[_winners_per_group(np.cumsum(heads, dtype=np.int32)[cand], sinr[cand])]
-            received[w] = node_ok[owner[w]]
-        return received
-
-    if model == "IIC":
-        # one row per SF present, added in SF order for the SINR
-        sf_idx = node_sf[owner]
-        present = np.flatnonzero(np.bincount(sf_idx, minlength=NUM_SF))
-        row = np.searchsorted(present, np.arange(NUM_SF))[sf_idx]    # a six-entry table
-        inter = _interference_by_row(starts, ends, pw, first, row, stop)
-        sinr = pw / (noise_mw + sum(inter[1:], inter[0]))
-        received = node_ok[owner] & alone    # a lone packet wins, with no threshold
-        crowd = np.flatnonzero(~alone)
-        if not crowd.size:
-            return received
-        # one winner per SF and episode among the rest: groups run SF-major, then by start
-        by_sf = crowd[np.argsort(sf_idx[crowd].astype(np.uint8), kind="stable")]
-        group = (sf_idx * n + np.cumsum(heads, dtype=np.int32))[by_sf]
-        w = by_sf[_winners_per_group(group, sinr[by_sf])]
-        # the pairwise threshold against each SF present, one row at a time
-        sf_w, pw_w, clears = sf_idx[w], pw[w], node_ok[owner[w]]
-        for r, j in enumerate(present):
-            i_r = inter[r].take(w)
-            clears &= np.signbit(i_r) | (pw_w >= sir_lin[:, j].take(sf_w) * (noise_mw + i_r))
-        received[w] = clears
-        return received
-
-    raise ConfigurationError(f"unknown collision model {model!r}")
-
-
-def _resolve(calendar: Calendar, model, thresholds, radio):
-    """Received flag per packet of `calendar`. A packet competes only with
-    its partition: its channel, and under IC its (channel, SF) pair. Several
-    partitions are stably sorted by label for one `_resolve_partition` pass."""
-    starts, owner, chans, node_sf, node_dbm = (
-        calendar.starts, calendar.owner, calendar.channel, calendar.node_sf, calendar.node_dbm)
-    if not starts.size:
-        return np.zeros(0, dtype=bool)
-    node_ok = node_dbm >= sensitivity_dbm(radio, thresholds)[node_sf]
-    tables = (calendar.node_toa, node_sf, 10.0 ** (node_dbm / 10.0), node_ok, model,
-              thresholds.sir_linear, noise_power_mw(radio))
-    # with one SF on every node, the IC (channel, SF) partitions are the channels
-    part = chans
-    if model == "IC" and np.ptp(node_sf):
-        part = node_sf[owner] if chans is None else chans * NUM_SF + node_sf[owner]
-    if part is None or part.min() == part.max():
-        return _resolve_partition(starts, owner, None, *tables)
-    # small unsigned labels take numpy's radix sort: a tenth of int64's time
-    order = np.argsort(part.astype(np.min_scalar_type(part.max())), kind="stable")
-    received = np.empty(starts.size, dtype=bool)
-    received[order] = _resolve_partition(starts[order], owner[order], part[order], *tables)
+        received = node_ok[owner] & alone
+    else:
+        pw = (10.0 ** (calendar.node_dbm / 10.0))[owner]
+        sir_lin, noise_mw = thresholds.sir_linear, noise_power_mw(radio)
+        first = starts[1:] < ends[:-1]
+        stop = None                    # the end of each packet's partition
+        if label is not None:
+            first &= label[1:] == label[:-1]
+            stop = np.searchsorted(label, np.arange(label[-1] + 1), side="right")[label]
+        if model == "IC":              # candidates only: see the module docstring
+            sinr = pw / (_interference(starts, ends, pw, first, stop) + noise_mw)
+            delta = np.diagonal(sir_lin)[
+                node_sf[owner] if np.ptp(node_sf) else node_sf[owner[0]]]
+            cand = np.flatnonzero(alone | (sinr >= delta))
+            received = np.zeros(n, dtype=bool)
+            # int32 episode ids: no calendar in memory nears 2^31
+            group = np.cumsum(heads, dtype=np.int32)[cand]
+        else:                          # IIC: one row per SF present, added in SF order
+            sf_idx = node_sf[owner]
+            present = np.flatnonzero(np.bincount(sf_idx, minlength=NUM_SF))
+            row = np.searchsorted(present, np.arange(NUM_SF))[sf_idx]    # a six-entry table
+            inter = _interference_by_row(starts, ends, pw, first, row, stop)
+            sinr = pw / (noise_mw + sum(inter[1:], inter[0]))
+            received = node_ok[owner] & alone    # a lone packet wins, with no threshold
+            # the non-lone packets; groups run SF-major, then by start
+            crowd = np.flatnonzero(~alone)
+            cand = crowd[np.argsort(sf_idx[crowd].astype(np.uint8), kind="stable")]
+            group = (sf_idx * n + np.cumsum(heads, dtype=np.int32))[cand]
+        if cand.size:                  # one winner per group
+            w = cand[_winners_per_group(group, sinr[cand])]
+            clears = node_ok[owner[w]]
+            if model == "IIC":         # the pairwise threshold per SF present, row by row
+                sf_w, pw_w = sf_idx[w], pw[w]
+                for r, j in enumerate(present):
+                    i_r = inter[r].take(w)
+                    clears &= np.signbit(i_r) | (
+                        pw_w >= sir_lin[:, j].take(sf_w) * (noise_mw + i_r))
+            received[w] = clears
+    if order is not None:
+        received[order] = received.copy()
     return received
 
 
 def resolve_reception(packets: Sequence[PacketEvent], model: str,
                       thresholds: ThresholdSet, radio: RadioConfig) -> list[bool]:
     """Received/lost flag per packet under the given collision model."""
-    if model not in COLLISION_MODELS:
-        raise ConfigurationError(f"unknown collision model {model!r}")
-    if not packets:
-        return []
     starts = np.array([p.start_s for p in packets], dtype=float)
     durs = np.array([p.duration_s for p in packets], dtype=float)
     dbm = np.array([p.rx_power_dbm for p in packets], dtype=float)
@@ -436,7 +426,7 @@ def draw_calendar(scenario: Scenario, offered_load: float, seed) -> Calendar:
                                       radio.coding_rate_index) for sf in SF_RANGE])[node_sf]
     rate = per_node_rate(offered_load, scenario.node_count, float(node_toa.mean()))
     expected = rate * scenario.sim_duration_s * scenario.node_count
-    if expected >= 2 ** 31:            # the bound of `_resolve_partition`'s int32 episode ids
+    if expected >= 2 ** 31:            # the bound of `_resolve`'s int32 episode ids
         raise ConfigurationError(f"sim_duration_s: {scenario.sim_duration_s} s expects "
                                  f"{expected:.3g} arrivals, at least 2^31")
     times, nodes, by_node = _arrivals(rng, scenario.node_count, rate, scenario.sim_duration_s)
@@ -594,10 +584,10 @@ def sweep(scenario: Scenario, *, jobs: int = 1) -> list[SimOutcome]:
 
 
 def multichannel_projection(outcome: SimOutcome, channels: int) -> SimOutcome:
-    """Scale throughput and packet rates by an idealized channel count;
-    per-channel load and PDR are unchanged."""
-    if channels < 1:
-        raise ConfigurationError("channels must be at least 1")
+    """Scale throughput and packet rates by an idealized channel count, a
+    whole number of at least 1; per-channel load and PDR are unchanged."""
+    if not (isinstance(channels, (int, np.integer)) and channels >= 1):
+        raise ConfigurationError(f"channels must be a whole number at least 1, got {channels}")
     return replace(
         outcome,
         measured_g=outcome.measured_g * channels,

@@ -64,6 +64,12 @@ def test_pure_aloha_closed_form():
     assert pure_aloha_throughput(1.0) == pytest.approx(math.exp(-2), rel=1e-14)
 
 
+@pytest.mark.parametrize("load", [-0.1, math.nan, math.inf])
+def test_pure_aloha_rejects_negative_or_non_finite_load(load):
+    with pytest.raises(ConfigurationError, match="offered_load"):
+        pure_aloha_throughput(load)
+
+
 def test_pure_aloha_unique_maximum_at_half():
     g = np.linspace(0.01, 2.0, 400)
     s = np.array([pure_aloha_throughput(float(v)) for v in g])

@@ -7,11 +7,14 @@ output checks."""
 import ast
 import importlib
 import inspect
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import numpy as np
@@ -227,13 +230,23 @@ def _unused_imports(tree: ast.Module) -> list[str]:
     return sorted(imported - reads)
 
 
+def _prose(text: str) -> str:
+    """A module's docstrings and comments."""
+    docs = [ast.get_docstring(node) or "" for node in ast.walk(ast.parse(text))
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))]
+    comments = [tok.string for tok in tokenize.generate_tokens(io.StringIO(text).readline)
+                if tok.type == tokenize.COMMENT]
+    return "\n".join(docs + comments)
+
+
 def test_src_has_no_unused_imports_or_private_names():
     # a dead-code guard: an import a module of src/, tests/ or demos/ never
-    # reads, or a private top-level name nothing in src/ refers to, is left
-    # over from a removal
+    # reads, a private top-level name nothing in src/ refers to, or a
+    # backticked private name in the prose of src/ or README.md that src/
+    # no longer defines, is left over from a removal
     src = Path(loracell.__file__).parent
-    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
-             for p in sorted(src.glob("*.py"))}
+    texts = {p.name: p.read_text(encoding="utf-8") for p in sorted(src.glob("*.py"))}
+    trees = {name: ast.parse(text) for name, text in texts.items()}
     all_refs = {r for tree in trees.values() for r in _references(tree)}
     dead = []
     for name, tree in trees.items():
@@ -246,6 +259,16 @@ def test_src_has_no_unused_imports_or_private_names():
     for path in sorted([*root.glob("tests/*.py"), *root.glob("demos/*.py")]):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         dead += [f"{path.relative_to(root)}: unused import {n}" for n in _unused_imports(tree)]
+    defined = set()                     # every function, class and assigned name
+    for node in (node for tree in trees.values() for node in ast.walk(tree)):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            defined.add(node.id)
+    prose = {name: _prose(text) for name, text in texts.items()}
+    prose["README.md"] = (root / "README.md").read_text(encoding="utf-8")
+    dead += [f"{name}: stale `{n}`" for name, text in prose.items()
+             for n in sorted(set(re.findall(r"`(_[A-Za-z]\w*)", text)) - defined)]
     assert not dead
 
 

@@ -701,14 +701,14 @@ def test_one_pass_over_five_channels_matches_each_partition_alone(case, load, se
     cal = draw_calendar(scn, load, seed)
     starts, owner, chans, node_sf = cal.starts, cal.owner, cal.channel, cal.node_sf
     relabelled = np.array([3, 0, 4, 2, 1])[chans]
-    one_pass = simulator._resolve_partition
+    one_pass = simulator._episode_heads
     calls = []
 
     def counted(*args):
         calls.append(args[2] is None)           # True: one partition, no labels
         return one_pass(*args)
 
-    monkeypatch.setattr(simulator, "_resolve_partition", counted)
+    monkeypatch.setattr(simulator, "_episode_heads", counted)
     for model in ("BP", "IC", "IIC"):
         args = (model, scn.thresholds, scn.radio)
         calls.clear()

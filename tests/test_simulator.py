@@ -512,8 +512,9 @@ def test_multichannel_projection_scales_linearly():
     assert proj5.throughput == pytest.approx(5 * out.throughput, rel=1e-15)
     assert proj5.pdr == out.pdr
     assert proj5.tx_count == pytest.approx(5 * out.tx_count, rel=1e-15)
-    with pytest.raises(ConfigurationError):
-        multichannel_projection(out, 0)
+    for bad in (0, 2.5, math.nan, math.inf):
+        with pytest.raises(ConfigurationError):
+            multichannel_projection(out, bad)
 
 
 def test_resolve_reception_rejects_bad_duration():
@@ -521,6 +522,17 @@ def test_resolve_reception_rejects_bad_duration():
         resolve_reception([pkt(7, 0.0, 0.0, -80.0)], "BP", N1.thresholds, N1.radio)
     with pytest.raises(ConfigurationError):
         resolve_reception([pkt(7, 0.0, 1.0, -80.0)], "NOPE", N1.thresholds, N1.radio)
+    with pytest.raises(ConfigurationError):
+        resolve_reception([], "NOPE", N1.thresholds, N1.radio)
+
+
+def test_resolve_checks_the_model_on_an_empty_calendar():
+    cal = draw_calendar(N1, 0.1, 1)
+    empty = replace(cal, starts=cal.starts[:0], owner=cal.owner[:0])
+    for model in ("BP", "IC", "IIC"):
+        assert simulator._resolve(empty, model, N1.thresholds, N1.radio).size == 0
+    with pytest.raises(ConfigurationError, match="NOPE"):
+        simulator._resolve(empty, "NOPE", N1.thresholds, N1.radio)
 
 
 @pytest.mark.parametrize("field,bad", [

@@ -1,30 +1,29 @@
 """Throughput and packet delivery ratio versus transmitted traffic.
 
-Runs the two simulation cases (N1: 300 nodes all on SF7; N2: 50 nodes per
-SF) under the three collision models and compares against the pure-ALOHA
-closed form. A light replication count keeps this demo quick; the
-acceptance suite runs the full 30-replication version. Writes
-throughput_sweep.csv and, if matplotlib is available, a two-panel PNG.
+Runs the paper's two simulation cases (N1: 300 nodes all on SF7; N2: 50
+nodes per SF) under their collision models, as `loracell.paper` lists them,
+and compares against the pure-ALOHA closed form. A light replication count
+keeps this demo quick; the acceptance suite runs the full 30-replication
+version. Writes throughput_sweep.csv and, if matplotlib is available, a
+two-panel PNG.
 """
 
 from dataclasses import replace
 
 import numpy as np
 
-from loracell import default_scenario, pure_aloha_throughput, sweep_models
+from loracell import default_scenario, paper, pure_aloha_throughput, sweep_models
 
 REPLICATIONS = 8
-# the models of a case resolve one calendar per replication
-CASES = (("N1", "sim_n1", ("BP", "IC")), ("N2", "sim_n2", ("BP", "IC", "IIC")))
 
 
 def main():
     results = {}
-    for case, name, models in CASES:
+    for name, models in paper.SIM_CASES:
         scenario = replace(default_scenario(name), replications=REPLICATIONS)
         shared = sweep_models(scenario, models)
         for model, outcomes in shared.items():
-            label = f"{case}/{model}"
+            label = f"{name.removeprefix('sim_').upper()}/{model}"
             results[label] = outcomes
             best = max(outcomes, key=lambda o: o.throughput)
             print(f"{label:7s} max S = {best.throughput:.3f} E at G = "

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Verbs: coverage (closed-form sweep over distance), mc (Monte Carlo
-estimates), simulate (throughput/PDR sweep), reproduce (bundled recipes for
-the reference figures), validate-config. Every run writes a CSV plus a
+estimates), simulate (throughput/PDR sweep), reproduce (the recipes of one or
+more reference figures, read from `paper`; fig3 and fig4 share one sweep per
+case), validate-config. Every run writes a CSV plus a
 .manifest.json recording the digest of every resolved configuration it ran;
 re-running with the same digests reproduces the CSV byte for byte.
 
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, paper
 from .airtime import pure_aloha_throughput
 from .coverage import TypicalNode, coverage_sweep, typical_at
 from .montecarlo import estimate_coverage
@@ -183,49 +184,48 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    if args.figure == "fig2":
-        scenario = _override(default_scenario("coverage_eu868"), rng_seed=args.seed)
-        distances = _grid(scenario.topology.cell_radius_m, 10.0)
-        counts = (250, 500, 2500)
-        header = ["distance_m", "sf"] + [f"c1_N{count}" for count in counts]
-        curves = [coverage_sweep(scenario.with_node_count(count), distances)
-                  for count in counts]
-        rows = list(zip(curves[0].distance_m.tolist(), curves[0].sf.tolist(),
-                        *(curve.c1.tolist() for curve in curves)))
-        stem, spath, seed = "fig2_coverage", "coverage_eu868.ini", scenario.rng_seed
-        scenarios = {"coverage_eu868": scenario}
-    else:
+    figures = dict.fromkeys(args.figure)        # a figure named twice is written once
+    sims, results = {}, {}
+    if figures.keys() & {"fig3", "fig4"}:
         # fig3 (throughput) and fig4 (PDR) share one sweep per case; the manifest pins each model
-        scenarios, results = {}, {}
-        for case, models in (("n1", ("BP", "IC")), ("n2", ("BP", "IC", "IIC"))):
-            base = _override(default_scenario(f"sim_{case}"), rng_seed=args.seed,
+        for name, models in paper.SIM_CASES:
+            base = _override(default_scenario(name), rng_seed=args.seed,
                              replications=args.replications)
             for model, outcomes in sweep_models(base, models, jobs=args.jobs).items():
-                scenarios[f"{case}_{model.lower()}"] = replace(base, collision_model=model)
-                results[f"{case}_{model.lower()}"] = outcomes
-        loads = [o.offered_load for o in results["n1_bp"]]
-        if args.figure == "fig3":
-            header = (["offered_g", "aloha_theory"]
-                      + [f"s_{name}" for name in results]
-                      + ["s_n1_ic_x5"])
-            rows = []
-            for k, g in enumerate(loads):
-                theory = pure_aloha_throughput(results["n1_bp"][k].measured_g)
-                svals = [results[name][k].throughput for name in results]
-                proj = multichannel_projection(results["n1_ic"][k], 5).throughput
-                rows.append([g, theory, *svals, proj])
-            stem = "fig3_throughput"
-        else:
-            header = ["offered_g"] + [f"pdr_{name}" for name in results]
-            rows = [[g, *[results[name][k].pdr for name in results]]
-                    for k, g in enumerate(loads)]
-            stem = "fig4_pdr"
-        # without --seed each case keeps its own packaged seed, so none is shared
-        spath, seed = "sim_n1.ini+sim_n2.ini", args.seed
+                label = f"{name.removeprefix('sim_')}_{model.lower()}"
+                sims[label], results[label] = replace(base, collision_model=model), outcomes
     outdir = Path(args.outdir)
-    _write_table(outdir / f"{stem}.dat", header, rows, sep=" ")
-    _emit(outdir / f"{stem}.csv", header, rows, f"reproduce {args.figure}", spath, scenarios,
-          seed)
+    for figure in figures:
+        if figure == "fig2":
+            scenario = _override(default_scenario(paper.FIG2_SCENARIO), rng_seed=args.seed)
+            distances = _grid(scenario.topology.cell_radius_m, paper.FIG2_GRID_STEP_M)
+            header = ["distance_m", "sf"] + [f"c1_N{count}" for count in paper.FIG2_NODE_COUNTS]
+            curves = [coverage_sweep(scenario.with_node_count(count), distances)
+                      for count in paper.FIG2_NODE_COUNTS]
+            rows = list(zip(curves[0].distance_m.tolist(), curves[0].sf.tolist(),
+                            *(curve.c1.tolist() for curve in curves)))
+            stem, spath, seed = "fig2_coverage", f"{paper.FIG2_SCENARIO}.ini", scenario.rng_seed
+            scenarios = {paper.FIG2_SCENARIO: scenario}
+        else:
+            if figure == "fig3":
+                channels = paper.PROJECTION_CHANNELS
+                header = (["offered_g", "aloha_theory"] + [f"s_{label}" for label in results]
+                          + [f"s_n1_ic_x{channels}"])
+                rows = [[o.offered_load, pure_aloha_throughput(o.measured_g),
+                         *[results[label][k].throughput for label in results],
+                         multichannel_projection(results["n1_ic"][k], channels).throughput]
+                        for k, o in enumerate(results["n1_bp"])]
+                stem = "fig3_throughput"
+            else:
+                header = ["offered_g"] + [f"pdr_{label}" for label in results]
+                rows = [[o.offered_load, *[results[label][k].pdr for label in results]]
+                        for k, o in enumerate(results["n1_bp"])]
+                stem = "fig4_pdr"
+            # without --seed each case keeps its own packaged seed, so none is shared
+            spath = "+".join(f"{name}.ini" for name, _ in paper.SIM_CASES)
+            scenarios, seed = sims, args.seed
+        _write_table(outdir / f"{stem}.dat", header, rows, sep=" ")
+        _emit(outdir / f"{stem}.csv", header, rows, f"reproduce {figure}", spath, scenarios, seed)
     return EXIT_OK
 
 
@@ -279,8 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1, help="parallel workers")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("reproduce", help="run a bundled reference-figure recipe")
-    p.add_argument("figure", choices=_FIGURES)
+    p = sub.add_parser("reproduce", help="run bundled reference-figure recipes")
+    p.add_argument("figure", nargs="+", choices=_FIGURES)
     p.add_argument("--outdir", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--replications", type=int, default=None)

@@ -64,6 +64,8 @@ class MCEstimate:
 def _blocks(trials: int, interferers_per_trial: float) -> list[int]:
     """Equal block sizes (differing by at most 1) covering `trials` trials, each
     of about `_BLOCK` expected interferers and at most `_BLOCK` trials."""
+    if not isinstance(trials, (int, np.integer)):
+        raise ConfigurationError(f"trials must be a whole number, got {trials}")
     if trials < 1:
         raise ConfigurationError(f"trials must be at least 1, got {trials}")
     n = -(-trials // max(1, int(_BLOCK / max(interferers_per_trial, 1.0))))

@@ -339,8 +339,10 @@ def sample_placement(scenario: Scenario, seed: int | None = None,
     (uniform over the disk) for area_uniform, R*u for radius_uniform.
     distance_rings mode: each node's SF is the ring it falls in. uniform_random
     mode: SFs are assigned with exact per-SF quotas (node_count / len(sf_set)
-    each). Deterministic for fixed seed.
+    each). Deterministic for fixed seed. An invalid scenario is a
+    `ConfigurationError`.
     """
+    validate(scenario)
     if rng is None:
         rng = np.random.default_rng(scenario.rng_seed if seed is None else seed)
     n = scenario.node_count

@@ -414,8 +414,8 @@ def draw_calendar(scenario: Scenario, offered_load: float, seed) -> Calendar:
     node labels and, with two channels or more, a channel label per kept
     packet. Owners are intp, which gathers faster than compact labels. The
     arrival arrays are freed on return, before reception. A duration that
-    expects 2^31 arrivals or more is a `ConfigurationError`."""
-    validate(scenario)
+    expects 2^31 arrivals or more is a `ConfigurationError`, and so is an
+    invalid scenario, which `sample_placement` checks."""
     rng = np.random.default_rng(seed)
     placement = sample_placement(scenario, rng=rng)
     radio = scenario.radio

@@ -19,6 +19,7 @@ from loracell import (
     hyp2f1_oracle,
     lora_airtime,
     multichannel_projection,
+    paper,
     pure_aloha_throughput,
     resolve_reception,
     run_replication,
@@ -32,6 +33,8 @@ REPS = 30
 MC_TRIALS = 1_000_000
 MC_DISTANCES = (400.0, 1100.0, 1500.0, 2100.0, 2900.0)
 MC_NODE_COUNTS = (250, 500, 2500)
+# (packaged scenario, collision models) of each simulated case
+SIM_CASES = (("sim_n1", ("BP", "IC")), ("sim_n2", ("BP", "IC", "IIC")))
 
 COV = default_scenario("coverage_eu868")
 N1 = default_scenario("sim_n1")
@@ -48,8 +51,9 @@ def report(num, desc, ok, detail=""):
 @pytest.fixture(scope="module")
 def sim_sweeps():
     # the models of a case resolve one calendar per replication
-    shared = {"n1": sweep_models(replace(N1, replications=REPS), ("BP", "IC")),
-              "n2": sweep_models(replace(N2, replications=REPS), ("BP", "IC", "IIC"))}
+    shared = {name.removeprefix("sim_"):
+              sweep_models(replace(default_scenario(name), replications=REPS), models)
+              for name, models in SIM_CASES}
     return {f"{case}_{model.lower()}": outcomes
             for case, sweeps in shared.items() for model, outcomes in sweeps.items()}
 
@@ -243,6 +247,15 @@ def test_criterion_10_property_suites(sim_sweeps):
                "duty-cycle ceiling",
            ok, f"det={ok_det} cons={ok_cons} uniq={ok_uni} order={ok_order} "
                f"duty={ok_duty} (worst node airtime {worst_duty:.4%})")
+
+
+def test_paper_recipe_table_is_the_acceptance_recipe():
+    # `reproduce` and the demos read the library's table; an edit to it fails
+    # here until these literals are edited too, in the open
+    assert default_scenario(paper.FIG2_SCENARIO) == COV
+    assert paper.FIG2_NODE_COUNTS == MC_NODE_COUNTS
+    assert paper.SIM_CASES == SIM_CASES
+    assert paper.PROJECTION_CHANNELS == 5            # criterion 9's channel count
 
 
 def test_bp_receives_no_more_per_sf_than_ic_or_iic(sim_sweeps):

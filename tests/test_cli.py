@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import loracell
-from loracell import load_scenario
+from loracell import load_scenario, sweep_models
 from loracell.cli import EXIT_CONFIG, EXIT_OK, main
 
 
@@ -311,6 +311,46 @@ def test_reproduce_fig4_is_the_same_for_any_job_count(tmp_path):
                      "--replications", "1", "--seed", "3"]) == EXIT_OK
     assert (tmp_path / "1" / "fig4_pdr.csv").read_bytes() == \
         (tmp_path / "2" / "fig4_pdr.csv").read_bytes()
+
+
+def outputs_sha256(outdir):
+    """SHA-256 of each file, with the manifest timestamp dropped and the output
+    path cut to its file name, as the output pins hash them."""
+    pins = {}
+    for path in sorted(outdir.iterdir()):
+        data = path.read_bytes()
+        if path.name.endswith(".manifest.json"):
+            manifest = json.loads(data)
+            del manifest["timestamp"]
+            manifest["output_path"] = Path(manifest["output_path"]).name
+            data = json.dumps(manifest, indent=2).encode("utf-8")
+        pins[path.name] = hashlib.sha256(data).hexdigest()
+    return pins
+
+
+@pytest.mark.parametrize("figures", [["fig2", "fig3", "fig4"], ["fig4", "fig2", "fig4"]])
+def test_reproduce_several_figures_writes_what_separate_runs_write(figures, tmp_path,
+                                                                   monkeypatch, capsys):
+    flags = ["--replications", "1", "--seed", "3"]
+    calls = []
+
+    def spy(scenario, models, **kwargs):
+        calls.append(models)
+        return sweep_models(scenario, models, **kwargs)
+
+    monkeypatch.setattr("loracell.cli.sweep_models", spy)
+    assert main(["reproduce", *figures, "--outdir", str(tmp_path / "all"), *flags]) == EXIT_OK
+    # fig3 and fig4 share one sweep per case
+    assert calls == [("BP", "IC"), ("BP", "IC", "IIC")]
+    together = capsys.readouterr().out.replace(str(tmp_path / "all"), "OUT")
+    alone = ""
+    for figure in dict.fromkeys(figures):
+        assert main(["reproduce", figure, "--outdir", str(tmp_path / "one"), *flags]) == EXIT_OK
+        alone += capsys.readouterr().out.replace(str(tmp_path / "one"), "OUT")
+    assert together == alone
+    assert together.count("wrote") == len(set(figures))
+    assert outputs_sha256(tmp_path / "all") == outputs_sha256(tmp_path / "one")
+    assert len(outputs_sha256(tmp_path / "all")) == 3 * len(set(figures))
 
 
 def test_reproduce_fig4_pdr_decreases(tmp_path):

@@ -1,7 +1,7 @@
 """The fast demo scripts run end to end: each exits 0 and writes its CSV.
 
-`analytic_vs_montecarlo.py` and `throughput_sweep.py` take a few seconds
-each and are checked by hand instead."""
+`analytic_vs_montecarlo.py` takes a few seconds and is checked by hand
+instead."""
 
 import os
 import subprocess
@@ -17,6 +17,7 @@ FAST_DEMOS = {
     "coverage_vs_distance": ("coverage_vs_distance.csv", 300),
     "hypergeometric_accuracy": ("hypergeometric_accuracy.csv", 15),
     "airtime_and_aloha": ("airtime_and_aloha.csv", 6),
+    "throughput_sweep": ("throughput_sweep.csv", 10),
 }
 
 

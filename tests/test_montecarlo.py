@@ -453,6 +453,15 @@ def test_estimators_reject_non_positive_trials(trials):
         estimate_sir_ring(typical, 9, SCN, trials=trials, seed=1)
 
 
+@pytest.mark.parametrize("trials", [2.5, 1e3])
+def test_estimators_reject_trials_that_are_not_a_whole_number(trials):
+    typical = TypicalNode(1500.0, 8)
+    with pytest.raises(ConfigurationError, match="trials must be a whole number"):
+        estimate_coverage(typical, SCN, trials=trials, seed=1)
+    with pytest.raises(ConfigurationError, match="trials must be a whole number"):
+        estimate_sir_ring(typical, 9, SCN, trials=trials, seed=1)
+
+
 @pytest.mark.parametrize("trials, interferers, sizes", [
     (200_000, 25.0, [10_000] * 20),             # N=2500: 10,485 trials a block at most
     (200_000, 2.5, [100_000] * 2),

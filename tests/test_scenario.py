@@ -15,6 +15,7 @@ from loracell import (
     Scenario,
     ThresholdSet,
     default_scenario,
+    draw_calendar,
     equal_area_rings,
     load_scenario,
     load_thresholds,
@@ -311,6 +312,16 @@ def test_uniform_random_requires_divisible_node_count():
     scn = default_scenario("sim_n2")
     bad = scn.with_node_count(301)
     assert any("divisible" in e for e in bad.errors())
+
+
+@pytest.mark.parametrize("count", [301, 5])
+def test_placement_rejects_a_node_count_the_sf_quotas_do_not_divide(count):
+    # unchecked, the quotas would give 301 distances and 300 SFs, or 5 and 0
+    scn = default_scenario("sim_n2").with_node_count(count)
+    with pytest.raises(ConfigurationError, match="divisible"):
+        sample_placement(scn, seed=1)
+    with pytest.raises(ConfigurationError, match="divisible"):
+        draw_calendar(scn, 0.5, 1)
 
 
 @pytest.mark.parametrize("name", ["coverage_eu868", "sim_n1", "sim_n2"])
